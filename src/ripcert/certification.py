@@ -333,7 +333,9 @@ def roc_exact_search(
     def evaluate(pair: tuple[np.ndarray, np.ndarray]):
         first, second = pair
         cross = g[first[:, :, None], second[:, None, :]]
-        sv = np.linalg.svd(cross, compute_uv=False)[:, 0]
+        # sigma_max(C) = sqrt(lambda_max(C*C)): a k x k eigvalsh is cheaper than an SVD
+        lam = np.linalg.eigvalsh(cross.conj().swapaxes(1, 2) @ cross)[:, -1]
+        sv = np.sqrt(np.maximum(lam, 0.0))
         i = int(np.argmax(sv))
         return float(sv[i]), tuple(int(x) for x in first[i]), tuple(int(x) for x in second[i])
 
@@ -406,6 +408,39 @@ def fro_constant(frame: Frame, k: int, budget: int = DEFAULT_BUDGET, workers: in
     return fro_constant_search(frame, k, budget, workers).value
 
 
+def _spark_clear_ratio(frame: Frame, size: int, tol: float) -> float:
+    """Ratio rho with: lambda_min > rho * lambda_max of a computed sub-Gram
+    implies that the SVD test of those columns finds them independent.
+
+    With u the unit roundoff, m rows and s = ``size`` columns (s <= m):
+
+    - each Gram entry is a length-m inner product, off by at most
+      ~(m+2)u |phi_i||phi_j| <= (m+2)u lambda_max; a real ``gram_array``
+      also drops an imaginary part d <= d/nu * lambda_max, nu the smallest
+      squared column norm. ``eigvalsh`` is backward stable with error
+      ~s u lambda_max. By Weyl, every computed eigenvalue is within
+      e_g * lambda_max of the exact one, e_g = s (16 (m+s) u + d/nu);
+    - the SVD's singular values are within e_s * sigma_max of the exact
+      ones, e_s = 16 (m+s) u.
+
+    The exact eigenvalues are the squared exact singular values, so a
+    cleared subset has sigma_min / sigma_max >= t = tol (1+e_s) + e_s,
+    and the SVD then sees sigma_min > tol * sigma_max, if
+    rho = (t^2 + e_g) / (1 - e_g), i.e. tol^2 plus a margin of about
+    e_g + 2 tol e_s. Subsets that are not cleared go to the SVD test.
+    """
+    m = frame.m
+    u = np.finfo(float).eps
+    g = frame.gram_array
+    dropped = 0.0 if np.iscomplexobj(g) else float(np.abs(frame.gram.data.imag).max())
+    e_g = size * (16 * (m + size) * u + dropped / float(frame.column_norms_squared.min()))
+    e_s = 16 * (m + size) * u
+    if e_g >= 1.0:
+        return math.inf
+    t = tol * (1.0 + e_s) + e_s
+    return (t * t + e_g) / (1.0 - e_g)
+
+
 def spark_search(
     frame: Frame,
     cap: int,
@@ -416,7 +451,9 @@ def spark_search(
     """Smallest linearly dependent column subset, searched size by size.
 
     A subset counts as dependent when its smallest singular value is at
-    most ``tol`` times its largest. Returns the exact spark if a
+    most ``tol`` times its largest. Subsets whose sub-Gram eigenvalues
+    clear them by a margin above rounding error skip the SVD; only the
+    rest are decided by it. Returns the exact spark if a
     dependent subset of size <= cap exists, otherwise the statement
     spark > cap.
     """
@@ -428,17 +465,21 @@ def spark_search(
     total = sum(subset_count(n, s) for s in range(1, cap + 1))
     require_budget(total, budget, f"spark search up to size {cap}")
     mat = frame.matrix.data
+    g = frame.gram_array
     nworkers = worker_count(workers)
     tested = 0
     for size in range(1, cap + 1):
+        clear = _spark_clear_ratio(frame, size, tol)
 
         def evaluate(chunk: np.ndarray):
-            cols = np.transpose(mat[:, chunk], (1, 0, 2))
-            sv = np.linalg.svd(cols, compute_uv=False)
-            dependent = sv[:, -1] <= tol * sv[:, 0]
             if size > mat.shape[0]:
-                dependent[:] = True  # more columns than rows is always dependent
-            hits = np.flatnonzero(dependent)
+                hits = np.arange(1)  # more columns than rows is always dependent
+            else:
+                lam = np.linalg.eigvalsh(g[chunk[:, :, None], chunk[:, None, :]])
+                rows = np.flatnonzero(lam[:, 0] <= clear * lam[:, -1])
+                cols = np.transpose(mat[:, chunk[rows]], (1, 0, 2))
+                sv = np.linalg.svd(cols, compute_uv=False)
+                hits = rows[sv[:, -1] <= tol * sv[:, 0]]
             if hits.size:
                 first = int(hits[0])
                 return len(chunk), tuple(int(x) for x in chunk[first]), first

@@ -286,6 +286,8 @@ def _cmd_certify(args) -> int:
     fro_ks = args.fro or []
     if args.gershgorin and not (exact_ks or roc_ks or fro_ks or power_specs):
         raise _UsageError("--gershgorin needs at least one K from another flag")
+    if args.budget < 0:
+        raise InvalidParameterError(f"--budget must be >= 0, got {args.budget}")
     report = certify_frame(
         frame,
         gershgorin=args.gershgorin,

@@ -308,6 +308,8 @@ def column_sum_tail(
         x = rng.normal(0.0, math.sqrt(k1 / m), size=(block, m))
         y = rng.normal(0.0, math.sqrt(k2 / m), size=(block, m))
         sums = np.einsum("ij,ij->i", x, y)
+        # free this block before drawing the next, so two blocks are never alive
+        del x, y
         counts += (np.abs(sums)[:, None] >= thresholds[None, :]).sum(axis=0)
         pos += (sums[:, None] >= thresholds[None, :]).sum(axis=0)
         neg += (sums[:, None] <= -thresholds[None, :]).sum(axis=0)

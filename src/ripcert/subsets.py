@@ -1,10 +1,13 @@
 """Deterministic subset enumeration with optional thread workers.
 
-Subsets are always produced in lexicographic order and reduced
-chunk-by-chunk in that order, so search results (including argmax
-witnesses) are bitwise identical for any worker count. The worker count
-comes from the RIPCERT_WORKERS environment variable unless a caller
-passes one explicitly; the default is 1.
+Subsets are always produced in lexicographic order, as numpy index
+arrays of at most ``CHUNK`` rows, and reduced chunk by chunk in that
+order. Every reduction keeps the first strict maximum, so a search
+returns the same value and the same witness (its lexicographically first
+maximiser among equal floats) wherever the chunk boundaries fall, and for
+any worker count. The worker count comes from the RIPCERT_WORKERS
+environment variable unless a caller passes one explicitly; the default
+is 1.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import numpy as np
 from .errors import EnumerationBudgetError, InvalidParameterError
 
 WORKERS_ENV = "RIPCERT_WORKERS"
-#: fixed chunk size; independent of worker count so results never depend on it
+#: rows per enumerated chunk, and the row cap of the r-subset table that
+#: k-subset chunks are assembled from; results never depend on it (see above)
 CHUNK = 4096
 
 T = TypeVar("T")
@@ -41,6 +45,8 @@ def worker_count(explicit: int | None = None) -> int:
 
 
 def require_budget(needed: int, budget: int, what: str) -> None:
+    if budget < 0:
+        raise InvalidParameterError(f"budget must be >= 0, got {budget}")
     if needed > budget:
         raise EnumerationBudgetError(needed, budget, what)
 
@@ -63,14 +69,57 @@ def mixed_pair_count(n: int, k: int) -> int:
     return total // 2
 
 
+def _subset_table(n: int, r: int) -> np.ndarray:
+    """All r-subsets of range(n), lexicographic, as a (C(n, r), r) array."""
+    rows = math.comb(n, r)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), r))
+    return np.fromiter(flat, dtype=np.intp, count=rows * r).reshape(rows, r)
+
+
+def _row_starts(table: np.ndarray, n: int) -> list[int]:
+    """``starts[s]``: first row of a lexicographic table whose smallest element is >= s."""
+    return np.searchsorted(table[:, 0], np.arange(n + 1)).tolist()
+
+
+def _pack(segments: Iterable[tuple], width: int, chunk: int) -> Iterator[np.ndarray]:
+    """Rows ``head + tail`` for every (head, tails) segment, in (<= chunk, width) arrays."""
+    out = np.empty((chunk, width), dtype=np.intp)
+    fill = 0
+    for head, tails in segments:
+        h = len(head)
+        done = 0
+        while done < len(tails):
+            take = min(len(tails) - done, chunk - fill)
+            out[fill : fill + take, :h] = head
+            out[fill : fill + take, h:] = tails[done : done + take]
+            fill += take
+            done += take
+            if fill == chunk:
+                yield out
+                out = np.empty((chunk, width), dtype=np.intp)
+                fill = 0
+    if fill:
+        yield out[:fill]
+
+
 def iter_subset_chunks(n: int, k: int, chunk: int = CHUNK) -> Iterator[np.ndarray]:
-    """Lexicographic k-subsets of range(n) in (B, k) index arrays."""
-    it = itertools.combinations(range(n), k)
-    while True:
-        batch = list(itertools.islice(it, chunk))
-        if not batch:
-            return
-        yield np.array(batch, dtype=np.intp)
+    """Lexicographic k-subsets of range(n) in (B, k) index arrays.
+
+    Each (k-r)-prefix, in lexicographic order, is followed by every
+    r-subset of the elements above its last one. Those r-subsets are a
+    contiguous tail of the lexicographic r-subset table, so a chunk is
+    assembled by slicing, with r the largest size whose table has at
+    most ``CHUNK`` rows.
+    """
+    r = max((s for s in range(1, k + 1) if math.comb(n, s) <= CHUNK), default=min(k, 1))
+    table = _subset_table(n, r)
+    starts = _row_starts(table, n) if r else []
+
+    def segments():
+        for head in itertools.combinations(range(n), k - r):
+            yield head, table[starts[head[-1] + 1] :] if head else table
+
+    yield from _pack(segments(), k, chunk)
 
 
 def iter_disjoint_pair_chunks(
@@ -79,23 +128,24 @@ def iter_disjoint_pair_chunks(
     """Unordered pairs of disjoint k-subsets, each pair listed once.
 
     The subset containing the overall smallest element is first, so the
-    enumeration covers each unordered pair exactly once, in a fixed
-    deterministic order.
+    enumeration covers each unordered pair exactly once. Pairs come in
+    lexicographic order of (first, second): for each k-subset ``first``,
+    the partners are the rows of the k-subset table that start above
+    ``first[0]`` and share no element with it, found through a
+    column-membership table.
     """
-    buf_i: list[tuple[int, ...]] = []
-    buf_j: list[tuple[int, ...]] = []
-    for first in itertools.combinations(range(n), k):
-        lo = first[0]
-        in_first = set(first)
-        allowed = [x for x in range(lo + 1, n) if x not in in_first]
-        for second in itertools.combinations(allowed, k):
-            buf_i.append(first)
-            buf_j.append(second)
-            if len(buf_i) >= chunk:
-                yield np.array(buf_i, dtype=np.intp), np.array(buf_j, dtype=np.intp)
-                buf_i, buf_j = [], []
-    if buf_i:
-        yield np.array(buf_i, dtype=np.intp), np.array(buf_j, dtype=np.intp)
+    table = _subset_table(n, k)
+    starts = _row_starts(table, n)
+    member = np.zeros((n, len(table)), dtype=bool)
+    member[table, np.arange(len(table))[:, None]] = True
+
+    def segments():
+        for first in table:
+            lo = starts[first[0] + 1]
+            yield first, table[lo:][~member[first, lo:].any(axis=0)]
+
+    for rows in _pack(segments(), 2 * k, chunk):
+        yield rows[:, :k], rows[:, k:]
 
 
 def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Iterator[R]:
@@ -109,7 +159,8 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Itera
         for item in items:
             yield fn(item)
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
         pending: deque = deque()
         for item in items:
             pending.append(pool.submit(fn, item))
@@ -117,3 +168,7 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Itera
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
+    finally:
+        # a consumer that stops early (a first hit, an exception) closes this
+        # generator; tasks that have not started are then dropped, not run
+        pool.shutdown(cancel_futures=True)

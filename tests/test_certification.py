@@ -27,6 +27,7 @@ from ripcert import (
     verify_etf,
     welch_bound,
 )
+from ripcert.certification import SPARK_TOL, SparkResult, _spark_clear_ratio
 from ripcert.constructions import Frame
 from ripcert.errors import (
     ChainError,
@@ -39,6 +40,21 @@ from ripcert.linalg import DenseMatrix, spectral_norm
 
 def orthonormal_frame(n):
     return Frame(DenseMatrix(np.eye(n)), label="identity")
+
+
+def svd_only_spark(frame, cap, tol):
+    """Reference spark search: one SVD per subset, in lexicographic order."""
+    mat = frame.matrix.data
+    tested = 0
+    for size in range(1, cap + 1):
+        subsets = list(itertools.combinations(range(frame.n), size))
+        sv = np.linalg.svd(np.transpose(mat[:, subsets], (1, 0, 2)), compute_uv=False)
+        dependent = (sv[:, -1] <= tol * sv[:, 0]) | (size > frame.m)
+        hits = np.flatnonzero(dependent)
+        if hits.size:
+            return SparkResult(size, cap, subsets[hits[0]], tested + int(hits[0]) + 1)
+        tested += len(subsets)
+    return SparkResult(None, cap, None, tested)
 
 
 class TestCoherenceAndWelch:
@@ -236,6 +252,22 @@ class TestRocExact:
         with pytest.raises(PreconditionError):
             roc_exact(paley5_real, 4)
 
+    @pytest.mark.parametrize("shape, k", [((5, 10), 2), ((5, 10), 3), ((8, 12), 3), (None, 2)])
+    def test_matches_per_pair_spectral_norms(self, shape, k, paley13):
+        frame = paley13 if shape is None else gaussian_matrix(*shape, 17)
+        g = frame.gram.data
+        subsets = list(itertools.combinations(range(frame.n), k))
+        best = max(
+            np.linalg.norm(g[np.ix_(a, b)], 2)
+            for a in subsets
+            for b in subsets
+            if a[0] < b[0] and not set(a) & set(b)
+        )
+        result = roc_exact_search(frame, k)
+        assert math.isclose(result.value, best, rel_tol=1e-12)
+        attained = np.linalg.norm(g[np.ix_(result.witness_i, result.witness_j)], 2)
+        assert math.isclose(attained, result.value, rel_tol=1e-12)
+
 
 class TestFroConstant:
     def test_orthonormal_zero(self):
@@ -378,6 +410,31 @@ class TestSpark:
     def test_budget_error(self, paley13_real):
         with pytest.raises(EnumerationBudgetError):
             spark(paley13_real, 8, budget=1000)
+
+    @pytest.mark.parametrize(
+        "name, cap", [("steiner_6x16", 4), ("paley5", 6), ("paley13", 8)]
+    )
+    def test_equals_svd_only_search(self, name, cap, request):
+        frame = request.getfixturevalue(name)
+        assert spark(frame, cap) == svd_only_spark(frame, cap, SPARK_TOL)
+
+    @pytest.mark.parametrize("side", [1e-6, -1e-6])
+    def test_planted_dependence_at_the_tolerance(self, side):
+        # column 5 is 0.6 * column 1 - 0.8 * column 3 plus a 1e-9 perturbation;
+        # tol sits just above or just below that triple's singular value
+        # ratio, where only the SVD can decide
+        data = np.random.default_rng(5).normal(size=(5, 9))
+        data[:, 5] = 0.6 * data[:, 1] - 0.8 * data[:, 3] + 1e-9 * data[:, 7]
+        frame = Frame(DenseMatrix(data), label="planted")
+        sv = np.linalg.svd(frame.matrix.data[:, [1, 3, 5]], compute_uv=False)
+        ratio = sv[-1] / sv[0]
+        assert ratio**2 < _spark_clear_ratio(frame, 3, ratio)
+        tol = ratio * (1.0 + side)
+        result = spark(frame, 4, tol=tol)
+        assert result == svd_only_spark(frame, 4, tol)
+        assert (result.spark == 3) == (side > 0)
+        if side > 0:
+            assert result.witness == (1, 3, 5)
 
 
 class TestCertifyFrame:

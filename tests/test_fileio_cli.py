@@ -159,6 +159,13 @@ class TestCertifyCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("search", [["--exact-ric", "2"], []])
+    def test_negative_budget_is_usage_error(self, tmp_path, steiner_file, capsys, search):
+        rep = tmp_path / "rep.txt"
+        code = main(["certify", str(steiner_file), *search, "--budget", "-1", "-o", str(rep)])
+        assert code == 1
+        assert "budget must be >= 0" in capsys.readouterr().err
+
     def test_gershgorin_alone_is_usage_error(self, tmp_path, paley5_file):
         assert main(["certify", str(paley5_file), "--gershgorin", "-o", "x"]) == 1
 

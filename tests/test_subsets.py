@@ -1,0 +1,88 @@
+import itertools
+import threading
+import time
+
+import pytest
+
+from ripcert.errors import InvalidParameterError
+from ripcert.subsets import (
+    iter_disjoint_pair_chunks,
+    iter_subset_chunks,
+    ordered_map,
+    require_budget,
+)
+
+
+def reference_pairs(n, k):
+    """The pair order of the pure-itertools enumeration."""
+    for first in itertools.combinations(range(n), k):
+        in_first = set(first)
+        allowed = [x for x in range(first[0] + 1, n) if x not in in_first]
+        for second in itertools.combinations(allowed, k):
+            yield first, second
+
+
+def subset_rows(n, k, chunk):
+    for block in iter_subset_chunks(n, k, chunk):
+        assert 0 < len(block) <= chunk
+        assert block.shape[1] == k
+        yield from (tuple(int(x) for x in row) for row in block)
+
+
+def pair_rows(n, k, chunk):
+    for first, second in iter_disjoint_pair_chunks(n, k, chunk):
+        assert 0 < len(first) <= chunk
+        assert first.shape == second.shape == (len(first), k)
+        for a, b in zip(first, second):
+            yield tuple(int(x) for x in a), tuple(int(x) for x in b)
+
+
+def same_sequence(got, expected):
+    return all(a == b for a, b in itertools.zip_longest(got, expected))
+
+
+class TestEnumerationOrder:
+    @pytest.mark.parametrize("chunk", [1, 5, 4096])
+    def test_subsets_match_itertools(self, chunk):
+        for n in range(1, 13):
+            for k in range(0, n + 2):
+                expected = itertools.combinations(range(n), k)
+                assert same_sequence(subset_rows(n, k, chunk), expected), (n, k)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 4096])
+    def test_disjoint_pairs_match_itertools(self, chunk):
+        for n in range(1, 13):
+            for k in range(1, n // 2 + 2):
+                assert same_sequence(pair_rows(n, k, chunk), reference_pairs(n, k)), (n, k)
+
+    def test_more_than_64_columns(self):
+        for k in (1, 2, 3):
+            expected = itertools.combinations(range(70), k)
+            assert same_sequence(subset_rows(70, k, 4096), expected)
+        assert same_sequence(pair_rows(70, 1, 4096), reference_pairs(70, 1))
+
+
+class TestOrderedMap:
+    def test_early_exit_cancels_queued_work(self):
+        calls = []
+        lock = threading.Lock()
+
+        def fn(i):
+            with lock:
+                calls.append(i)
+            if i:
+                time.sleep(0.05)
+            return i
+
+        for result in ordered_map(fn, range(100), workers=2):
+            assert result == 0
+            break
+        # item 0 plus at most the two items running when the consumer
+        # stopped; the rest of the 8 queued items must not run
+        assert len(calls) <= 3
+
+
+class TestBudget:
+    def test_negative_budget_is_invalid(self):
+        with pytest.raises(InvalidParameterError):
+            require_budget(0, -1, "anything")
