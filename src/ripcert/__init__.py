@@ -20,23 +20,17 @@ from .certification import (
     SubsetSearch,
     appendix_constants,
     certify_frame,
-    coherence,
     delta1,
-    fro_constant,
     fro_constant_search,
     fro_to_ro_bound,
     gershgorin_bound,
     halving_chain,
     iterated_ro_bound,
-    ric_exact,
     ric_exact_search,
-    ric_power,
     ric_power_search,
     ro_to_rip_bound,
-    roc_exact,
     roc_exact_search,
     select_t,
-    spark,
     spark_search,
     verify_etf,
     welch_bound,
@@ -70,7 +64,6 @@ from .graphs import (
     flip_canonical,
     graph_from_seidel,
     join_decompose,
-    legendre,
     paley_graph,
     predicted_srg,
     seidel_from_gram,
@@ -79,12 +72,7 @@ from .graphs import (
 )
 from .linalg import (
     DenseMatrix,
-    Spectrum,
     gram,
-    hermitian_eigenvalues,
-    operator_norm,
-    semidefinite_cholesky,
-    submatrix_columns,
     trace_power,
 )
 from .montecarlo import (

@@ -41,6 +41,8 @@ DEFAULT_BUDGET = 5_000_000
 SPARK_TOL = 1e-9
 #: slack used by the internal consistency checks between computed constants
 CHECK_SLACK = 1e-9
+#: subsets per row block of the flat-orthogonality search
+_FRO_BLOCK = 256
 
 LN2 = math.log(2.0)
 #: headline constant of the flat-to-plain orthogonality bound
@@ -50,11 +52,6 @@ FRO_C = 75.0
 # ---------------------------------------------------------------------------
 # Scalar quantities and axiom checks
 # ---------------------------------------------------------------------------
-
-
-def coherence(frame: Frame) -> float:
-    """Worst-case coherence: the largest off-diagonal Gram magnitude."""
-    return frame.coherence
 
 
 def welch_bound(m: int, n: int) -> float:
@@ -140,7 +137,7 @@ def gershgorin_bound(frame: Frame, k: int) -> float:
         )
     if k == 1:
         return 0.0
-    return (k - 1) * coherence(frame)
+    return (k - 1) * frame.coherence
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +182,40 @@ class SparkResult:
         return self.spark if self.spark is not None else self.cap + 1
 
 
+def _first_max(chunks, kernel, witness, workers, stop=math.inf):
+    """Lexicographically first maximum of a vectorised kernel over enumerated chunks.
+
+    ``kernel`` maps a chunk to one value per row and ``witness(chunk, row)``
+    names a row. Chunks are reduced in enumeration order and only a strictly
+    larger value replaces the best, so the result does not depend on chunk
+    boundaries or the worker count. The search stops once a value reaches
+    ``stop``. Returns (value, witness, position), position being the
+    winner's index in the enumeration.
+    """
+
+    def evaluate(chunk):
+        values = kernel(chunk)
+        row = int(np.argmax(values))
+        return len(values), float(values[row]), row, witness(chunk, row)
+
+    best, seen = (-1.0, (), -1), 0
+    for size, value, row, found in ordered_map(evaluate, chunks, worker_count(workers)):
+        if value > best[0]:
+            best = (value, found, seen + row)
+            if value >= stop:
+                break
+        seen += size
+    return best
+
+
+def _row(chunk: np.ndarray, i: int) -> tuple[int, ...]:
+    return tuple(int(x) for x in chunk[i])
+
+
+def _pair_row(pair: tuple[np.ndarray, np.ndarray], i: int):
+    return _row(pair[0], i), _row(pair[1], i)
+
+
 def _hollow_subgrams(g: np.ndarray, chunk: np.ndarray) -> np.ndarray:
     sub = g[chunk[:, :, None], chunk[:, None, :]].copy()
     k = chunk.shape[1]
@@ -207,23 +238,12 @@ def ric_exact_search(
     total = subset_count(n, k)
     require_budget(total, budget, f"exact isometry constant at K={k}")
     g = frame.gram_array
-    nworkers = worker_count(workers)
 
-    def evaluate(chunk: np.ndarray) -> tuple[float, tuple[int, ...]]:
-        sub = _hollow_subgrams(g, chunk)
-        dev = np.abs(np.linalg.eigvalsh(sub)).max(axis=1)
-        i = int(np.argmax(dev))
-        return float(dev[i]), tuple(int(x) for x in chunk[i])
+    def kernel(chunk: np.ndarray) -> np.ndarray:
+        return np.abs(np.linalg.eigvalsh(_hollow_subgrams(g, chunk))).max(axis=1)
 
-    best_value, best_witness = -1.0, ()
-    for value, witness in ordered_map(evaluate, iter_subset_chunks(n, k), nworkers):
-        if value > best_value:
-            best_value, best_witness = value, witness
-    return SubsetSearch(best_value, best_witness, total)
-
-
-def ric_exact(frame: Frame, k: int, budget: int = DEFAULT_BUDGET, workers: int | None = None) -> float:
-    return ric_exact_search(frame, k, budget, workers).value
+    value, witness, _ = _first_max(iter_subset_chunks(n, k), kernel, _row, workers)
+    return SubsetSearch(value, witness, total)
 
 
 def _frobenius(a: np.ndarray) -> np.ndarray:
@@ -292,24 +312,12 @@ def ric_power_search(
     total = subset_count(n, k)
     require_budget(total, budget, f"trace power estimate at K={k}")
     g = frame.gram_array
-    nworkers = worker_count(workers)
 
-    def evaluate(chunk: np.ndarray) -> tuple[float, tuple[int, ...]]:
-        vals = _trace_power_roots(_hollow_subgrams(g, chunk), 2 * q)
-        i = int(np.argmax(vals))
-        return float(vals[i]), tuple(int(x) for x in chunk[i])
+    def kernel(chunk: np.ndarray) -> np.ndarray:
+        return _trace_power_roots(_hollow_subgrams(g, chunk), 2 * q)
 
-    best_value, best_witness = -1.0, ()
-    for value, witness in ordered_map(evaluate, iter_subset_chunks(n, k), nworkers):
-        if value > best_value:
-            best_value, best_witness = value, witness
-    return SubsetSearch(best_value, best_witness, total)
-
-
-def ric_power(
-    frame: Frame, k: int, q: int, budget: int = DEFAULT_BUDGET, workers: int | None = None
-) -> float:
-    return ric_power_search(frame, k, q, budget, workers).value
+    value, witness, _ = _first_max(iter_subset_chunks(n, k), kernel, _row, workers)
+    return SubsetSearch(value, witness, total)
 
 
 def roc_exact_search(
@@ -328,26 +336,16 @@ def roc_exact_search(
     total = disjoint_pair_count(n, k)
     require_budget(total, budget, f"exact orthogonality constant at K={k}")
     g = frame.gram_array
-    nworkers = worker_count(workers)
 
-    def evaluate(pair: tuple[np.ndarray, np.ndarray]):
+    def kernel(pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         first, second = pair
         cross = g[first[:, :, None], second[:, None, :]]
         # sigma_max(C) = sqrt(lambda_max(C*C)): a k x k eigvalsh is cheaper than an SVD
         lam = np.linalg.eigvalsh(cross.conj().swapaxes(1, 2) @ cross)[:, -1]
-        sv = np.sqrt(np.maximum(lam, 0.0))
-        i = int(np.argmax(sv))
-        return float(sv[i]), tuple(int(x) for x in first[i]), tuple(int(x) for x in second[i])
+        return np.sqrt(np.maximum(lam, 0.0))
 
-    best = (-1.0, (), ())
-    for value, wi, wj in ordered_map(evaluate, iter_disjoint_pair_chunks(n, k), nworkers):
-        if value > best[0]:
-            best = (value, wi, wj)
-    return PairSearch(best[0], best[1], best[2], total)
-
-
-def roc_exact(frame: Frame, k: int, budget: int = DEFAULT_BUDGET, workers: int | None = None) -> float:
-    return roc_exact_search(frame, k, budget, workers).value
+    value, (wi, wj), _ = _first_max(iter_disjoint_pair_chunks(n, k), kernel, _pair_row, workers)
+    return PairSearch(value, wi, wj, total)
 
 
 def _subsets_up_to(n: int, k: int) -> list[tuple[int, ...]]:
@@ -364,7 +362,8 @@ def fro_constant_search(
 
     Maximizes |<sum of columns in I, sum of columns in J>| / sqrt(|I||J|)
     over disjoint nonempty subsets with sizes up to k; each unordered
-    pair is evaluated once.
+    pair is evaluated once. Rows of ``_FRO_BLOCK`` subsets are evaluated
+    against every subset at once, flattened row-major.
     """
     n = frame.n
     if k < 1:
@@ -381,31 +380,23 @@ def fro_constant_search(
         indicator[row, list(s)] = 1.0
     sizes = indicator.sum(axis=1)
     sums = indicator @ g  # row s holds <column sums of s against every column>
-    nworkers = worker_count(workers)
-    block_size = 256
-    blocks = [(start, min(start + block_size, count)) for start in range(0, count, block_size)]
+    blocks = [(lo, min(lo + _FRO_BLOCK, count)) for lo in range(0, count, _FRO_BLOCK)]
 
-    def evaluate(block: tuple[int, int]):
+    def kernel(block: tuple[int, int]) -> np.ndarray:
         lo, hi = block
         vals = np.abs(sums[lo:hi] @ indicator.T)
         vals /= np.sqrt(np.outer(sizes[lo:hi], sizes))
         overlap = indicator[lo:hi] @ indicator.T
         cols = np.arange(count)[None, :]
         usable = (overlap < 0.5) & (cols > np.arange(lo, hi)[:, None])
-        vals = np.where(usable, vals, -1.0)
-        flat = int(np.argmax(vals))
+        return np.where(usable, vals, -1.0).ravel()
+
+    def witness(block: tuple[int, int], flat: int):
         i, j = divmod(flat, count)
-        return float(vals[i, j]), subs[lo + i], subs[j]
+        return subs[block[0] + i], subs[j]
 
-    best = (-1.0, (), ())
-    for value, wi, wj in ordered_map(evaluate, blocks, nworkers):
-        if value > best[0]:
-            best = (value, wi, wj)
-    return PairSearch(best[0], best[1], best[2], total)
-
-
-def fro_constant(frame: Frame, k: int, budget: int = DEFAULT_BUDGET, workers: int | None = None) -> float:
-    return fro_constant_search(frame, k, budget, workers).value
+    value, (wi, wj), _ = _first_max(blocks, kernel, witness, workers)
+    return PairSearch(value, wi, wj, total)
 
 
 def _spark_clear_ratio(frame: Frame, size: int, tol: float) -> float:
@@ -466,43 +457,28 @@ def spark_search(
     require_budget(total, budget, f"spark search up to size {cap}")
     mat = frame.matrix.data
     g = frame.gram_array
-    nworkers = worker_count(workers)
     tested = 0
     for size in range(1, cap + 1):
         clear = _spark_clear_ratio(frame, size, tol)
 
-        def evaluate(chunk: np.ndarray):
+        def dependent(chunk: np.ndarray) -> np.ndarray:
             if size > mat.shape[0]:
-                hits = np.arange(1)  # more columns than rows is always dependent
-            else:
-                lam = np.linalg.eigvalsh(g[chunk[:, :, None], chunk[:, None, :]])
-                rows = np.flatnonzero(lam[:, 0] <= clear * lam[:, -1])
-                cols = np.transpose(mat[:, chunk[rows]], (1, 0, 2))
-                sv = np.linalg.svd(cols, compute_uv=False)
-                hits = rows[sv[:, -1] <= tol * sv[:, 0]]
-            if hits.size:
-                first = int(hits[0])
-                return len(chunk), tuple(int(x) for x in chunk[first]), first
-            return len(chunk), None, None
+                return np.ones(len(chunk), dtype=bool)  # more columns than rows
+            lam = np.linalg.eigvalsh(g[chunk[:, :, None], chunk[:, None, :]])
+            rows = np.flatnonzero(lam[:, 0] <= clear * lam[:, -1])
+            cols = np.transpose(mat[:, chunk[rows]], (1, 0, 2))
+            sv = np.linalg.svd(cols, compute_uv=False)
+            hits = np.zeros(len(chunk), dtype=bool)
+            hits[rows[sv[:, -1] <= tol * sv[:, 0]]] = True
+            return hits
 
-        for chunk_len, witness, offset in ordered_map(
-            evaluate, iter_subset_chunks(n, size), nworkers
-        ):
-            if witness is not None:
-                tested += offset + 1
-                return SparkResult(size, cap, witness, tested)
-            tested += chunk_len
+        hit, witness, position = _first_max(
+            iter_subset_chunks(n, size), dependent, _row, workers, stop=1.0
+        )
+        if hit == 1.0:
+            return SparkResult(size, cap, witness, tested + position + 1)
+        tested += subset_count(n, size)
     return SparkResult(None, cap, None, tested)
-
-
-def spark(
-    frame: Frame,
-    cap: int,
-    tol: float = SPARK_TOL,
-    budget: int = DEFAULT_BUDGET,
-    workers: int | None = None,
-) -> SparkResult:
-    return spark_search(frame, cap, tol, budget, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +719,7 @@ def certify_frame(
     ks = sorted(set(exact_ks) | set(roc_ks) | set(fro_ks) | set(power_map))
     d1 = delta1(frame)
     try:
-        mu = coherence(frame)
+        mu = frame.coherence
     except InvalidParameterError:
         mu = None
     try:
@@ -777,7 +753,7 @@ def certify_frame(
                 chain = halving_chain(k)
                 for kk in chain:
                     if kk not in theta_cache:
-                        theta_cache[kk] = roc_exact(frame, kk, budget, workers)
+                        theta_cache[kk] = roc_exact_search(frame, kk, budget, workers).value
                 thetas = [theta_cache[kk] for kk in chain]
                 iterated = iterated_ro_bound(thetas, d1, k=k)
                 derived.append(("iterated-ro-sum-2k", iterated.sum_bound))

@@ -14,17 +14,15 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .certification import (
     DEFAULT_BUDGET,
     certify_frame,
-    coherence,
     verify_etf,
     welch_bound,
 )
 from .constructions import (
+    _generator,
     all_pairs_steiner,
     bernoulli_matrix,
     gaussian_matrix,
@@ -215,7 +213,7 @@ def _cmd_construct(args) -> int:
     print(f"wrote {args.output}: {frame.label}")
     print(f"rows {frame.m} cols {frame.n}")
     if frame.n >= 2:
-        mu = coherence(frame)
+        mu = frame.coherence
         print(f"coherence {mu!r}")
         if frame.n >= frame.m:
             print(f"welch-bound {welch_bound(frame.m, frame.n)!r}")
@@ -340,7 +338,7 @@ def _write_graph_adjacency(writer: ReportWriter, g, name: str) -> None:
 
 
 def _run_mixing(writer: ReportWriter, g, trials: int, seed: int) -> list[str]:
-    rng = np.random.Generator(np.random.Philox(key=seed & ((1 << 64) - 1)))
+    rng = _generator(seed)
     violations = []
     worst = 0.0
     for _ in range(trials):

@@ -27,11 +27,8 @@ from .errors import (
     NotRealError,
     RipcertError,
 )
-from .linalg import DEFAULT_TOL, DenseMatrix, gram, semidefinite_cholesky, spectral_norm
+from .linalg import DEFAULT_TOL, DenseMatrix, gram, spectral_norm
 from .modular import is_prime, quadratic_residues
-
-#: row-norm threshold below which rows of L^T count as structurally zero
-ROW_DROP_TOL = 1e-9
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -319,8 +316,10 @@ def paley_etf(p: int, require_1mod4: bool = True) -> Frame:
 def realify(frame: Frame, tol: float = DEFAULT_TOL) -> Frame:
     """Rotate a frame with real Gram onto real coordinates.
 
-    Factor the Gram as L L^T and keep the nonzero rows of L^T, giving a
-    real frame with the same Gram matrix and one row per Gram rank.
+    When Phi*Phi is real, the stacked real matrix [Re Phi; Im Phi] has the
+    same Gram. With its SVD U S V^T, the rows of S V^T above 1e-9 of the
+    largest singular value form a real frame with that Gram, one row per
+    Gram rank.
     """
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
@@ -330,14 +329,13 @@ def realify(frame: Frame, tol: float = DEFAULT_TOL) -> Frame:
         raise NotRealError(
             f"gram matrix has imaginary part {imag_max:.3e} > tol; cannot realify"
         )
-    greal = DenseMatrix(0.5 * (g.real + g.real.T))
-    lower = semidefinite_cholesky(greal, tol=tol)
-    lt = lower.data.real.T
-    keep = np.linalg.norm(lt, axis=1) > ROW_DROP_TOL
-    psi = lt[keep]
-    newg = psi.T @ psi
-    resid = spectral_norm((newg - greal.data.real).astype(np.complex128))
-    if resid > 10.0 * tol * max(spectral_norm(greal.data), 1.0):
+    greal = 0.5 * (g.real + g.real.T)
+    phi = frame.matrix.data
+    _, s, vt = np.linalg.svd(np.vstack([phi.real, phi.imag]), full_matrices=False)
+    keep = s > 1e-9 * s[0]
+    psi = s[keep, None] * vt[keep]
+    resid = spectral_norm(psi.T @ psi - greal)
+    if resid > 10.0 * tol * max(spectral_norm(greal), 1.0):
         raise RipcertError(f"realified gram deviates by {resid:.3e}")
     return Frame(DenseMatrix(psi), label=f"{frame.label} realified".strip())
 

@@ -39,10 +39,6 @@ class NotHermitianError(RipcertError, ValueError):
     """A matrix required to be Hermitian is not, within tolerance."""
 
 
-class NotPsdError(RipcertError, ValueError):
-    """A matrix required to be positive semidefinite has a negative eigenvalue."""
-
-
 class PreconditionError(RipcertError, ValueError):
     """A documented operation precondition does not hold for the input."""
 

@@ -38,12 +38,41 @@ def _fmt_entry(z: complex, complex_flag: bool) -> str:
     return f"{_fmt_float(z.real)}{sign}{_fmt_float(abs(z.imag))}j"
 
 
-def _check_magic(line: str, magic: str, path) -> None:
-    parts = line.split()
+def _read_lines(path, magic: str, min_lines: int) -> list[str]:
+    """Lines of an ASCII text file whose first line is '<magic> <version>'."""
+    try:
+        text = Path(path).read_text(encoding="ascii").splitlines()
+    except UnicodeDecodeError:
+        raise InvalidParameterError(f"{path}: not an ASCII text file") from None
+    if len(text) < min_lines:
+        raise InvalidParameterError(f"{path}: truncated file")
+    parts = text[0].split()
     if len(parts) != 2 or parts[0] != magic:
-        raise InvalidParameterError(f"{path}: expected '{magic} <version>' header")
-    if int(parts[1]) != FORMAT_VERSION:
-        raise InvalidParameterError(f"{path}: unsupported format version {parts[1]}")
+        raise InvalidParameterError(f"{path}:1: expected '{magic} <version>' header")
+    if parts[1] != str(FORMAT_VERSION):
+        raise InvalidParameterError(f"{path}:1: unsupported format version {parts[1]}")
+    return text
+
+
+def _numbers(path, index: int, text: str, count: int | None = None, kind=int) -> list:
+    """The whitespace-separated numbers on line ``index`` (0-based), ``count`` of them if given."""
+    try:
+        values = [kind(tok) for tok in text.split()]
+    except ValueError as exc:
+        raise InvalidParameterError(f"{path}:{index + 1}: {exc}") from None
+    if count is not None and len(values) != count:
+        raise InvalidParameterError(
+            f"{path}:{index + 1}: expected {count} values, got {len(values)}"
+        )
+    return values
+
+
+def _build(path, make, *args):
+    """``make(*args)``, naming the file in the domain error a malformed file raises."""
+    try:
+        return make(*args)
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"{path}: {exc}") from None
 
 
 def write_matrix(path, frame: Frame) -> None:
@@ -63,10 +92,7 @@ def write_matrix(path, frame: Frame) -> None:
 
 
 def read_matrix(path) -> Frame:
-    text = Path(path).read_text(encoding="ascii").splitlines()
-    if not text:
-        raise InvalidParameterError(f"{path}: empty file")
-    _check_magic(text[0], MATRIX_MAGIC, path)
+    text = _read_lines(path, MATRIX_MAGIC, 1)
     rows = cols = None
     complex_flag = False
     label = ""
@@ -74,12 +100,14 @@ def read_matrix(path) -> Frame:
     while pos < len(text):
         line = text[pos]
         key, _, value = line.partition(" ")
-        if key == "rows":
-            rows = int(value)
-        elif key == "cols":
-            cols = int(value)
-        elif key == "complex":
-            complex_flag = bool(int(value))
+        if key in ("rows", "cols", "complex"):
+            (number,) = _numbers(path, pos, value, 1)
+            if key == "rows":
+                rows = number
+            elif key == "cols":
+                cols = number
+            else:
+                complex_flag = bool(number)
         elif key == "label":
             label = value
         else:
@@ -87,15 +115,13 @@ def read_matrix(path) -> Frame:
         pos += 1
     if rows is None or cols is None:
         raise InvalidParameterError(f"{path}: missing rows/cols header")
+    if rows < 1 or cols < 1:
+        raise InvalidParameterError(f"{path}: need rows, cols >= 1, got {rows}, {cols}")
     if len(text) - pos < rows:
         raise InvalidParameterError(f"{path}: expected {rows} data rows")
-    data = np.zeros((rows, cols), dtype=np.complex128)
-    for i in range(rows):
-        tokens = text[pos + i].split()
-        if len(tokens) != cols:
-            raise InvalidParameterError(f"{path}: row {i} has {len(tokens)} entries, wanted {cols}")
-        data[i] = [complex(tok) if complex_flag else float(tok) for tok in tokens]
-    return Frame(DenseMatrix(data), label=label)
+    kind = complex if complex_flag else float
+    data = [_numbers(path, pos + i, text[pos + i], cols, kind) for i in range(rows)]
+    return _build(path, lambda: Frame(DenseMatrix(np.array(data, dtype=np.complex128)), label))
 
 
 def write_steiner(path, system: SteinerSystem) -> None:
@@ -105,13 +131,12 @@ def write_steiner(path, system: SteinerSystem) -> None:
 
 
 def read_steiner(path) -> SteinerSystem:
-    text = Path(path).read_text(encoding="ascii").splitlines()
-    if len(text) < 2:
-        raise InvalidParameterError(f"{path}: truncated design file")
-    _check_magic(text[0], STEINER_MAGIC, path)
-    v, k = (int(x) for x in text[1].split())
-    blocks = tuple(tuple(int(x) for x in line.split()) for line in text[2:] if line.strip())
-    return SteinerSystem(v, k, blocks)
+    text = _read_lines(path, STEINER_MAGIC, 2)
+    v, k = _numbers(path, 1, text[1], 2)
+    blocks = tuple(
+        tuple(_numbers(path, i, line)) for i, line in enumerate(text[2:], start=2) if line.strip()
+    )
+    return _build(path, SteinerSystem, v, k, blocks)
 
 
 def write_graph(path, g: SimpleGraph) -> None:
@@ -121,23 +146,23 @@ def write_graph(path, g: SimpleGraph) -> None:
 
 
 def read_graph(path) -> SimpleGraph:
-    text = Path(path).read_text(encoding="ascii").splitlines()
-    if len(text) < 2:
-        raise InvalidParameterError(f"{path}: truncated graph file")
-    _check_magic(text[0], GRAPH_MAGIC, path)
+    text = _read_lines(path, GRAPH_MAGIC, 2)
     key, _, value = text[1].partition(" ")
     if key != "vertices":
-        raise InvalidParameterError(f"{path}: missing vertex count")
-    n = int(value)
+        raise InvalidParameterError(f"{path}:2: missing vertex count")
+    (n,) = _numbers(path, 1, value, 1)
+    if n < 0:
+        raise InvalidParameterError(f"{path}:2: negative vertex count {n}")
     edges = []
-    for line in text[2:]:
+    for i, line in enumerate(text[2:], start=2):
         if not line.strip():
             continue
         head, _, rest = line.partition(":")
-        v = int(head)
-        for w in rest.split():
-            edges.append((v, int(w)))
-    return SimpleGraph.from_edges(n, edges)
+        ends = _numbers(path, i, head, 1) + _numbers(path, i, rest)
+        if not all(0 <= x < n for x in ends):
+            raise InvalidParameterError(f"{path}:{i + 1}: vertex out of range for {n} vertices")
+        edges.extend((ends[0], w) for w in ends[1:])
+    return _build(path, SimpleGraph.from_edges, n, edges)
 
 
 def sha256_file(path) -> str:

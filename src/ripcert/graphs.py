@@ -23,7 +23,6 @@ import numpy as np
 from .certification import (
     CHECK_SLACK,
     SubsetSearch,
-    coherence,
     ric_exact_search,
     verify_etf,
 )
@@ -43,7 +42,7 @@ from .errors import (
     PreconditionError,
 )
 from .linalg import DenseMatrix, trace_power
-from .modular import is_prime, legendre_symbol, quadratic_residues
+from .modular import is_prime, quadratic_residues
 
 DEFAULT_CLIQUE_BUDGET = 10_000_000
 DEFAULT_TUPLE_BUDGET = 10_000_000
@@ -156,11 +155,6 @@ class SrgCheckResult:
 # ---------------------------------------------------------------------------
 
 
-def legendre(k: int, p: int) -> int:
-    """Quadratic-residuosity sign of k mod p (+1 residue, 0 multiple, -1 otherwise)."""
-    return legendre_symbol(k, p)
-
-
 def paley_graph(p: int) -> SimpleGraph:
     """Graph on Z_p joining residues that differ by a nonzero square, p = 1 (mod 4)."""
     if not is_prime(p):
@@ -199,7 +193,7 @@ def seidel_from_gram(frame: Frame, tol: float = 1e-12) -> tuple[SeidelMatrix, fl
             f"tightness dev {report.tight_dev:.3e}, "
             f"equiangularity spread {report.equiangular_spread:.3e}"
         )
-    mu = coherence(frame)
+    mu = frame.coherence
     if mu <= tol:
         raise AmbiguousSignError("off-diagonal Gram entries vanish; signs are undefined")
     off = g.real.copy()
@@ -451,7 +445,7 @@ def clique_ric_identity(
     omega = clique.size
     if not 1 <= k <= omega + 1:
         raise PreconditionError(f"need 1 <= k <= omega+1 = {omega + 1}, got k={k}")
-    mu = coherence(frame)
+    mu = frame.coherence
     search = ric_exact_search(frame, k, budget)
     predicted = (k - 1) * mu
 

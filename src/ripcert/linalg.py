@@ -2,12 +2,8 @@
 
 Matrices are always carried with complex storage; real matrices are the
 special case whose imaginary part vanishes, detected by the cheap
-``DenseMatrix.is_real`` predicate. Spectra come from LAPACK (via numpy)
-but are returned together with an explicitly measured diagonalization
-residual, so callers receive a checkable certificate rather than a bare
-eigenvalue list. The semidefinite Cholesky is written out by hand
-because it must accept rank-deficient Gram matrices, skipping
-numerically zero pivots instead of failing.
+``DenseMatrix.is_real`` predicate. Spectra and norms come from LAPACK
+(via numpy).
 """
 
 from __future__ import annotations
@@ -19,11 +15,8 @@ import numpy as np
 
 from .errors import (
     InvalidParameterError,
-    InvalidSelectionError,
     MatrixShapeError,
     NotHermitianError,
-    NotPsdError,
-    RipcertError,
     UnsupportedExponentError,
 )
 
@@ -63,10 +56,6 @@ class DenseMatrix:
     def is_real(self, tol: float = REAL_TOL) -> bool:
         return float(np.abs(self.data.imag).max()) <= tol
 
-    def real_part(self) -> np.ndarray:
-        """Real part as a fresh writable float array."""
-        return np.array(self.data.real, dtype=np.float64)
-
     def is_hermitian(self, tol: float = REAL_TOL) -> bool:
         if self.rows != self.cols:
             return False
@@ -78,43 +67,12 @@ class DenseMatrix:
         return cls(np.eye(n))
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues of a Hermitian matrix, sorted descending.
-
-    ``residual`` is the largest off-diagonal magnitude of V*HV for the
-    computed eigenvector matrix V, i.e. how far the diagonalization is
-    from exact.
-    """
-
-    eigenvalues: np.ndarray
-    residual: float
-
-    def __post_init__(self):
-        arr = np.array(self.eigenvalues, dtype=np.float64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", arr)
-
-
 def gram(a: DenseMatrix) -> DenseMatrix:
     """Conjugate-transpose product A*A, symmetrized to be exactly Hermitian."""
     arr = a.data
     g = arr.conj().T @ arr
     g = 0.5 * (g + g.conj().T)
     return DenseMatrix(g)
-
-
-def submatrix_columns(a: DenseMatrix, indices) -> DenseMatrix:
-    """Columns of ``a`` selected by ``indices``, in ascending index order."""
-    idx = [int(i) for i in indices]
-    if len(idx) == 0:
-        raise InvalidSelectionError("empty column selection")
-    if len(set(idx)) != len(idx):
-        raise InvalidSelectionError(f"duplicate column indices in {idx}")
-    for i in idx:
-        if not 0 <= i < a.cols:
-            raise InvalidSelectionError(f"column index {i} out of range for {a.cols} columns")
-    return DenseMatrix(a.data[:, sorted(idx)])
 
 
 def _require_square_hermitian(arr: np.ndarray, what: str) -> np.ndarray:
@@ -125,40 +83,6 @@ def _require_square_hermitian(arr: np.ndarray, what: str) -> np.ndarray:
     if dev > 1e-12 * scale:
         raise NotHermitianError(f"{what} requires a Hermitian matrix (deviation {dev:.3e})")
     return 0.5 * (arr + arr.conj().T)
-
-
-def eigvalsh_descending(arr: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian array, sorted descending (array-level helper)."""
-    return np.linalg.eigvalsh(arr)[::-1]
-
-
-def hermitian_eigenvalues(h: DenseMatrix, tol: float = DEFAULT_TOL) -> Spectrum:
-    """Full spectrum of a Hermitian matrix with a measured residual.
-
-    The returned eigenvalues are sorted descending. Raises when the
-    diagonalization residual or the trace mismatch exceeds ``tol`` times
-    the matrix scale, which cannot happen for well-formed input at the
-    default tolerance.
-    """
-    if tol <= 0:
-        raise InvalidParameterError("tol must be positive")
-    sym = _require_square_hermitian(h.data, "hermitian_eigenvalues")
-    w, v = np.linalg.eigh(sym)
-    w = w[::-1]
-    v = v[:, ::-1]
-    m = v.conj().T @ (sym @ v)
-    off = m - np.diag(np.diagonal(m))
-    residual = float(np.abs(off).max())
-    hnorm = float(np.abs(w).max()) if w.size else 0.0
-    scale = hnorm if hnorm > 0.0 else 1.0
-    if residual > tol * scale:
-        raise RipcertError(
-            f"eigensolver residual {residual:.3e} exceeds tol*norm = {tol * scale:.3e}"
-        )
-    trace_gap = abs(float(np.sum(w)) - float(np.trace(sym).real))
-    if trace_gap > tol * scale * max(1, h.rows):
-        raise RipcertError(f"eigenvalue sum deviates from trace by {trace_gap:.3e}")
-    return Spectrum(w, residual)
 
 
 def spectral_norm(arr: np.ndarray) -> float:
@@ -176,11 +100,6 @@ def spectral_norm(arr: np.ndarray) -> float:
     g = arr.conj().T @ arr
     w = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
     return math.sqrt(max(float(w.max()), 0.0))
-
-
-def operator_norm(h: DenseMatrix) -> float:
-    """Spectral norm; equals the largest eigenvalue magnitude for Hermitian input."""
-    return spectral_norm(h.data)
 
 
 def _binary_power(a: np.ndarray, p: int) -> np.ndarray:
@@ -204,62 +123,3 @@ def trace_power(h: DenseMatrix, p: int) -> float:
         raise UnsupportedExponentError(f"only even exponents are supported, got {p}")
     sym = _require_square_hermitian(h.data, "trace_power")
     return float(np.trace(_binary_power(sym, p)).real)
-
-
-def semidefinite_cholesky(g: DenseMatrix, tol: float = DEFAULT_TOL) -> DenseMatrix:
-    """Lower-triangular L with G = L L^T for real symmetric PSD G.
-
-    Numerically zero pivots (at most ``tol`` times the largest diagonal)
-    are skipped, leaving zero columns, so rank-deficient input is
-    accepted; exactly rank(G) columns of L end up nonzero. Eigenvalues
-    below ``-tol * ||G||`` raise :class:`NotPsdError`.
-
-    The roundtrip ||G - LL^T|| <= 10 * tol * ||G|| is verified before
-    returning. A kept pivot many orders of magnitude below the matrix
-    scale amplifies roundoff beyond what any ``tol``-level factorization
-    can absorb; such ill-graded inputs raise rather than silently
-    returning a bad factor (rerun with a larger ``tol`` to accept the
-    matching looser residual).
-    """
-    if tol <= 0:
-        raise InvalidParameterError("tol must be positive")
-    arr = g.data
-    if arr.shape[0] != arr.shape[1]:
-        raise MatrixShapeError(f"semidefinite_cholesky requires a square matrix, got {arr.shape}")
-    scale = max(1.0, float(np.abs(arr).max()))
-    if float(np.abs(arr.imag).max()) > tol * scale:
-        raise NotHermitianError("semidefinite_cholesky requires a real matrix")
-    sym = arr.real
-    if float(np.abs(sym - sym.T).max()) > tol * scale:
-        raise NotHermitianError("semidefinite_cholesky requires a symmetric matrix")
-    sym = 0.5 * (sym + sym.T)
-
-    w = np.linalg.eigvalsh(sym)
-    gnorm = float(np.abs(w).max())
-    if float(w.min()) < -tol * max(gnorm, 1.0):
-        raise NotPsdError(f"matrix has eigenvalue {w.min():.3e} below -tol*norm")
-    rank = int(np.count_nonzero(w > tol * max(gnorm, 1.0)))
-
-    n = sym.shape[0]
-    lower = np.zeros((n, n))
-    skip_tol = tol * max(float(sym.diagonal().max(initial=0.0)), 0.0)
-    for j in range(n):
-        d = sym[j, j] - lower[j, :j] @ lower[j, :j]
-        if d <= skip_tol:
-            continue  # structurally zero pivot: leave column j empty
-        lower[j, j] = math.sqrt(d)
-        if j + 1 < n:
-            lower[j + 1 :, j] = (sym[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
-
-    diff = sym - lower @ lower.T
-    resid = spectral_norm(diff.astype(np.complex128))
-    if resid > 10.0 * tol * max(gnorm, 1.0):
-        raise RipcertError(
-            f"cholesky residual {resid:.3e} exceeds 10*tol*norm; input is too ill-graded"
-        )
-    nonzero_cols = int(np.count_nonzero(np.abs(lower).max(axis=0) > 0.0))
-    if nonzero_cols != rank:
-        raise RipcertError(
-            f"pivot count {nonzero_cols} disagrees with numerical rank {rank}"
-        )
-    return DenseMatrix(lower)

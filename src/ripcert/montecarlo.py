@@ -23,15 +23,13 @@ from .certification import (
     fro_constant_search,
     ric_power_search,
 )
-from .constructions import Frame, bernoulli_matrix, gaussian_matrix
+from .constructions import _SEED_MASK, Frame, _generator, bernoulli_matrix, gaussian_matrix
 from .errors import InvalidParameterError
 
 #: fraction of the isometry target budgeted to column-norm deviations
 DEFAULT_ALPHA = 0.01
 #: trials are simulated in fixed-size blocks so results never depend on workers
 _TRIAL_BLOCK = 20_000
-
-_SEED_MASK = (1 << 64) - 1
 
 
 def trial_seed(base_seed: int, trial: int) -> int:
@@ -301,7 +299,7 @@ def column_sum_tail(
     counts = np.zeros(len(grid), dtype=np.int64)
     pos = np.zeros(len(grid), dtype=np.int64)
     neg = np.zeros(len(grid), dtype=np.int64)
-    rng = np.random.Generator(np.random.Philox(key=int(seed) & _SEED_MASK))
+    rng = _generator(seed)
     done = 0
     while done < trials:
         block = min(_TRIAL_BLOCK, trials - done)

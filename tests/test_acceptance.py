@@ -15,29 +15,27 @@ from ripcert import (
     TrialConfig,
     appendix_constants,
     clique_number,
-    coherence,
     column_sum_tail,
     delta1,
     flip_canonical,
-    fro_constant,
+    fro_constant_search,
     gaussian_matrix,
     graph_from_seidel,
     hadamard,
     join_decompose,
-    legendre,
     paley_etf,
     paley_graph,
     predicted_srg,
     realify,
-    ric_exact,
-    ric_power,
-    roc_exact,
+    ric_exact_search,
+    ric_power_search,
+    roc_exact_search,
     run_fro_trials,
     run_power_trials,
     seidel_from_gram,
     seidel_trace_expansion,
     select_t,
-    spark,
+    spark_search,
     srg_check,
     steiner_etf,
     steiner_triple,
@@ -48,6 +46,7 @@ from ripcert import (
 from ripcert.cli import main
 from ripcert.constructions import all_pairs_steiner
 from ripcert.fileio import read_matrix, report_body
+from ripcert.modular import legendre_symbol
 
 PRINTED_STEINER_SIGNS = [
     "+-+-+-+-........",
@@ -142,7 +141,7 @@ def test_etf_axioms_and_welch_equality(etf_collection):
         for frame in etf_collection:
             report = verify_etf(frame, 1e-12)
             assert report.all_ok, frame.label
-            assert abs(coherence(frame) - welch_bound(frame.m, frame.n)) <= 1e-12
+            assert abs(frame.coherence - welch_bound(frame.m, frame.n)) <= 1e-12
     _pass("tight-frame axioms and welch equality on all constructions", t)
 
 
@@ -153,16 +152,16 @@ def test_gauss_sum_gram(paley13):
             for b in range(13):
                 if a == b:
                     continue
-                expected = legendre(b - a, 13) / math.sqrt(13)
+                expected = legendre_symbol(b - a, 13) / math.sqrt(13)
                 assert abs(g[a, b] - expected) <= 1e-12
     _pass("quadratic Gauss sum Gram entries at p=13", t)
 
 
 def test_spark_values(steiner_6x16, paley5, paley13):
     with _Timer(30.0) as t:
-        assert spark(steiner_6x16, 4).spark == 4
-        assert spark(paley5, 6).spark == 4
-        result = spark(paley13, 8)
+        assert spark_search(steiner_6x16, 4).spark == 4
+        assert spark_search(paley5, 6).spark == 4
+        result = spark_search(paley13, 8)
         assert result.spark == 8  # M + 1 after exhausting C(14, s<=7)
     _pass("spark: 4, 4 and M+1=8 by exhaustive search", t)
 
@@ -174,14 +173,14 @@ def test_clique_ric_identity(paley13_real, paley13_descendant):
         assert omega.exact
         mu = 1 / math.sqrt(13)
         for k in range(2, omega.size + 2):
-            assert abs(ric_exact(paley13_real, k) - (k - 1) * mu) <= 1e-9
+            assert abs(ric_exact_search(paley13_real, k).value - (k - 1) * mu) <= 1e-9
     _pass("clique identity: exact constant equals (K-1)/sqrt(13)", t)
 
 
 def test_paley_ric_below_one(paley13_real):
     with _Timer(60.0) as t:
         for k in range(1, 8):
-            assert ric_exact(paley13_real, k) < 1.0
+            assert ric_exact_search(paley13_real, k).value < 1.0
     _pass("quadratic-residue frame keeps the constant below one up to K=M", t)
 
 
@@ -211,16 +210,16 @@ def test_clique_bound():
 def test_power_method_identities(etf_collection):
     with _Timer(120.0) as t:
         for frame in etf_collection:
-            mu = coherence(frame)
+            mu = frame.coherence
             for k in (2, 3, 4):
                 expected = math.sqrt(k * (k - 1)) * mu
-                assert abs(ric_power(frame, k, 1) - expected) <= 1e-10, frame.label
+                assert abs(ric_power_search(frame, k, 1).value - expected) <= 1e-10, frame.label
         gauss = gaussian_matrix(8, 16, 2024)
         for k in (2, 3, 4):
-            exact = ric_exact(gauss, k)
+            exact = ric_exact_search(gauss, k).value
             previous = math.inf
             for q in (1, 2, 3, 4, 5):
-                value = ric_power(gauss, k, q)
+                value = ric_power_search(gauss, k, q).value
                 assert value <= previous + 1e-9
                 assert exact - 1e-9 <= value <= k ** (1 / (2 * q)) * exact + 1e-9
                 previous = value
@@ -242,10 +241,10 @@ def test_ro_fro_bound_chain():
             frame = gaussian_matrix(8, 12, seed)
             d1 = delta1(frame)
             for k in (2, 3):
-                theta_hat = fro_constant(frame, k)
-                theta = roc_exact(frame, k)
-                d_k = ric_exact(frame, k)
-                d_2k = ric_exact(frame, 2 * k)
+                theta_hat = fro_constant_search(frame, k).value
+                theta = roc_exact_search(frame, k).value
+                d_k = ric_exact_search(frame, k).value
+                d_2k = ric_exact_search(frame, 2 * k).value
                 assert theta_hat <= theta + 1e-9
                 assert theta <= d_2k + 1e-9
                 assert d_2k <= min(theta + d_k, 2 * theta + d1) + 1e-9
@@ -273,7 +272,7 @@ def test_fro_edge_count_identity(paley13_real):
                     2 * mu * abs(edges - len(first) * len(second) / 2)
                     / math.sqrt(len(first) * len(second)),
                 )
-        assert abs(fro_constant(paley13_real, k) - best) <= 1e-9
+        assert abs(fro_constant_search(paley13_real, k).value - best) <= 1e-9
     _pass("flat-orthogonality constant equals its edge-count form", t)
 
 

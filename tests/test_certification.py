@@ -7,23 +7,19 @@ import pytest
 from ripcert import (
     appendix_constants,
     certify_frame,
-    coherence,
     delta1,
-    fro_constant,
     fro_constant_search,
     fro_to_ro_bound,
     gaussian_matrix,
     gershgorin_bound,
     halving_chain,
     iterated_ro_bound,
-    ric_exact,
     ric_exact_search,
-    ric_power,
+    ric_power_search,
     ro_to_rip_bound,
-    roc_exact,
     roc_exact_search,
     select_t,
-    spark,
+    spark_search,
     verify_etf,
     welch_bound,
 )
@@ -59,17 +55,17 @@ def svd_only_spark(frame, cap, tol):
 
 class TestCoherenceAndWelch:
     def test_orthonormal_coherence_zero(self):
-        assert coherence(orthonormal_frame(4)) == 0.0
+        assert orthonormal_frame(4).coherence == 0.0
 
     def test_steiner_coherence(self, steiner_6x16):
-        assert math.isclose(coherence(steiner_6x16), 1 / 3, abs_tol=1e-14)
+        assert math.isclose(steiner_6x16.coherence, 1 / 3, abs_tol=1e-14)
 
     def test_paley_coherence(self, paley5):
-        assert math.isclose(coherence(paley5), 1 / math.sqrt(5), abs_tol=1e-12)
+        assert math.isclose(paley5.coherence, 1 / math.sqrt(5), abs_tol=1e-12)
 
     def test_single_column_rejected(self):
         with pytest.raises(InvalidParameterError):
-            coherence(Frame(DenseMatrix(np.ones((3, 1)))))
+            Frame(DenseMatrix(np.ones((3, 1)))).coherence
 
     def test_welch_values(self):
         assert math.isclose(welch_bound(6, 16), 1 / 3, rel_tol=1e-15)
@@ -126,11 +122,11 @@ class TestGershgorin:
 
 class TestRicExact:
     def test_k1_equals_delta1(self, paley13_real):
-        assert ric_exact(paley13_real, 1) < 1e-12
+        assert ric_exact_search(paley13_real, 1).value < 1e-12
 
     def test_paley5_k2_is_mu(self, paley5_real):
         assert math.isclose(
-            ric_exact(paley5_real, 2), 1 / math.sqrt(5), abs_tol=1e-12
+            ric_exact_search(paley5_real, 2).value, 1 / math.sqrt(5), abs_tol=1e-12
         )
 
     def test_steiner_k4_is_one(self, steiner_6x16):
@@ -141,11 +137,11 @@ class TestRicExact:
     def test_never_exceeds_gershgorin(self, steiner_6x16, paley13_real):
         for frame in (steiner_6x16, paley13_real):
             for k in (2, 3, 4):
-                assert ric_exact(frame, k) <= gershgorin_bound(frame, k) + 1e-9
+                assert ric_exact_search(frame, k).value <= gershgorin_bound(frame, k) + 1e-9
 
     def test_budget_error_names_count(self, paley13_real):
         with pytest.raises(EnumerationBudgetError) as err:
-            ric_exact(paley13_real, 7, budget=100)
+            ric_exact_search(paley13_real, 7, budget=100)
         assert err.value.needed == math.comb(14, 7)
 
     def test_complex_gram_frames(self, paley13, paley13_real):
@@ -155,24 +151,26 @@ class TestRicExact:
 
         for k in (2, 3):
             assert math.isclose(
-                ric_exact(paley13, k), ric_exact(paley13_real, k), abs_tol=1e-10
+                ric_exact_search(paley13, k).value,
+                ric_exact_search(paley13_real, k).value,
+                abs_tol=1e-10,
             )
         complex_gram = steiner_etf(steiner_triple(7), hadamard(4, "dft"))
         assert np.abs(complex_gram.gram.data.imag).max() > 1e-3
-        mu = coherence(complex_gram)
-        assert math.isclose(ric_exact(complex_gram, 2), mu, abs_tol=1e-12)
+        mu = complex_gram.coherence
+        assert math.isclose(ric_exact_search(complex_gram, 2).value, mu, abs_tol=1e-12)
         assert math.isclose(
-            roc_exact(complex_gram, 1), mu, abs_tol=1e-12
+            roc_exact_search(complex_gram, 1).value, mu, abs_tol=1e-12
         )
 
 
 class TestRicPower:
     def test_etf_q1_closed_form(self, steiner_6x16, paley13_real):
         for frame in (steiner_6x16, paley13_real):
-            mu = coherence(frame)
+            mu = frame.coherence
             for k in (2, 3, 4):
                 expected = math.sqrt(k * (k - 1)) * mu
-                assert math.isclose(ric_power(frame, k, 1), expected, abs_tol=1e-10)
+                assert math.isclose(ric_power_search(frame, k, 1).value, expected, abs_tol=1e-10)
 
     def test_large_q_converges_to_exact(self, paley5_real):
         # q chosen so the k^(1/2q) envelope collapses within 1e-6
@@ -180,14 +178,14 @@ class TestRicPower:
         q = 1
         while k ** (1 / (2 * q)) > 1 + 1e-6:
             q *= 2
-        exact = ric_exact(paley5_real, k)
-        assert abs(ric_power(paley5_real, k, q) - exact) <= 1e-6
+        exact = ric_exact_search(paley5_real, k).value
+        assert abs(ric_power_search(paley5_real, k, q).value - exact) <= 1e-6
 
     def test_monotone_in_q_and_envelope(self):
         frame = gaussian_matrix(8, 16, 11)
         for k in (2, 3, 4):
-            exact = ric_exact(frame, k)
-            values = [ric_power(frame, k, q) for q in (1, 2, 3, 4, 5)]
+            exact = ric_exact_search(frame, k).value
+            values = [ric_power_search(frame, k, q).value for q in (1, 2, 3, 4, 5)]
             for a, b in zip(values, values[1:]):
                 assert b <= a + 1e-9
             for q, v in zip((1, 2, 3, 4, 5), values):
@@ -195,7 +193,7 @@ class TestRicPower:
 
     def test_k1_unit_norm_is_zero(self, paley13_real):
         for q in (1, 3):
-            assert ric_power(paley13_real, 1, q) < 1e-12
+            assert ric_power_search(paley13_real, 1, q).value < 1e-12
 
     def test_matches_plain_trace_route(self):
         # the scaled exponentiation must agree with direct matrix powers
@@ -208,23 +206,23 @@ class TestRicPower:
         for sub in itertools.combinations(range(10), k):
             hollow = g[np.ix_(sub, sub)] - np.eye(k)
             best = max(best, trace_power(DenseMatrix(hollow), 2 * q) ** (1 / (2 * q)))
-        assert math.isclose(ric_power(frame, k, q), best, rel_tol=1e-10)
+        assert math.isclose(ric_power_search(frame, k, q).value, best, rel_tol=1e-10)
 
 
 class TestRocExact:
     def test_orthonormal_zero(self):
-        assert roc_exact(orthonormal_frame(6), 2) == 0.0
+        assert roc_exact_search(orthonormal_frame(6), 2).value == 0.0
 
     def test_k1_equals_coherence(self, paley5_real):
         assert math.isclose(
-            roc_exact(paley5_real, 1), coherence(paley5_real), abs_tol=1e-12
+            roc_exact_search(paley5_real, 1).value, paley5_real.coherence, abs_tol=1e-12
         )
 
     def test_sandwich_against_exact_constants(self):
         frame = gaussian_matrix(8, 12, 21)
-        theta = roc_exact(frame, 2)
-        d2 = ric_exact(frame, 2)
-        d4 = ric_exact(frame, 4)
+        theta = roc_exact_search(frame, 2).value
+        d2 = ric_exact_search(frame, 2).value
+        d4 = ric_exact_search(frame, 4).value
         assert theta <= d4 + 1e-9
         assert d4 <= theta + d2 + 1e-9
 
@@ -246,11 +244,11 @@ class TestRocExact:
                         continue
                     cross = g[np.ix_(first, second)].astype(complex)
                     best = max(best, spectral_norm(cross))
-            assert math.isclose(roc_exact(frame, k), best, rel_tol=1e-10)
+            assert math.isclose(roc_exact_search(frame, k).value, best, rel_tol=1e-10)
 
     def test_oversized_k_rejected(self, paley5_real):
         with pytest.raises(PreconditionError):
-            roc_exact(paley5_real, 4)
+            roc_exact_search(paley5_real, 4)
 
     @pytest.mark.parametrize("shape, k", [((5, 10), 2), ((5, 10), 3), ((8, 12), 3), (None, 2)])
     def test_matches_per_pair_spectral_norms(self, shape, k, paley13):
@@ -271,16 +269,17 @@ class TestRocExact:
 
 class TestFroConstant:
     def test_orthonormal_zero(self):
-        assert fro_constant(orthonormal_frame(5), 2) == 0.0
+        assert fro_constant_search(orthonormal_frame(5), 2).value == 0.0
 
     def test_k1_equals_coherence(self, paley5_real):
         assert math.isclose(
-            fro_constant(paley5_real, 1), coherence(paley5_real), abs_tol=1e-12
+            fro_constant_search(paley5_real, 1).value, paley5_real.coherence, abs_tol=1e-12
         )
 
     def test_at_most_roc(self, paley13_real):
         for k in (2, 3):
-            assert fro_constant(paley13_real, k) <= roc_exact(paley13_real, k) + 1e-9
+            theta_hat = fro_constant_search(paley13_real, k).value
+            assert theta_hat <= roc_exact_search(paley13_real, k).value + 1e-9
 
     def test_matches_bruteforce(self):
         frame = gaussian_matrix(5, 8, 17)
@@ -340,8 +339,8 @@ class TestBoundChains:
 
     def test_ro_to_rip_exhaustive(self):
         frame = gaussian_matrix(8, 12, 33)
-        bound = ro_to_rip_bound(roc_exact(frame, 2), delta1(frame))
-        assert ric_exact(frame, 4) <= bound + 1e-9
+        bound = ro_to_rip_bound(roc_exact_search(frame, 2).value, delta1(frame))
+        assert ric_exact_search(frame, 4).value <= bound + 1e-9
 
 
 class TestIteratedRoBound:
@@ -364,10 +363,10 @@ class TestIteratedRoBound:
     def test_sum_never_exceeds_closed_form(self):
         frame = gaussian_matrix(8, 12, 2)
         d1 = delta1(frame)
-        thetas = [roc_exact(frame, kk) for kk in halving_chain(4)]
+        thetas = [roc_exact_search(frame, kk).value for kk in halving_chain(4)]
         result = iterated_ro_bound(thetas, d1, k=4)
         assert result.sum_bound <= result.closed_form + 1e-12
-        assert ric_exact(frame, 8, budget=10**6) <= result.sum_bound + 1e-9
+        assert ric_exact_search(frame, 8, budget=10**6).value <= result.sum_bound + 1e-9
 
     def test_bad_chains_rejected(self):
         with pytest.raises(ChainError):
@@ -383,40 +382,40 @@ class TestIteratedRoBound:
             frame = gaussian_matrix(8, 12, 100 + seed)
             d1 = delta1(frame)
             for k in (2, 4):
-                thetas = [roc_exact(frame, kk) for kk in halving_chain(k)]
+                thetas = [roc_exact_search(frame, kk).value for kk in halving_chain(k)]
                 closed = iterated_ro_bound(thetas, d1, k=k).closed_form
                 assert ro_to_rip_bound(thetas[0], d1) <= closed + 1e-12
 
 
 class TestSpark:
     def test_steiner_spark_four(self, steiner_6x16):
-        result = spark(steiner_6x16, 4)
+        result = spark_search(steiner_6x16, 4)
         assert result.spark == 4
         assert result.witness == (0, 1, 2, 3)
 
     def test_paley5_spark_is_m_plus_one(self, paley5_real):
-        result = spark(paley5_real, 6)
+        result = spark_search(paley5_real, 6)
         assert result.spark == 4
 
     def test_identity_has_no_dependence(self):
-        result = spark(orthonormal_frame(5), 5)
+        result = spark_search(orthonormal_frame(5), 5)
         assert result.spark is None
         assert result.lower_bound == 6
         assert result.tested == sum(math.comb(5, s) for s in range(1, 6))
 
     def test_spark_implies_ric_at_least_one(self, steiner_6x16):
-        assert ric_exact(steiner_6x16, 4) >= 1.0 - 1e-9
+        assert ric_exact_search(steiner_6x16, 4).value >= 1.0 - 1e-9
 
     def test_budget_error(self, paley13_real):
         with pytest.raises(EnumerationBudgetError):
-            spark(paley13_real, 8, budget=1000)
+            spark_search(paley13_real, 8, budget=1000)
 
     @pytest.mark.parametrize(
         "name, cap", [("steiner_6x16", 4), ("paley5", 6), ("paley13", 8)]
     )
     def test_equals_svd_only_search(self, name, cap, request):
         frame = request.getfixturevalue(name)
-        assert spark(frame, cap) == svd_only_spark(frame, cap, SPARK_TOL)
+        assert spark_search(frame, cap) == svd_only_spark(frame, cap, SPARK_TOL)
 
     @pytest.mark.parametrize("side", [1e-6, -1e-6])
     def test_planted_dependence_at_the_tolerance(self, side):
@@ -430,7 +429,7 @@ class TestSpark:
         ratio = sv[-1] / sv[0]
         assert ratio**2 < _spark_clear_ratio(frame, 3, ratio)
         tol = ratio * (1.0 + side)
-        result = spark(frame, 4, tol=tol)
+        result = spark_search(frame, 4, tol=tol)
         assert result == svd_only_spark(frame, 4, tol)
         assert (result.spark == 3) == (side > 0)
         if side > 0:
@@ -485,3 +484,52 @@ class TestWorkerDeterminism:
             fro_constant_search(frame, 2),
         )
         assert serial == parallel
+
+
+#: (search, arguments after the frame) for every exhaustive search
+SEARCHES = {
+    "ric": (ric_exact_search, (3,)),
+    "power": (ric_power_search, (3, 2)),
+    "roc": (roc_exact_search, (2,)),
+    "fro": (fro_constant_search, (2,)),
+    "spark": (spark_search, (6,)),
+}
+
+
+class TestChunkIndependence:
+    """Value, witness and count do not depend on chunk size or worker count."""
+
+    @staticmethod
+    def _set_chunk(monkeypatch, chunk, sizes):
+        from ripcert import certification, subsets
+
+        def limited(iterator):
+            def chunks(*args):
+                for rows in iterator(*args, chunk=chunk):
+                    sizes.append(len(rows[0] if isinstance(rows, tuple) else rows))
+                    yield rows
+
+            return chunks
+
+        for name in ("iter_subset_chunks", "iter_disjoint_pair_chunks"):
+            monkeypatch.setattr(certification, name, limited(getattr(subsets, name)))
+        monkeypatch.setattr(certification, "_FRO_BLOCK", chunk)
+
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    @pytest.mark.parametrize("frame_name", ["steiner_6x16", "paley13_real", "gaussian"])
+    def test_same_result_for_every_chunk_size_and_worker_count(
+        self, request, monkeypatch, search, frame_name
+    ):
+        if frame_name == "gaussian":
+            frame = gaussian_matrix(5, 10, 3)
+        else:
+            frame = request.getfixturevalue(frame_name)
+        fn, args = SEARCHES[search]
+        reference = fn(frame, *args, workers=1)
+        for chunk in (1, 5, 4096):
+            sizes = []
+            self._set_chunk(monkeypatch, chunk, sizes)
+            for workers in (1, 3):
+                assert fn(frame, *args, workers=workers) == reference, (chunk, workers)
+            if search != "fro":
+                assert sizes and max(sizes) <= chunk

@@ -226,6 +226,25 @@ class TestRealify:
         with pytest.raises(NotRealError):
             realify(paley_etf(7, require_1mod4=False))
 
+    @pytest.mark.parametrize("p", [37, 41, 53, 101, 197])
+    def test_large_paley_frames_give_their_strongly_regular_graph(self, p):
+        from ripcert import (
+            flip_canonical,
+            graph_from_seidel,
+            join_decompose,
+            predicted_srg,
+            seidel_from_gram,
+            srg_check,
+        )
+
+        frame = realify(paley_etf(p))
+        assert (frame.m, frame.n) == ((p + 1) // 2, p + 1)
+        assert verify_etf(frame, 1e-12).all_ok
+        anchor = frame.n - 1
+        seidel, _ = seidel_from_gram(flip_canonical(frame, anchor))
+        graph = join_decompose(graph_from_seidel(seidel), anchor)
+        assert srg_check(graph).params == predicted_srg(frame.m, frame.n)
+
 
 class TestTightFrameSpectra:
     def test_nonzero_gram_eigenvalues_equal_n_over_m(self, steiner_6x16, paley13_real):

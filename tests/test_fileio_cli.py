@@ -1,11 +1,14 @@
 import math
+import string
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ripcert import gaussian_matrix, paley_etf, steiner_triple
 from ripcert.cli import main
-from ripcert.constructions import Frame
+from ripcert.constructions import Frame, SteinerSystem
 from ripcert.errors import InvalidParameterError
 from ripcert.fileio import (
     read_graph,
@@ -64,6 +67,101 @@ class TestSteinerAndGraphFormats:
         path = tmp_path / "g.graph"
         write_graph(path, g)
         assert np.array_equal(read_graph(path).adjacency, g.adjacency)
+
+
+def _small(token):
+    """Keep counts small: ``read_graph`` allocates a dense n x n array from the
+    vertex count before reading any edge, so a large count would exhaust memory
+    rather than exercise the parser (a known gap, not covered here)."""
+    try:
+        return abs(int(token)) <= 40
+    except ValueError:
+        return True
+
+
+TOKENS = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.sampled_from(
+        ["x", "1.5", "-0.0", "nan", "inf", "1e999", "1+2j", ":", "0:", "3:", "\u00e9"]
+        + ["rows", "cols", "complex", "label", "vertices", "ripmat", "ripsteiner", "ripgraph"]
+    ),
+    st.text(string.ascii_letters + string.digits + string.punctuation, min_size=1, max_size=4)
+    .filter(_small),
+)
+LINES = st.lists(TOKENS, max_size=6).map(" ".join)
+VALID = {
+    "matrix": "ripmat 1\nrows 2\ncols 3\ncomplex 0\nlabel m\n1 0 0.5\n0 1 0.5\n",
+    "steiner": "ripsteiner 1\n4 2\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n",
+    "graph": "ripgraph 1\nvertices 4\n0: 1 2\n1: 0\n2: 0\n3:\n",
+}
+READERS = {
+    "matrix": (read_matrix, Frame, ["certify", "{}", "-o", "{}"]),
+    "steiner": (read_steiner, SteinerSystem, ["construct", "steiner", "--design", "{}", "-o", "{}"]),
+    "graph": (read_graph, SimpleGraph, ["graph", "--graph-in", "{}", "-o", "{}"]),
+}
+
+
+def cli_argv(kind, path, out):
+    """The command line that reads ``path`` as a file of this kind."""
+    names = iter([str(path), str(out)])
+    return [next(names) if a == "{}" else a for a in READERS[kind][2]]
+
+
+@st.composite
+def edited_files(draw):
+    """A valid file of some kind with up to four lines replaced, inserted or deleted."""
+    kind = draw(st.sampled_from(sorted(VALID)))
+    lines = VALID[kind].splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(lines)))
+        action = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if action == "insert" or i == len(lines):
+            lines.insert(i, draw(LINES))
+        elif action == "replace":
+            lines[i] = draw(LINES)
+        else:
+            del lines[i]
+    return kind, "\n".join(lines) + "\n"
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize(
+        "kind, text, where",
+        [
+            ("matrix", "ripmat 1\nrows x\ncols 2\n1 2\n", ":2:"),
+            ("matrix", "ripmat 1\nrows 1\ncols 2\n1 abc\n", ":4:"),
+            ("steiner", "ripsteiner 1\n7\n", ":2:"),
+            ("steiner", "ripsteiner 1\n7 3 1\n", ":2:"),
+            ("graph", "ripgraph 1\nvertices 3\n0: 1 3\n", ":3:"),
+            ("graph", "ripgraph 1\nvertices 3\n0: -1\n", ":3:"),
+        ],
+    )
+    def test_error_names_file_and_line(self, tmp_path, capsys, kind, text, where):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(InvalidParameterError, match=f"bad.txt{where}"):
+            READERS[kind][0](path)
+        assert main(cli_argv(kind, path, tmp_path / "out.txt")) == 1
+        assert "bad.txt" + where in capsys.readouterr().err
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(edited_files())
+    def test_any_text_is_read_or_rejected(self, tmp_path, case):
+        kind, text = case
+        path = tmp_path / "fuzz.txt"
+        path.write_text(text, encoding="utf-8")
+        reader, result_type, _ = READERS[kind]
+        try:
+            result = reader(path)
+        except InvalidParameterError:
+            assert main(cli_argv(kind, path, tmp_path / "out.txt")) == 1
+        else:
+            assert isinstance(result, result_type)
 
 
 class TestConstructCommand:

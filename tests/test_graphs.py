@@ -7,14 +7,12 @@ import pytest
 from ripcert import (
     clique_number,
     clique_ric_identity,
-    coherence,
     expander_mixing_check,
     flip_canonical,
-    fro_constant,
+    fro_constant_search,
     gaussian_matrix,
     graph_from_seidel,
     join_decompose,
-    legendre,
     negate_columns,
     paley_graph,
     predicted_srg,
@@ -37,7 +35,7 @@ from ripcert.errors import (
 )
 from ripcert.graphs import SimpleGraph, SrgParams
 from ripcert.linalg import DenseMatrix
-from ripcert.modular import quadratic_residues
+from ripcert.modular import legendre_symbol, quadratic_residues
 
 
 def realify_paley(p):
@@ -66,21 +64,21 @@ def paley13_pipeline(paley13_real):
 
 class TestLegendre:
     def test_zero_one_two(self):
-        assert legendre(0, 5) == 0
-        assert legendre(1, 13) == 1
-        assert legendre(2, 5) == -1
+        assert legendre_symbol(0, 5) == 0
+        assert legendre_symbol(1, 13) == 1
+        assert legendre_symbol(2, 5) == -1
 
     def test_matches_square_enumeration(self):
         p = 13
         squares = set(quadratic_residues(p)) - {0}
         for k in range(1, p):
-            assert legendre(k, p) == (1 if k in squares else -1)
+            assert legendre_symbol(k, p) == (1 if k in squares else -1)
 
     def test_rejects_even_or_composite(self):
         with pytest.raises(InvalidParameterError):
-            legendre(3, 2)
+            legendre_symbol(3, 2)
         with pytest.raises(InvalidParameterError):
-            legendre(3, 9)
+            legendre_symbol(3, 9)
 
 
 class TestPaleyGraph:
@@ -121,7 +119,7 @@ class TestSeidelFromGram:
         for a in range(5):
             for b in range(5):
                 if a != b:
-                    assert seidel.entries[a, b] == legendre(b - a, 5)
+                    assert seidel.entries[a, b] == legendre_symbol(b - a, 5)
 
     def test_steiner_simplex_block_is_all_negative(self, steiner_6x16):
         seidel, _ = seidel_from_gram(steiner_6x16)
@@ -311,7 +309,7 @@ class TestCliqueRicIdentity:
         descendant = join_decompose(graph_from_seidel(seidel), anchor)
         report = clique_ric_identity(flipped, descendant, 2, anchor)
         assert report.ok
-        assert math.isclose(report.exact.value, coherence(steiner_6x16), abs_tol=1e-9)
+        assert math.isclose(report.exact.value, steiner_6x16.coherence, abs_tol=1e-9)
 
     def test_full_range_on_every_constructed_real_etf(self, steiner_6x16, paley5_real):
         frames = [steiner_6x16, paley5_real, realify_paley(17)]
@@ -377,7 +375,7 @@ class TestExpanderMixing:
 
 class TestSeidelTraceExpansion:
     def test_two_columns_q1(self, paley5_real):
-        mu = coherence(paley5_real)
+        mu = paley5_real.coherence
         result = seidel_trace_expansion(paley5_real, (0, 1), 1)
         assert math.isclose(result.direct, 2 * mu * mu, rel_tol=1e-10)
         assert result.tuple_sum == 2
@@ -431,4 +429,4 @@ class TestFroEdgeCountIdentity:
                     / math.sqrt(len(first) * len(second))
                 )
                 best_graph = max(best_graph, value)
-        assert math.isclose(fro_constant(paley13_real, k), best_graph, abs_tol=1e-9)
+        assert math.isclose(fro_constant_search(paley13_real, k).value, best_graph, abs_tol=1e-9)

@@ -5,22 +5,11 @@ import pytest
 
 from ripcert.errors import (
     InvalidParameterError,
-    InvalidSelectionError,
     MatrixShapeError,
     NotHermitianError,
-    NotPsdError,
     UnsupportedExponentError,
 )
-from ripcert.linalg import (
-    DenseMatrix,
-    gram,
-    hermitian_eigenvalues,
-    operator_norm,
-    semidefinite_cholesky,
-    spectral_norm,
-    submatrix_columns,
-    trace_power,
-)
+from ripcert.linalg import DenseMatrix, gram, spectral_norm, trace_power
 
 
 def random_hermitian(n, seed, complex_entries=True):
@@ -81,90 +70,38 @@ class TestGram:
             w = np.linalg.eigvalsh(g.data)
             assert w.min() >= -1e-12 * max(1.0, w.max())
 
-
-class TestSubmatrixColumns:
-    def test_all_columns_returns_same(self):
-        a = DenseMatrix(np.arange(6.0).reshape(2, 3))
-        assert np.array_equal(submatrix_columns(a, [0, 1, 2]).data, a.data)
-
-    def test_first_four_steiner_columns(self, steiner_6x16):
-        sub = submatrix_columns(steiner_6x16.matrix, [0, 1, 2, 3])
-        assert np.array_equal(sub.data, steiner_6x16.matrix.data[:, :4])
-
-    def test_paley_identity_column(self, paley5):
-        sub = submatrix_columns(paley5.matrix, [5])
-        assert np.allclose(sub.data[:, 0], [1.0, 0.0, 0.0], atol=0)
-
-    def test_sorts_ascending(self):
-        a = DenseMatrix(np.arange(6.0).reshape(2, 3))
-        assert np.array_equal(submatrix_columns(a, [2, 0]).data, a.data[:, [0, 2]])
-
-    def test_rejects_bad_selection(self):
-        a = DenseMatrix(np.eye(3))
-        with pytest.raises(InvalidSelectionError):
-            submatrix_columns(a, [0, 3])
-        with pytest.raises(InvalidSelectionError):
-            submatrix_columns(a, [1, 1])
-
-
-class TestHermitianEigenvalues:
-    def test_identity(self):
-        spec = hermitian_eigenvalues(DenseMatrix(np.eye(4)))
-        assert np.allclose(spec.eigenvalues, 1.0, atol=0)
-        assert spec.residual <= 1e-12
-
-    def test_all_ones_matrix(self):
-        spec = hermitian_eigenvalues(DenseMatrix(np.ones((4, 4))))
-        assert np.allclose(spec.eigenvalues, [4, 0, 0, 0], atol=1e-12)
-
     def test_steiner_gram_spectrum_is_tight(self, steiner_6x16):
-        spec = hermitian_eigenvalues(gram(steiner_6x16.matrix))
+        w = np.linalg.eigvalsh(gram(steiner_6x16.matrix).data)[::-1]
         ratio = 16 / 6
-        for lam in spec.eigenvalues:
+        for lam in w:
             assert min(abs(lam), abs(lam - ratio)) < 1e-12
-        assert np.isclose(spec.eigenvalues[:6], ratio, atol=1e-12).all()
-
-    def test_descending_order_and_trace(self):
-        for seed in range(4):
-            h = random_hermitian(6, seed)
-            spec = hermitian_eigenvalues(h)
-            assert np.all(np.diff(spec.eigenvalues) <= 0)
-            assert math.isclose(
-                spec.eigenvalues.sum(), float(np.trace(h.data).real), rel_tol=1e-10
-            )
-
-    def test_rejects_nonsquare_and_nonhermitian(self):
-        with pytest.raises(MatrixShapeError):
-            hermitian_eigenvalues(DenseMatrix(np.ones((2, 3))))
-        with pytest.raises(NotHermitianError):
-            hermitian_eigenvalues(DenseMatrix(np.array([[0.0, 1.0], [0.0, 0.0]])))
+        assert np.isclose(w[:6], ratio, atol=1e-12).all()
 
 
 class TestOperatorNorm:
     def test_zero(self):
-        assert operator_norm(DenseMatrix(np.zeros((3, 2)))) == 0.0
+        assert spectral_norm(np.zeros((3, 2))) == 0.0
 
     def test_hollow_ones_k4(self):
-        assert math.isclose(operator_norm(hollow_ones(4)), 3.0, rel_tol=1e-12)
+        assert math.isclose(spectral_norm(hollow_ones(4).data), 3.0, rel_tol=1e-12)
 
     def test_nilpotent(self):
         assert math.isclose(
-            operator_norm(DenseMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))), 1.0, rel_tol=1e-12
+            spectral_norm(np.array([[0.0, 1.0], [0.0, 0.0]])), 1.0, rel_tol=1e-12
         )
 
     def test_matches_max_eigenvalue_for_hermitian(self):
         for seed in range(4):
-            h = random_hermitian(5, seed)
-            spec = hermitian_eigenvalues(h)
+            h = random_hermitian(5, seed).data
             assert math.isclose(
-                operator_norm(h), float(np.abs(spec.eigenvalues).max()), rel_tol=1e-10
+                spectral_norm(h), float(np.abs(np.linalg.eigvalsh(h)).max()), rel_tol=1e-10
             )
 
     def test_matches_svd_for_rectangular(self):
         rng = np.random.Generator(np.random.Philox(key=11))
         a = rng.normal(size=(3, 7)) + 1j * rng.normal(size=(3, 7))
         assert math.isclose(
-            operator_norm(DenseMatrix(a)),
+            spectral_norm(a),
             float(np.linalg.svd(a, compute_uv=False)[0]),
             rel_tol=1e-10,
         )
@@ -193,58 +130,14 @@ class TestTracePower:
     def test_matches_spectrum_route(self):
         for seed in range(5):
             h = random_hermitian(6, seed)
-            spec = hermitian_eigenvalues(h)
+            w = np.linalg.eigvalsh(h.data)
             for q in (1, 2, 4):
                 via_power = trace_power(h, 2 * q)
-                via_spectrum = float(np.sum(spec.eigenvalues ** (2 * q)))
+                via_spectrum = float(np.sum(w ** (2 * q)))
                 assert math.isclose(via_power, via_spectrum, rel_tol=1e-10)
 
-
-class TestSemidefiniteCholesky:
-    def test_identity_and_scalar(self):
-        assert np.allclose(semidefinite_cholesky(DenseMatrix(np.eye(3))).data, np.eye(3))
-        assert np.allclose(semidefinite_cholesky(DenseMatrix([[4.0]])).data, [[2.0]])
-
-    def test_paley_gram_has_rank_three(self, paley5):
-        g = gram(paley5.matrix)
-        greal = DenseMatrix(g.data.real)
-        lower = semidefinite_cholesky(greal)
-        lt = lower.data.real.T
-        nonzero_rows = np.count_nonzero(np.linalg.norm(lt, axis=1) > 1e-9)
-        assert nonzero_rows == 3
-
-    def test_roundtrip_on_random_psd(self):
-        # 4x8 factors are generically well conditioned, so the rank-4
-        # Gram matrices stay within the promised residual
-        for seed in range(10):
-            rng = np.random.Generator(np.random.Philox(key=seed))
-            b = rng.normal(size=(4, 8))
-            g = DenseMatrix(b.T @ b)  # 8x8, rank 4 PSD
-            lower = semidefinite_cholesky(g)
-            lt = lower.data.real
-            assert np.count_nonzero(np.abs(lt).max(axis=0) > 0) == 4
-            diff = g.data.real - lt @ lt.T
-            rel = spectral_norm(diff.astype(complex)) / spectral_norm(g.data)
-            assert rel <= 1e-10
-
-    def test_ill_graded_input_raises_then_passes_with_looser_tol(self):
-        # seed 4 of this shape has a kept pivot ~1e-6 below scale, which
-        # amplifies roundoff past the default residual allowance
-        rng = np.random.Generator(np.random.Philox(key=4))
-        b = rng.normal(size=(6, 4))
-        g = DenseMatrix(b @ b.T)
-        from ripcert.errors import RipcertError
-
-        with pytest.raises(RipcertError):
-            semidefinite_cholesky(g, tol=1e-12)
-        lower = semidefinite_cholesky(g, tol=1e-7)
-        diff = g.data.real - lower.data.real @ lower.data.real.T
-        assert spectral_norm(diff.astype(complex)) <= 1e-6 * spectral_norm(g.data)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPsdError):
-            semidefinite_cholesky(DenseMatrix(np.diag([1.0, -1.0])))
-
-    def test_rejects_complex(self):
+    def test_rejects_nonsquare_and_nonhermitian(self):
+        with pytest.raises(MatrixShapeError):
+            trace_power(DenseMatrix(np.ones((2, 3))), 2)
         with pytest.raises(NotHermitianError):
-            semidefinite_cholesky(DenseMatrix(np.eye(2) * 1j))
+            trace_power(DenseMatrix(np.array([[0.0, 1.0], [0.0, 0.0]])), 2)

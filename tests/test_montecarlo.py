@@ -126,7 +126,7 @@ class TestPowerTrials:
         assert run_power_trials(self.cfg(m=8)).meets_measurement_bound is False
 
     def test_failure_witness_reproduces_value(self):
-        from ripcert.certification import ric_power
+        from ripcert.certification import ric_power_search
 
         cfg = self.cfg(trials=6, m=8, delta=0.2)
         outcome = run_power_trials(cfg)
@@ -134,7 +134,7 @@ class TestPowerTrials:
         witness = outcome.failures[0]
         frame = cfg.draw(witness.trial)
         assert math.isclose(
-            ric_power(frame, cfg.k, cfg.q), witness.value, rel_tol=1e-12
+            ric_power_search(frame, cfg.k, cfg.q).value, witness.value, rel_tol=1e-12
         )
 
     def test_deterministic(self):
