@@ -43,6 +43,9 @@ SPARK_TOL = 1e-9
 CHECK_SLACK = 1e-9
 #: subsets per row block of the flat-orthogonality search
 _FRO_BLOCK = 256
+#: rows per chunk solved first, by largest Frobenius norm, to set the bar the
+#: rest of an exact RIC or ROC chunk is screened against
+_SCREEN_TOP = 8
 
 LN2 = math.log(2.0)
 #: headline constant of the flat-to-plain orthogonality bound
@@ -186,9 +189,10 @@ def _first_max(chunks, kernel, witness, workers, stop=math.inf):
     """Lexicographically first maximum of a vectorised kernel over enumerated chunks.
 
     ``kernel`` maps a chunk to one value per row and ``witness(chunk, row)``
-    names a row. Chunks are reduced in enumeration order and only a strictly
-    larger value replaces the best, so the result does not depend on chunk
-    boundaries or the worker count. The search stops once a value reaches
+    names a row; a row that provably cannot be the chunk's first maximum may
+    carry -1 instead of its value. Chunks are reduced in enumeration order
+    and only a strictly larger value replaces the best, so the result does
+    not depend on chunk boundaries or the worker count. The search stops once a value reaches
     ``stop``. Returns (value, witness, position), position being the
     winner's index in the enumeration.
     """
@@ -224,13 +228,107 @@ def _hollow_subgrams(g: np.ndarray, chunk: np.ndarray) -> np.ndarray:
     return sub
 
 
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("bij,bij->b", a, a.conj()).real)
+
+
+def _cholesky_runs(m: np.ndarray, shift: np.ndarray, sign: float) -> np.ndarray:
+    """Rows b on which floating-point Cholesky of shift[b] I - sign M_b runs to completion.
+
+    Reads M's lower triangle and real diagonal, the Hermitian matrix
+    ``eigvalsh`` sees; the shifted matrix is formed entry by entry, not stored.
+    """
+    k = m.shape[1]
+    runs = np.ones(len(m), dtype=bool)
+    low = {}
+    for j in range(k):
+        pivot = shift - sign * m[:, j, j].real
+        for p in range(j):
+            pivot = pivot - (low[j, p] * low[j, p].conj()).real
+        runs &= pivot > 0.0
+        root = np.sqrt(np.where(runs, pivot, 1.0))
+        for i in range(j + 1, k):
+            entry = -sign * m[:, i, j]
+            for p in range(j):
+                entry = entry - low[i, p] * low[j, p].conj()
+            low[i, j] = entry / root
+    return runs
+
+
+def _screened(m: np.ndarray, solve, signs) -> np.ndarray:
+    """``solve`` on the rows of a batch that can hold its first maximum, -1 elsewhere.
+
+    ``solve(a)`` gives per row the largest eigenvalue ``eigvalsh`` computes
+    for s a over s in ``signs``, clipped below at 0. The ``_SCREEN_TOP`` rows
+    of largest Frobenius norm are solved first and their best value b is the
+    bar; a row proved to fall strictly below b keeps -1 and every other row
+    is solved. ``eigvalsh`` runs LAPACK matrix by matrix, so a row's float
+    does not depend on the rows solved with it, and the batch's first
+    maximum, its row and its float, are those of ``solve`` on the whole batch.
+
+    The proof, per row M (k x k) with computed Frobenius norm F, u = eps
+    (twice the unit roundoff) and H the Hermitian matrix of M's lower
+    triangle and real diagonal, which ``eigvalsh`` reads:
+
+    - ``eigvalsh`` is backward stable, so each computed eigenvalue of s H is
+      within 16 k u F of the exact one (the model of ``_spark_clear_ratio``).
+      If lambda_max(s H) < t = b (1 - 8u) - 16 k u F for every sign, the
+      row's value is below b (1 - 8u) up to the rounding of t: strictly below
+      b, and still strictly below after a correctly rounded square root.
+    - lambda_max(s H) < t is certified as in S. M. Rump, "Verification of
+      positive definiteness", BIT 46 (2006): Cholesky runs to completion on
+      X = fl((t - c) I - s H). Its computed factor has R*R = X + E with
+      |E_ij| <= a sqrt(x_ii x_jj), a = gamma/(1 - gamma), gamma = gamma_{k+1}
+      for real data (Demmel), so lambda_min(X) >= -a tr X. Rounding X's
+      diagonal moves it by at most u tr X and t - c by u (t + c), so
+      lambda_max(s H) < t once c (1 - u) > u t + (a + u) tr X, where
+      tr X <= (1 + u)^2 (k (t + c) + sum |m_ii|). Taking gamma = gamma_{4(k+1)}
+      covers complex arithmetic (sqrt(2) gamma_2 per product) and the
+      rounding of c; gradual underflow adds absolute errors, bounded by a
+      term 4k (2k + 2 + max x_ii) eta at least as large as Rump's, eta the
+      smallest subnormal. Hence
+      c = (a + 4u) (k t + sum |m_ii|) + 4k (2k + 2 + t + max |m_ii|) eta.
+    - Rows with t <= 0 are solved.
+    """
+    if len(m) <= _SCREEN_TOP:  # every row is a top row
+        return solve(m)
+    u = np.finfo(float).eps
+    k = m.shape[1]
+    fro = _frobenius(m)
+    top = np.argsort(fro)[-_SCREEN_TOP:]
+    out = np.full(len(m), -1.0)
+    out[top] = solve(m[top])
+    t = out[top].max() * (1.0 - 8 * u) - 16 * k * u * fro
+    diag = np.abs(np.diagonal(m, axis1=1, axis2=2).real)
+    gamma = 4 * (k + 1) * u / (1 - 4 * (k + 1) * u)
+    eta = np.finfo(float).smallest_subnormal
+    c = (gamma / (1 - gamma) + 4 * u) * (k * t + diag.sum(axis=1))
+    c += 4 * k * (2 * k + 2 + t + diag.max(axis=1)) * eta
+    shift, settled = t - c, t > 0.0
+    for sign in signs:
+        settled &= _cholesky_runs(m, shift, sign)
+    settled[top] = True
+    rest = np.flatnonzero(~settled)
+    out[rest] = solve(m[rest])
+    return out
+
+
+def _spectral_radius(a: np.ndarray) -> np.ndarray:
+    return np.abs(np.linalg.eigvalsh(a)).max(axis=1)
+
+
+def _top_eigenvalue(a: np.ndarray) -> np.ndarray:
+    return np.maximum(np.linalg.eigvalsh(a)[:, -1], 0.0)
+
+
 def ric_exact_search(
     frame: Frame, k: int, budget: int = DEFAULT_BUDGET, workers: int | None = None
 ) -> SubsetSearch:
     """Exact isometry constant: max spectral norm of hollow sub-Grams.
 
     Enumerates every k-column subset; this is the oracle every other
-    estimate is compared against.
+    estimate is compared against. Each chunk runs ``eigvalsh`` only on the
+    sub-Grams that ``_screened`` cannot prove to fall below its best.
     """
     n = frame.n
     if not 1 <= k <= n:
@@ -240,14 +338,10 @@ def ric_exact_search(
     g = frame.gram_array
 
     def kernel(chunk: np.ndarray) -> np.ndarray:
-        return np.abs(np.linalg.eigvalsh(_hollow_subgrams(g, chunk))).max(axis=1)
+        return _screened(_hollow_subgrams(g, chunk), _spectral_radius, (1.0, -1.0))
 
     value, witness, _ = _first_max(iter_subset_chunks(n, k), kernel, _row, workers)
     return SubsetSearch(value, witness, total)
-
-
-def _frobenius(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("bij,bij->b", a, a.conj()).real)
 
 
 def _trace_power_roots(a: np.ndarray, p: int) -> np.ndarray:
@@ -328,7 +422,8 @@ def roc_exact_search(
     Maximizes the spectral norm of the cross-Gram over all unordered
     pairs of disjoint k-subsets. Restricting to full-size supports loses
     nothing because the norm is monotone under adding columns (checked
-    as a tested property on small frames).
+    as a tested property on small frames). Each chunk runs ``eigvalsh``
+    only on the pairs that ``_screened`` cannot prove to fall below its best.
     """
     n = frame.n
     if not 1 <= k <= n // 2:
@@ -341,8 +436,8 @@ def roc_exact_search(
         first, second = pair
         cross = g[first[:, :, None], second[:, None, :]]
         # sigma_max(C) = sqrt(lambda_max(C*C)): a k x k eigvalsh is cheaper than an SVD
-        lam = np.linalg.eigvalsh(cross.conj().swapaxes(1, 2) @ cross)[:, -1]
-        return np.sqrt(np.maximum(lam, 0.0))
+        lam = _screened(cross.conj().swapaxes(1, 2) @ cross, _top_eigenvalue, (1.0,))
+        return np.sqrt(lam, out=np.full_like(lam, -1.0), where=lam >= 0.0)
 
     value, (wi, wj), _ = _first_max(iter_disjoint_pair_chunks(n, k), kernel, _pair_row, workers)
     return PairSearch(value, wi, wj, total)

@@ -60,7 +60,14 @@ from .graphs import (
     seidel_trace_expansion,
     srg_check,
 )
-from .montecarlo import TrialConfig, column_sum_tail, run_fro_trials, run_power_trials, sweep_m
+from .montecarlo import (
+    TrialConfig,
+    column_sum_tail,
+    run_fro_trials,
+    run_power_trials,
+    sidak_z,
+    sweep_m,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -564,7 +571,10 @@ def _cmd_mc(args) -> int:
             if not table.all_ok:
                 violations.append(f"m={m}: empirical tail exceeded its bound")
             if not table.all_symmetric:
-                violations.append(f"m={m}: tail asymmetry beyond three standard errors")
+                violations.append(
+                    f"m={m}: tail asymmetry beyond {sidak_z(len(table.rows)):.2f} standard "
+                    f"errors (Sidak level for {len(table.rows)} rows)"
+                )
             print(f"m={m}: all-ok={table.all_ok} symmetric={table.all_symmetric}")
     writer.section("invariants")
     writer.kv("violations", len(violations))

@@ -74,11 +74,8 @@ class InfeasibleSizeError(InfeasibleInputError):
 class EnumerationBudgetError(RipcertError):
     """A subset enumeration would exceed the configured budget (CLI exit 3)."""
 
-    def __init__(self, needed: int, budget: int, what: str):
-        super().__init__(
-            f"{what} requires {needed} subset evaluations,"
-            f" exceeding the budget of {budget}"
-        )
+    def __init__(self, needed: int, budget: int, what: str, unit: str = "subset evaluations"):
+        super().__init__(f"{what} requires {needed} {unit}, exceeding the budget of {budget}")
         self.needed = needed
         self.budget = budget
         self.what = what

@@ -15,8 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .certification import DEFAULT_BUDGET
 from .constructions import Frame, SteinerSystem
-from .errors import InvalidParameterError
+from .errors import EnumerationBudgetError, InvalidParameterError
 from .graphs import SimpleGraph
 from .linalg import DenseMatrix
 
@@ -153,6 +154,10 @@ def read_graph(path) -> SimpleGraph:
     (n,) = _numbers(path, 1, value, 1)
     if n < 0:
         raise InvalidParameterError(f"{path}:2: negative vertex count {n}")
+    if n * n > DEFAULT_BUDGET:  # the adjacency matrix is dense
+        raise EnumerationBudgetError(
+            n * n, DEFAULT_BUDGET, f"{path}:2: a graph on {n} vertices", "adjacency entries"
+        )
     edges = []
     for i, line in enumerate(text[2:], start=2):
         if not line.strip():

@@ -222,9 +222,30 @@ def sweep_m(cfg: TrialConfig, m_values, runner) -> list[tuple[int, TrialOutcome]
 # ---------------------------------------------------------------------------
 
 
+def sidak_z(tests: int) -> float:
+    """Two-sided z at which ``tests`` tests together false-alarm at the rate
+    alpha = erfc(3 / sqrt 2) = 0.27% of one test at three standard errors.
+
+    Each test runs at 1 - (1 - alpha)^(1/tests). For two-sided tests of
+    jointly normal statistics this holds whatever their correlation
+    (Sidak's inequality). The z is found by bisecting the decreasing
+    erfc(z / sqrt 2), which spares every CLI run importing ``statistics``.
+    """
+    alpha = math.erfc(3.0 / math.sqrt(2.0))
+    per_test = -math.expm1(math.log1p(-alpha) / tests)
+    lo, hi = 0.0, 40.0
+    for _ in range(64):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if math.erfc(mid / math.sqrt(2.0)) > per_test else (lo, mid)
+    return hi
+
+
 @dataclass(frozen=True)
 class TailRow:
-    """One grid point of the column-sum tail table."""
+    """One grid point of the column-sum tail table.
+
+    ``family`` is the number of rows whose symmetry is tested together.
+    """
 
     theta_hat: float
     threshold: float
@@ -233,6 +254,7 @@ class TailRow:
     bound: float
     pos_count: int
     neg_count: int
+    family: int = 1
 
     @property
     def empirical(self) -> float:
@@ -249,12 +271,16 @@ class TailRow:
 
     @property
     def symmetric_ok(self) -> bool:
+        """|p+ - p-| within ``sidak_z(family)`` standard errors.
+
+        The two tail counts of one multinomial sample are negatively
+        correlated: Var(p+ - p-) = (p+ + p- - (p+ - p-)^2) / trials.
+        """
         p_pos = self.pos_count / self.trials
         p_neg = self.neg_count / self.trials
-        se = math.sqrt(
-            (p_pos * (1 - p_pos) + p_neg * (1 - p_neg)) / self.trials
-        )
-        return abs(p_pos - p_neg) <= 3.0 * se + 1e-12
+        diff = p_pos - p_neg
+        se = math.sqrt((p_pos + p_neg - diff * diff) / self.trials)
+        return abs(diff) <= sidak_z(self.family) * se + 1e-12
 
 
 @dataclass(frozen=True)
@@ -321,6 +347,7 @@ def column_sum_tail(
             bound=2.0 * math.exp(-m * float(th) ** 2 / 4.0),
             pos_count=int(pos[i]),
             neg_count=int(neg[i]),
+            family=len(grid),
         )
         for i, th in enumerate(grid)
     )

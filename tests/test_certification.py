@@ -6,6 +6,7 @@ import pytest
 
 from ripcert import (
     appendix_constants,
+    bernoulli_matrix,
     certify_frame,
     delta1,
     fro_constant_search,
@@ -23,7 +24,8 @@ from ripcert import (
     verify_etf,
     welch_bound,
 )
-from ripcert.certification import SPARK_TOL, SparkResult, _spark_clear_ratio
+from ripcert import certification
+from ripcert.certification import SPARK_TOL, SparkResult, _hollow_subgrams, _spark_clear_ratio
 from ripcert.constructions import Frame
 from ripcert.errors import (
     ChainError,
@@ -486,6 +488,33 @@ class TestWorkerDeterminism:
         assert serial == parallel
 
 
+def unchecked_frame(data):
+    """A Frame over ``data`` without the constructor's column checks (zero columns pass)."""
+    frame = object.__new__(Frame)
+    object.__setattr__(frame, "matrix", DenseMatrix(np.asarray(data, dtype=float)))
+    object.__setattr__(frame, "label", "unchecked")
+    return frame
+
+
+def degenerate_frame():
+    """Duplicated columns, a column negated, a near-zero column whose Gram entries
+    are subnormal, and an all-zero column."""
+    base = gaussian_matrix(5, 6, 2).matrix.data.real
+    cols = [base[:, 0], base[:, 0], base[:, 1], -base[:, 1], 1e-156 * base[:, 2],
+            np.zeros(5), base[:, 3], base[:, 4], base[:, 4], base[:, 5]]
+    return unchecked_frame(np.column_stack(cols))
+
+
+def named_frame(request, name):
+    if name == "gaussian":
+        return gaussian_matrix(5, 10, 3)
+    if name == "bernoulli":  # entries +-1/sqrt(5): many exactly tied sub-Grams
+        return bernoulli_matrix(5, 10, 3)
+    if name == "degenerate":
+        return degenerate_frame()
+    return request.getfixturevalue(name)
+
+
 #: (search, arguments after the frame) for every exhaustive search
 SEARCHES = {
     "ric": (ric_exact_search, (3,)),
@@ -516,14 +545,13 @@ class TestChunkIndependence:
         monkeypatch.setattr(certification, "_FRO_BLOCK", chunk)
 
     @pytest.mark.parametrize("search", sorted(SEARCHES))
-    @pytest.mark.parametrize("frame_name", ["steiner_6x16", "paley13_real", "gaussian"])
+    @pytest.mark.parametrize(
+        "frame_name", ["steiner_6x16", "paley13_real", "paley13", "gaussian", "bernoulli"]
+    )
     def test_same_result_for_every_chunk_size_and_worker_count(
         self, request, monkeypatch, search, frame_name
     ):
-        if frame_name == "gaussian":
-            frame = gaussian_matrix(5, 10, 3)
-        else:
-            frame = request.getfixturevalue(frame_name)
+        frame = named_frame(request, frame_name)
         fn, args = SEARCHES[search]
         reference = fn(frame, *args, workers=1)
         for chunk in (1, 5, 4096):
@@ -533,3 +561,79 @@ class TestChunkIndependence:
                 assert fn(frame, *args, workers=workers) == reference, (chunk, workers)
             if search != "fro":
                 assert sizes and max(sizes) <= chunk
+
+
+def _full_ric(g, chunk):
+    return np.abs(np.linalg.eigvalsh(_hollow_subgrams(g, chunk))).max(axis=1)
+
+
+def _full_roc(g, pair):
+    first, second = pair
+    cross = g[first[:, :, None], second[:, None, :]]
+    lam = np.linalg.eigvalsh(cross.conj().swapaxes(1, 2) @ cross)[:, -1]
+    return np.sqrt(np.maximum(lam, 0.0))
+
+
+class TestScreen:
+    """Rows the exact RIC and ROC kernels leave at -1 are strictly below their chunk's best."""
+
+    SCREENED = {"ric": (ric_exact_search, 4, _full_ric), "roc": (roc_exact_search, 2, _full_roc)}
+
+    @pytest.mark.parametrize("top", [1, 8])
+    @pytest.mark.parametrize("search", sorted(SCREENED))
+    @pytest.mark.parametrize(
+        "frame_name",
+        ["gaussian", "bernoulli", "steiner_6x16", "paley13_real", "paley13", "degenerate"],
+    )
+    def test_settled_rows_are_below_the_chunk_maximum(
+        self, request, monkeypatch, frame_name, search, top
+    ):
+        frame = named_frame(request, frame_name)
+        fn, k, full = self.SCREENED[search]
+        seen = []
+        real = certification._first_max
+
+        def recording(chunks, kernel, witness, workers, stop=math.inf):
+            def recorded(chunk):
+                values = kernel(chunk)
+                seen.append((chunk, values))
+                return values
+
+            return real(chunks, recorded, witness, workers, stop)
+
+        monkeypatch.setattr(certification, "_first_max", recording)
+        monkeypatch.setattr(certification, "_SCREEN_TOP", top)
+        TestChunkIndependence._set_chunk(monkeypatch, 64, [])
+        fn(frame, k)
+        g = frame.gram_array
+        settled = 0
+        for chunk, values in seen:
+            reference = full(g, chunk)
+            skipped = values == -1.0
+            settled += int(skipped.sum())
+            # solved rows carry the unscreened float, bit for bit
+            assert np.array_equal(values[~skipped], reference[~skipped])
+            assert np.all(reference[skipped] < values.max())
+            assert values.max() == reference.max()
+            assert np.argmax(values) == np.argmax(reference)
+        assert settled > 0
+
+
+#: repr(value) and witnesses of the exact searches on gaussian_matrix(11, 22, seed);
+#: a kernel change that moves one digit or one witness fails here
+GOLDEN = {
+    7: ("1.8212421771601413", (2, 4, 20), (3, 12, 21),
+        "2.835575211707501", (1, 2, 4, 12, 20, 21)),
+    101: ("1.5123442779525131", (1, 13, 19), (7, 10, 12),
+          "2.2495744521941563", (2, 12, 13, 14, 16, 19)),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN))
+def test_golden_exact_searches(seed):
+    roc_value, wi, wj, ric_value, witness = GOLDEN[seed]
+    frame = gaussian_matrix(11, 22, seed)
+    roc = roc_exact_search(frame, 3)
+    assert (repr(roc.value), roc.witness_i, roc.witness_j, roc.count) == (roc_value, wi, wj, 746130)
+    ric = ric_exact_search(frame, 6)
+    assert (repr(ric.value), ric.witness, ric.count) == (ric_value, witness, 74613)

@@ -3,13 +3,13 @@ import string
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ripcert import gaussian_matrix, paley_etf, steiner_triple
 from ripcert.cli import main
 from ripcert.constructions import Frame, SteinerSystem
-from ripcert.errors import InvalidParameterError
+from ripcert.errors import EnumerationBudgetError, InvalidParameterError
 from ripcert.fileio import (
     read_graph,
     read_matrix,
@@ -69,24 +69,19 @@ class TestSteinerAndGraphFormats:
         assert np.array_equal(read_graph(path).adjacency, g.adjacency)
 
 
-def _small(token):
-    """Keep counts small: ``read_graph`` allocates a dense n x n array from the
-    vertex count before reading any edge, so a large count would exhaust memory
-    rather than exercise the parser (a known gap, not covered here)."""
-    try:
-        return abs(int(token)) <= 40
-    except ValueError:
-        return True
-
-
+NUMBERS = st.one_of(
+    st.integers(-2, 12),
+    # counts far beyond any file's content, up to a dense graph far over the budget
+    st.sampled_from([2236, 2237, 10**5, 10**9, 10**18]),
+    st.integers(-(10**12), 10**12),
+).map(str)
 TOKENS = st.one_of(
-    st.integers(-2, 12).map(str),
+    NUMBERS,
     st.sampled_from(
         ["x", "1.5", "-0.0", "nan", "inf", "1e999", "1+2j", ":", "0:", "3:", "\u00e9"]
         + ["rows", "cols", "complex", "label", "vertices", "ripmat", "ripsteiner", "ripgraph"]
     ),
-    st.text(string.ascii_letters + string.digits + string.punctuation, min_size=1, max_size=4)
-    .filter(_small),
+    st.text(string.ascii_letters + string.digits + string.punctuation, min_size=1, max_size=4),
 )
 LINES = st.lists(TOKENS, max_size=6).map(" ".join)
 VALID = {
@@ -109,18 +104,23 @@ def cli_argv(kind, path, out):
 
 @st.composite
 def edited_files(draw):
-    """A valid file of some kind with up to four lines replaced, inserted or deleted."""
+    """A valid file of some kind with up to four edits: a line replaced, inserted
+    or deleted, or one token of a line replaced by a number."""
     kind = draw(st.sampled_from(sorted(VALID)))
     lines = VALID[kind].splitlines()
     for _ in range(draw(st.integers(0, 4))):
         i = draw(st.integers(0, len(lines)))
-        action = draw(st.sampled_from(["replace", "insert", "delete"]))
+        action = draw(st.sampled_from(["replace", "insert", "delete", "renumber"]))
         if action == "insert" or i == len(lines):
             lines.insert(i, draw(LINES))
         elif action == "replace":
             lines[i] = draw(LINES)
-        else:
+        elif action == "delete":
             del lines[i]
+        elif lines[i].split():
+            tokens = lines[i].split()
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(NUMBERS)
+            lines[i] = " ".join(tokens)
     return kind, "\n".join(lines) + "\n"
 
 
@@ -144,6 +144,21 @@ class TestMalformedFiles:
         assert main(cli_argv(kind, path, tmp_path / "out.txt")) == 1
         assert "bad.txt" + where in capsys.readouterr().err
 
+    @pytest.mark.parametrize("vertices", [2237, 10**5, 10**9])
+    def test_graph_over_budget_is_refused_at_the_header(self, tmp_path, capsys, vertices):
+        # the dense adjacency matrix would need vertices^2 entries
+        path = tmp_path / "big.graph"
+        path.write_text(f"ripgraph 1\nvertices {vertices}\n0: 1\n")
+        with pytest.raises(EnumerationBudgetError, match="big.graph:2:"):
+            read_graph(path)
+        assert main(cli_argv("graph", path, tmp_path / "out.txt")) == 3
+        assert "big.graph:2:" in capsys.readouterr().err
+
+    def test_graph_at_budget_is_read(self, tmp_path):
+        path = tmp_path / "edge.graph"
+        path.write_text("ripgraph 1\nvertices 2236\n0: 2235\n")
+        assert read_graph(path).n == 2236
+
     @settings(
         max_examples=200,
         deadline=None,
@@ -151,6 +166,7 @@ class TestMalformedFiles:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(edited_files())
+    @example(("graph", "ripgraph 1\nvertices 1000000000\n0: 1\n"))
     def test_any_text_is_read_or_rejected(self, tmp_path, case):
         kind, text = case
         path = tmp_path / "fuzz.txt"
@@ -160,6 +176,8 @@ class TestMalformedFiles:
             result = reader(path)
         except InvalidParameterError:
             assert main(cli_argv(kind, path, tmp_path / "out.txt")) == 1
+        except EnumerationBudgetError:
+            assert main(cli_argv(kind, path, tmp_path / "out.txt")) == 3
         else:
             assert isinstance(result, result_type)
 

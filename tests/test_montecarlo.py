@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,16 @@ from ripcert import (
     trial_seed,
     wilson_interval,
 )
+from ripcert import cli
+from ripcert.cli import main
 from ripcert.errors import InvalidParameterError
-from ripcert.montecarlo import delta1_tail_bound, fro_failure_bound, observed_tail
+from ripcert.montecarlo import (
+    TailRow,
+    delta1_tail_bound,
+    fro_failure_bound,
+    observed_tail,
+    sidak_z,
+)
 
 
 class TestConfigAndSeeding:
@@ -167,6 +176,50 @@ class TestColumnSumTail:
         table = column_sum_tail(16, 3, 2, 1000, 5, grid=(0.25, 0.5))
         assert [r.theta_hat for r in table.rows] == [0.25, 0.5]
         assert table.rows[0].threshold == 0.25 * math.sqrt(6)
+
+
+class TestTailSymmetry:
+    def test_sidak_threshold(self):
+        assert sidak_z(1) == pytest.approx(3.0, abs=1e-12)
+        assert sidak_z(11) == pytest.approx(3.6667, abs=1e-4)
+        assert sidak_z(22) > sidak_z(11)
+
+    @pytest.mark.parametrize("seed", [14, 37, 52, 55])
+    def test_former_false_alarms_pass(self, seed):
+        # each of these seeds failed the per-row 3-SE test without the covariance
+        for m in (16, 64):
+            assert column_sum_tail(m, 2, 2, 200_000, seed).all_symmetric
+
+    def test_covariance_enters_the_standard_error(self):
+        # near theta = 0 the two tails are strongly anticorrelated: 100,500 vs
+        # 99,500 of 200,000 is z = 2.24 with Var(p+ - p-) = (p+ + p- - (p+ - p-)^2) / T,
+        # but z = 3.16 if the tails are treated as independent
+        row = TailRow(0.0, 0.0, 200_000, 200_000, 2.0, 100_500, 99_500, family=1)
+        assert row.symmetric_ok
+        assert not replace(row, pos_count=100_800, neg_count=99_200).symmetric_ok
+
+    def test_planted_asymmetry_is_flagged(self):
+        row = TailRow(0.5, 1.0, 1000, 200_000, 1.0, 600, 400, family=11)
+        assert not row.symmetric_ok
+        assert replace(row, pos_count=500, neg_count=500).symmetric_ok
+
+    def test_planted_asymmetry_exits_two(self, tmp_path, monkeypatch):
+        real = cli.column_sum_tail
+
+        def planted(*args, **kwargs):
+            table = real(*args, **kwargs)
+            rows = list(table.rows)
+            rows[5] = replace(rows[5], count=1000, pos_count=600, neg_count=400)
+            return replace(table, rows=tuple(rows))
+
+        monkeypatch.setattr(cli, "column_sum_tail", planted)
+        out = tmp_path / "tail.txt"
+        argv = ["mc", "tail", "--m", "16", "--k1", "2", "--k2", "2", "--trials", "200000",
+                "--seed", "1", "-o", str(out)]
+        assert main(argv) == 2
+        text = out.read_text()
+        assert "symmetric=False" in text
+        assert "m=16: tail asymmetry beyond 3.67 standard errors" in text
 
 
 class TestTailBounds:
