@@ -74,6 +74,8 @@ EXIT_USAGE = 1
 EXIT_INVARIANT = 2
 EXIT_BUDGET = 3
 EXIT_INFEASIBLE = 4
+#: exceptions with their own exit code; every other reported error is exit 1
+_ERROR_EXITS = {EnumerationBudgetError: EXIT_BUDGET, InfeasibleInputError: EXIT_INFEASIBLE}
 
 
 class _UsageError(Exception):
@@ -85,11 +87,33 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise _UsageError(f"expected an integer, got {text!r}") from None
+
+
 def _int_list(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok != ""]
     except ValueError:
         raise _UsageError(f"expected a comma-separated integer list, got {text!r}") from None
+
+
+def _finish(writer: ReportWriter, output: str, violations: list[str], summary=()) -> int:
+    """Close a report: invariants section, write, stdout summary, stderr violations."""
+    writer.section("invariants")
+    writer.kv("violations", len(violations))
+    for i, v in enumerate(violations):
+        writer.kv(f"violation-{i}", v)
+    writer.write(output)
+    print(f"wrote {output}")
+    for line in summary:
+        print(line)
+    for v in violations:
+        print(f"invariant violation: {v}", file=sys.stderr)
+    return EXIT_INVARIANT if violations else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,7 +309,7 @@ def _write_certification(writer: ReportWriter, report) -> None:
 
 def _cmd_certify(args) -> int:
     frame = read_matrix(args.input)
-    power_specs = [(int(k), _int_list(qlist)) for k, qlist in (args.power or [])]
+    power_specs = [(_int(k), _int_list(qlist)) for k, qlist in (args.power or [])]
     exact_ks = args.exact_ric or []
     roc_ks = args.roc or []
     fro_ks = args.fro or []
@@ -310,38 +334,24 @@ def _cmd_certify(args) -> int:
     writer.kv("input", args.input)
     writer.kv("input-sha256", sha256_file(args.input))
     _write_certification(writer, report)
-    writer.section("invariants")
-    writer.kv("violations", len(violations))
-    for i, v in enumerate(violations):
-        writer.kv(f"violation-{i}", v)
-    writer.write(args.output)
-    print(f"wrote {args.output}")
+    summary = []
     for rec in report.per_k:
         parts = [f"K={rec.k}"]
         if rec.ric is not None:
             parts.append(f"ric={rec.ric.value!r}")
         if rec.gershgorin is not None:
             parts.append(f"gershgorin={rec.gershgorin!r}")
-        print(" ".join(parts))
+        summary.append(" ".join(parts))
     if report.spark is not None:
-        print(f"spark: {report.spark.spark if report.spark.exact else f'> {report.spark.cap}'}")
-    if violations:
-        for v in violations:
-            print(f"invariant violation: {v}", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+        summary.append(
+            f"spark: {report.spark.spark if report.spark.exact else f'> {report.spark.cap}'}"
+        )
+    return _finish(writer, args.output, violations, summary)
 
 
 # ---------------------------------------------------------------------------
 # graph
 # ---------------------------------------------------------------------------
-
-
-def _write_graph_adjacency(writer: ReportWriter, g, name: str) -> None:
-    writer.section(name)
-    writer.kv("vertices", g.n)
-    for v in range(g.n):
-        writer.kv(str(v), g.neighbors(v))
 
 
 def _run_mixing(writer: ReportWriter, g, trials: int, seed: int) -> list[str]:
@@ -367,58 +377,47 @@ def _run_mixing(writer: ReportWriter, g, trials: int, seed: int) -> list[str]:
 
 
 def _cmd_graph(args) -> int:
+    inputs = sum(x is not None for x in (args.input or None, args.paley_graph, args.graph_in))
+    if inputs == 0:
+        raise _UsageError("graph needs a matrix file, --paley-graph P or --graph-in FILE")
+    if inputs > 1:
+        raise _UsageError("graph takes one input: a matrix file, --paley-graph or --graph-in")
+    frame_only = [
+        flag
+        for flag, used in (
+            ("--canonicalize", args.canonicalize is not None),
+            ("--seidel", args.seidel),
+            ("--predicted-srg", args.predicted_srg),
+            ("--trace-expansion", args.trace_expansion is not None),
+        )
+        if used
+    ]
+    if frame_only and not args.input:
+        raise _UsageError(f"{frame_only[0]} needs a matrix file input")
+    if args.mixing is not None and args.mixing < 0:
+        raise InvalidParameterError(f"--mixing must be >= 0, got {args.mixing}")
     writer = ReportWriter(__version__)
     writer.kv("command", "graph")
     violations: list[str] = []
-    saved_graph = None
 
-    if args.paley_graph is not None or args.graph_in is not None:
-        if args.paley_graph is not None:
-            p = args.paley_graph
-            g = paley_graph(p)
-            writer.kv("paley-graph", p)
-        else:
-            p = None
-            g = read_graph(args.graph_in)
-            writer.kv("graph-in", args.graph_in)
-            writer.kv("input-sha256", sha256_file(args.graph_in))
-        saved_graph = g
-        _write_graph_adjacency(writer, g, "adjacency")
-        if args.srg_check:
-            result = srg_check(g)
-            writer.section("srg-check")
-            writer.kv("status", result.status)
-            writer.kv("params", str(result.params) if result.params else result.reason)
-            if p is not None and not result.is_srg:
-                violations.append(f"paley graph of order {p} failed strong regularity")
-        if args.clique:
-            res = clique_number(g)
-            writer.section("clique")
-            writer.kv("omega", res.size)
-            writer.kv("witness", res.clique)
-            writer.kv("exact", res.exact)
-            writer.kv("nodes", res.nodes)
-            if p is not None:
-                writer.kv("sqrt-p", math.sqrt(p))
-                ok = res.size < math.sqrt(p)
-                writer.kv("below-sqrt-p", ok)
-                if not ok:
-                    violations.append(f"clique number {res.size} is not below sqrt({p})")
-        if args.mixing:
-            violations.extend(_run_mixing(writer, g, args.mixing, args.seed))
+    # pick the graph: a paley graph, a graph file, or a frame's descendant graph
+    p = args.paley_graph
+    frame = None
+    if p is not None:
+        g = paley_graph(p)
+        writer.kv("paley-graph", p)
+    elif args.graph_in is not None:
+        g = read_graph(args.graph_in)
+        writer.kv("graph-in", args.graph_in)
+        writer.kv("input-sha256", sha256_file(args.graph_in))
     else:
-        if not args.input:
-            raise _UsageError("graph needs a matrix file, --paley-graph P or --graph-in FILE")
         frame = read_matrix(args.input)
         writer.kv("input", args.input)
         writer.kv("input-sha256", sha256_file(args.input))
         if not frame.matrix.is_real():
             frame = realify(frame)  # raises NotRealError (exit 4) for complex Grams
         anchor = args.canonicalize if args.canonicalize is not None else frame.n - 1
-        flipped = flip_canonical(frame, anchor)
-        seidel, mu = seidel_from_gram(flipped)
-        join_graph = graph_from_seidel(seidel)
-        saved_graph = join_graph
+        seidel, mu = seidel_from_gram(flip_canonical(frame, anchor))
         writer.section("frame")
         writer.kv("label", frame.label)
         writer.kv("rows", frame.m)
@@ -430,64 +429,66 @@ def _cmd_graph(args) -> int:
             for v in range(seidel.n):
                 row = "".join("0" if x == 0 else ("+" if x > 0 else "-") for x in seidel.entries[v])
                 writer.kv(str(v), row)
-        sub = join_decompose(join_graph, anchor)
-        saved_graph = sub
-        _write_graph_adjacency(writer, sub, "descendant-adjacency")
-        if args.predicted_srg or args.srg_check:
-            predicted = predicted_srg(frame.m, frame.n)
-            writer.section("predicted-srg")
-            writer.kv("params", str(predicted))
-        if args.srg_check:
-            result = srg_check(sub)
-            writer.section("srg-check")
-            writer.kv("status", result.status)
-            writer.kv("params", str(result.params) if result.params else result.reason)
+        g = join_decompose(graph_from_seidel(seidel), anchor)
+
+    writer.section("adjacency" if frame is None else "descendant-adjacency")
+    writer.kv("vertices", g.n)
+    for v in range(g.n):
+        writer.kv(str(v), g.neighbors(v))
+    if frame is not None and (args.predicted_srg or args.srg_check):
+        predicted = predicted_srg(frame.m, frame.n)
+        writer.section("predicted-srg")
+        writer.kv("params", str(predicted))
+    if args.srg_check:
+        result = srg_check(g)
+        writer.section("srg-check")
+        writer.kv("status", result.status)
+        writer.kv("params", str(result.params) if result.params else result.reason)
+        if frame is not None:
             match = result.is_srg and result.params == predicted
             writer.kv("matches-predicted", match)
             if not match:
                 violations.append(
                     f"descendant graph is {result.params or result.reason}, expected {predicted}"
                 )
-        if args.clique:
-            res = clique_number(sub)
-            writer.section("clique")
-            writer.kv("omega", res.size)
-            writer.kv("witness", res.clique)
-            writer.kv("exact", res.exact)
-            writer.kv("nodes", res.nodes)
-        if args.mixing:
-            violations.extend(_run_mixing(writer, sub, args.mixing, args.seed))
-        if args.trace_expansion:
-            kset = _int_list(args.trace_expansion[0])
-            q = int(args.trace_expansion[1])
-            result = seidel_trace_expansion(frame, kset, q)
-            writer.section("trace-expansion")
-            writer.kv("kset", tuple(kset))
-            writer.kv("q", q)
-            writer.kv("direct", result.direct)
-            writer.kv("expansion", result.expansion)
-            writer.kv("tuple-sum", result.tuple_sum)
-            if result.q2_first_term is not None:
-                writer.kv("q2-first-term", result.q2_first_term)
-                writer.kv("q2-residual", result.q2_residual)
-            writer.kv("ok", result.ok)
-            if not result.ok:
-                violations.append("trace expansion routes disagree")
+        elif p is not None and not result.is_srg:
+            violations.append(f"paley graph of order {p} failed strong regularity")
+    if args.clique:
+        res = clique_number(g)
+        writer.section("clique")
+        writer.kv("omega", res.size)
+        writer.kv("witness", res.clique)
+        writer.kv("exact", res.exact)
+        writer.kv("nodes", res.nodes)
+        if p is not None:
+            writer.kv("sqrt-p", math.sqrt(p))
+            ok = res.size < math.sqrt(p)
+            writer.kv("below-sqrt-p", ok)
+            if not ok:
+                violations.append(f"clique number {res.size} is not below sqrt({p})")
+    if args.mixing:
+        violations.extend(_run_mixing(writer, g, args.mixing, args.seed))
+    if args.trace_expansion:
+        kset = _int_list(args.trace_expansion[0])
+        q = _int(args.trace_expansion[1])
+        result = seidel_trace_expansion(frame, kset, q)
+        writer.section("trace-expansion")
+        writer.kv("kset", tuple(kset))
+        writer.kv("q", q)
+        writer.kv("direct", result.direct)
+        writer.kv("expansion", result.expansion)
+        writer.kv("tuple-sum", result.tuple_sum)
+        if result.q2_first_term is not None:
+            writer.kv("q2-first-term", result.q2_first_term)
+            writer.kv("q2-residual", result.q2_residual)
+        writer.kv("ok", result.ok)
+        if not result.ok:
+            violations.append("trace expansion routes disagree")
 
-    if args.graph_out and saved_graph is not None:
-        write_graph(args.graph_out, saved_graph)
+    if args.graph_out:
+        write_graph(args.graph_out, g)
         print(f"wrote {args.graph_out}")
-    writer.section("invariants")
-    writer.kv("violations", len(violations))
-    for i, v in enumerate(violations):
-        writer.kv(f"violation-{i}", v)
-    writer.write(args.output)
-    print(f"wrote {args.output}")
-    if violations:
-        for v in violations:
-            print(f"invariant violation: {v}", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+    return _finish(writer, args.output, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -576,17 +577,7 @@ def _cmd_mc(args) -> int:
                     f"errors (Sidak level for {len(table.rows)} rows)"
                 )
             print(f"m={m}: all-ok={table.all_ok} symmetric={table.all_symmetric}")
-    writer.section("invariants")
-    writer.kv("violations", len(violations))
-    for i, v in enumerate(violations):
-        writer.kv(f"violation-{i}", v)
-    writer.write(args.output)
-    print(f"wrote {args.output}")
-    if violations:
-        for v in violations:
-            print(f"invariant violation: {v}", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+    return _finish(writer, args.output, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -605,21 +596,11 @@ def main(argv=None) -> int:
         if args.command == "graph":
             return _cmd_graph(args)
         return _cmd_mc(args)
-    except _UsageError as exc:
+    except (_UsageError, RipcertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except EnumerationBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except InfeasibleInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except RipcertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(
+            (code for kind, code in _ERROR_EXITS.items() if isinstance(exc, kind)), EXIT_USAGE
+        )
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
 

@@ -9,19 +9,20 @@ parameters depend only on the frame dimensions. This module builds and
 checks all of that, plus quadratic-residue (Paley) graphs, exact clique
 numbers by branch and bound, the clique identity for the exact isometry
 constant, the expander mixing inequality, and the sign-walk expansion of
-trace powers.
+trace powers as an exact integer trace.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .certification import (
     CHECK_SLACK,
+    DEFAULT_BUDGET,
     SubsetSearch,
     ric_exact_search,
     verify_etf,
@@ -76,6 +77,14 @@ class SimpleGraph:
     def is_regular(self) -> bool:
         degs = self.degrees
         return bool(degs.size == 0 or np.all(degs == degs[0]))
+
+    @cached_property
+    def second_eigenvalue(self) -> float:
+        """Largest magnitude among the adjacency eigenvalues below the top one."""
+        if self.n < 2:
+            return 0.0
+        w = np.linalg.eigvalsh(self.adjacency.astype(np.float64))
+        return float(max(abs(w[0]), abs(w[-2])))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(int(x) for x in np.flatnonzero(self.adjacency[v]))
@@ -156,18 +165,24 @@ class SrgCheckResult:
 
 
 def paley_graph(p: int) -> SimpleGraph:
-    """Graph on Z_p joining residues that differ by a nonzero square, p = 1 (mod 4)."""
+    """Graph on Z_p joining residues that differ by a nonzero square, p = 1 (mod 4).
+
+    Like a graph file, the dense adjacency matrix must fit the default
+    budget; larger orders are refused before any primality test.
+    """
+    if p * p > DEFAULT_BUDGET:
+        raise EnumerationBudgetError(
+            p * p, DEFAULT_BUDGET, f"a paley graph of order {p}", "adjacency entries"
+        )
     if not is_prime(p):
         raise InvalidParameterError(f"p={p} is not prime")
     if p % 4 != 1:
         raise CongruenceError(f"paley graphs need p = 1 (mod 4), got {p}")
-    residues = set(quadratic_residues(p)) - {0}
-    adj = np.zeros((p, p), dtype=bool)
-    for a in range(p):
-        for b in range(a + 1, p):
-            if (b - a) % p in residues:
-                adj[a, b] = adj[b, a] = True
-    return SimpleGraph(adj)
+    square = np.zeros(p, dtype=bool)
+    square[quadratic_residues(p)] = True
+    square[0] = False
+    vertices = np.arange(p)
+    return SimpleGraph(square[(vertices[None, :] - vertices[:, None]) % p])
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +258,7 @@ def join_decompose(g: SimpleGraph, vertex: int) -> SimpleGraph:
     row[vertex] = True
     if not row.all():
         raise NotJoinError(f"vertex {vertex} is not adjacent to every other vertex")
-    keep = [i for i in range(g.n) if i != vertex]
-    return SimpleGraph(g.adjacency[np.ix_(keep, keep)])
+    return SimpleGraph(np.delete(np.delete(g.adjacency, vertex, 0), vertex, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +353,10 @@ def clique_number(g: SimpleGraph, budget: int = DEFAULT_CLIQUE_BUDGET) -> Clique
     n = g.n
     if n == 0:
         return CliqueResult(0, (), True, 0)
-    order = sorted(range(n), key=lambda v: (-int(g.degrees[v]), v))
-    position = {v: i for i, v in enumerate(order)}
-    masks = [0] * n  # adjacency over reordered labels
-    for v in range(n):
-        mv = position[v]
-        for w in g.neighbors(v):
-            masks[mv] |= 1 << position[w]
+    order = np.argsort(-g.degrees, kind="stable")
+    # adjacency over reordered labels, one integer bitmask per row
+    rows = np.packbits(g.adjacency[np.ix_(order, order)], axis=1, bitorder="little")
+    masks = [int.from_bytes(row.tobytes(), "little") for row in rows]
 
     best_size = 0
     best_clique: list[int] = []
@@ -397,7 +408,7 @@ def clique_number(g: SimpleGraph, budget: int = DEFAULT_CLIQUE_BUDGET) -> Clique
         expand([], (1 << n) - 1)
     except _BudgetExhausted:
         exact = False
-    clique = tuple(sorted(order[v] for v in best_clique))
+    clique = tuple(sorted(int(order[v]) for v in best_clique))
     return CliqueResult(best_size, clique, exact, nodes)
 
 
@@ -489,9 +500,10 @@ def _validate_vertex_set(g: SimpleGraph, vertices, what: str) -> list[int]:
 def expander_mixing_check(g: SimpleGraph, i_set, j_set) -> MixingCheck:
     """Compare |E(I,J) - (d/n)|I||J|| with lambda * sqrt(|I||J|).
 
-    E(I,J) counts ordered adjacent pairs (the quadratic-form convention,
-    so an edge inside the intersection counts twice), and lambda is the
-    largest magnitude among non-principal adjacency eigenvalues.
+    E(I,J) counts ordered adjacent pairs, the sum of the I x J adjacency
+    block (the quadratic-form convention, so an edge inside the
+    intersection counts twice), and lambda is the graph's cached
+    ``second_eigenvalue``.
     """
     if not g.is_regular():
         raise NotRegularError("mixing bound needs a regular graph")
@@ -499,15 +511,9 @@ def expander_mixing_check(g: SimpleGraph, i_set, j_set) -> MixingCheck:
     j_idx = _validate_vertex_set(g, j_set, "J")
     n = g.n
     d = int(g.degrees[0]) if n else 0
-    adj = g.adjacency.astype(np.float64)
-    ones_i = np.zeros(n)
-    ones_i[i_idx] = 1.0
-    ones_j = np.zeros(n)
-    ones_j[j_idx] = 1.0
-    edges = float(ones_i @ adj @ ones_j)
+    edges = float(g.adjacency[np.ix_(i_idx, j_idx)].sum())
     lhs = abs(edges - d / n * len(i_idx) * len(j_idx)) if n else 0.0
-    w = np.linalg.eigvalsh(adj)
-    lam = float(max(abs(w[0]), abs(w[-2]))) if n >= 2 else 0.0
+    lam = g.second_eigenvalue
     rhs = lam * math.sqrt(len(i_idx) * len(j_idx))
     return MixingCheck(lhs, rhs, lam, edges)
 
@@ -539,8 +545,11 @@ def seidel_trace_expansion(
     Directly by matrix powers, and as mu^(2q) times the sum over closed
     sign walks: 2q-tuples of subset elements with no two cyclically
     consecutive entries equal, each contributing the product of sign
-    matrix entries along the walk. For q = 2 the walk sum splits into
-    the backtracking term k(k-1)^2 plus a residual, both returned.
+    matrix entries along the walk. S has a zero diagonal, so the walks
+    that repeat an entry contribute nothing and the walk sum is the exact
+    integer trace of S_K^(2q). ``budget`` caps the k^(2q) walks it counts.
+    For q = 2 the walk sum splits into the backtracking term k(k-1)^2
+    plus a residual, both returned.
     """
     if not isinstance(q, int) or q < 1:
         raise InvalidParameterError(f"need integer q >= 1, got {q}")
@@ -562,14 +571,7 @@ def seidel_trace_expansion(
     hollow = sub - np.eye(k)
     direct = trace_power(DenseMatrix(hollow), 2 * q)
 
-    total = 0
-    for walk in itertools.product(range(k), repeat=2 * q):
-        if any(walk[i] == walk[(i + 1) % (2 * q)] for i in range(2 * q)):
-            continue
-        prod = 1
-        for i in range(2 * q):
-            prod *= int(s_sub[walk[i], walk[(i + 1) % (2 * q)]])
-        total += prod
+    total = int(np.trace(np.linalg.matrix_power(s_sub.astype(object), 2 * q)))
     expansion = mu ** (2 * q) * total
 
     first_term = residual = None

@@ -102,24 +102,11 @@ def spectral_norm(arr: np.ndarray) -> float:
     return math.sqrt(max(float(w.max()), 0.0))
 
 
-def _binary_power(a: np.ndarray, p: int) -> np.ndarray:
-    result = None
-    base = a
-    e = p
-    while e:
-        if e & 1:
-            result = base if result is None else result @ base
-        e >>= 1
-        if e:
-            base = base @ base
-    return result
-
-
 def trace_power(h: DenseMatrix, p: int) -> float:
-    """Tr[H^p] for Hermitian H and even positive p, by binary exponentiation."""
+    """Tr[H^p] for Hermitian H and even positive p."""
     if not isinstance(p, int) or p <= 0:
         raise UnsupportedExponentError(f"exponent must be a positive integer, got {p}")
     if p % 2 != 0:
         raise UnsupportedExponentError(f"only even exponents are supported, got {p}")
     sym = _require_square_hermitian(h.data, "trace_power")
-    return float(np.trace(_binary_power(sym, p)).real)
+    return float(np.trace(np.linalg.matrix_power(sym, p)).real)

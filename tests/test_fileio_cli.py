@@ -1,3 +1,4 @@
+import hashlib
 import math
 import string
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ripcert import gaussian_matrix, paley_etf, steiner_triple
+from ripcert import gaussian_matrix, paley_etf, realify, steiner_triple
 from ripcert.cli import main
 from ripcert.constructions import Frame, SteinerSystem
 from ripcert.errors import EnumerationBudgetError, InvalidParameterError
@@ -285,6 +286,11 @@ class TestCertifyCommand:
     def test_gershgorin_alone_is_usage_error(self, tmp_path, paley5_file):
         assert main(["certify", str(paley5_file), "--gershgorin", "-o", "x"]) == 1
 
+    def test_non_integer_power_k_is_usage_error(self, tmp_path, paley5_file, capsys):
+        code = main(["certify", str(paley5_file), "--power", "x", "2", "-o", str(tmp_path / "r")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: expected an integer, got 'x'")
+
 
 class TestGraphCommand:
     def test_paley_graph_clique(self, tmp_path):
@@ -373,6 +379,80 @@ class TestGraphCommand:
 
     def test_missing_input_is_usage_error(self, tmp_path):
         assert main(["graph", "-o", str(tmp_path / "rep.txt")]) == 1
+
+    def test_non_integer_trace_expansion_q_is_usage_error(self, tmp_path, paley5_file, capsys):
+        code = main(
+            ["graph", str(paley5_file), "--trace-expansion", "0,1,2", "x",
+             "-o", str(tmp_path / "rep.txt")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: expected an integer, got 'x'")
+
+    def test_negative_mixing_count_is_usage_error(self, tmp_path, capsys):
+        code = main(
+            ["graph", "--paley-graph", "13", "--mixing", "-5", "-o", str(tmp_path / "rep.txt")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --mixing must be >= 0, got -5")
+        assert not (tmp_path / "rep.txt").exists()
+
+    def test_more_than_one_input_is_usage_error(self, tmp_path, paley5_file, capsys):
+        gfile = tmp_path / "g.graph"
+        write_graph(gfile, SimpleGraph.from_edges(3, [(0, 1)]))
+        code = main(
+            ["graph", "--paley-graph", "13", "--graph-in", str(gfile), str(paley5_file),
+             "--seidel", "--trace-expansion", "0,1", "2", "-o", str(tmp_path / "rep.txt")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: graph takes one input")
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--canonicalize", "0"], ["--seidel"], ["--predicted-srg"],
+         ["--trace-expansion", "0,1", "2"]],
+    )
+    @pytest.mark.parametrize("source", ["--paley-graph", "--graph-in"])
+    def test_frame_only_flag_with_a_graph_input_is_usage_error(
+        self, tmp_path, capsys, flag, source
+    ):
+        gfile = tmp_path / "g.graph"
+        write_graph(gfile, SimpleGraph.from_edges(3, [(0, 1)]))
+        value = "13" if source == "--paley-graph" else str(gfile)
+        code = main(["graph", source, value, *flag, "-o", str(tmp_path / "rep.txt")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag[0]} needs a matrix file")
+
+    @pytest.mark.parametrize("p", [2237, 1_000_000_009])
+    def test_paley_graph_over_budget_exits_three(self, tmp_path, capsys, p):
+        code = main(["graph", "--paley-graph", str(p), "-o", str(tmp_path / "rep.txt")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: a paley graph of order {p} requires")
+        assert "adjacency entries" in err
+
+
+#: report-body sha256 of each step, pinned from the two-path graph command
+GOLDEN_GRAPH_REPORTS = [
+    (["graph", "--paley-graph", "61", "--srg-check", "--clique", "--mixing", "50",
+      "--seed", "3", "-o", "a.txt"],
+     "9d9a9b63b93f79127930c4b2b9fcd8594ca203dbad4919a53fa19d236c1f94c2"),
+    (["graph", "p29.mat", "--seidel", "--predicted-srg", "--srg-check", "--clique",
+      "--mixing", "50", "--seed", "3", "--trace-expansion", "0,1,2,3,4", "2",
+      "--graph-out", "G", "-o", "b.txt"],
+     "5f43b50df803934c4d30e8c52e467857c41783d25e900d71f180d8687abbd35c"),
+    (["graph", "--graph-in", "G", "--srg-check", "--clique", "-o", "c.txt"],
+     "08b7d53b9b481329819d7decd71a10677d646703757d0463626fbbf506630ca8"),
+]
+
+
+def test_golden_graph_report_bodies(tmp_path, monkeypatch):
+    # report bodies name their inputs, so the paths are relative to one directory
+    monkeypatch.chdir(tmp_path)
+    write_matrix("p29.mat", realify(paley_etf(29)))
+    for argv, digest in GOLDEN_GRAPH_REPORTS:
+        assert main(argv) == 0
+        body = report_body((tmp_path / argv[-1]).read_text())
+        assert hashlib.sha256(body.encode()).hexdigest() == digest, argv
 
 
 class TestMcCommand:

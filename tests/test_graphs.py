@@ -33,7 +33,7 @@ from ripcert.errors import (
     NotJoinError,
     NotRegularError,
 )
-from ripcert.graphs import SimpleGraph, SrgParams
+from ripcert.graphs import CliqueResult, SimpleGraph, SrgParams
 from ripcert.linalg import DenseMatrix
 from ripcert.modular import legendre_symbol, quadratic_residues
 
@@ -97,6 +97,31 @@ class TestPaleyGraph:
             paley_graph(9)
         with pytest.raises(CongruenceError):
             paley_graph(7)
+
+    @pytest.mark.parametrize("p", [5, 13, 17, 29, 101])
+    def test_matches_residue_double_loop(self, p):
+        residues = set(quadratic_residues(p)) - {0}
+        expected = np.zeros((p, p), dtype=bool)
+        for a in range(p):
+            for b in range(a + 1, p):
+                if (b - a) % p in residues:
+                    expected[a, b] = expected[b, a] = True
+        assert np.array_equal(paley_graph(p).adjacency, expected)
+
+    def test_largest_order_within_the_budget_is_built(self):
+        # 2221 is the last prime = 1 (mod 4) with 2221^2 <= DEFAULT_BUDGET
+        assert paley_graph(2221).n == 2221
+
+    @pytest.mark.parametrize("p", [2237, 1_000_000_009])
+    def test_orders_over_the_budget_are_refused_before_the_primality_test(
+        self, p, monkeypatch
+    ):
+        def no_trial_division(n):
+            raise AssertionError("is_prime ran before the size check")
+
+        monkeypatch.setattr("ripcert.graphs.is_prime", no_trial_division)
+        with pytest.raises(EnumerationBudgetError, match="adjacency entries"):
+            paley_graph(p)
 
     @pytest.mark.parametrize("p", [5, 13, 17, 29])
     def test_strongly_regular_parameters(self, p):
@@ -300,6 +325,11 @@ class TestCliqueNumber:
         assert not result.exact
         assert result.size <= clique_number(paley_graph(29)).size
 
+    def test_paley101_golden(self):
+        # size, witness and search-node count pinned from the per-vertex bitmask build
+        result = clique_number(paley_graph(101))
+        assert result == CliqueResult(5, (78, 94, 95, 99, 100), True, 7008)
+
 
 class TestCliqueRicIdentity:
     def test_k2_on_any_real_etf(self, steiner_6x16):
@@ -372,6 +402,30 @@ class TestExpanderMixing:
         # edge {0,1} exists and is counted once per orientation
         assert check.edge_count == 2.0
 
+    @pytest.mark.parametrize("p", [13, 29])
+    def test_matches_quadratic_form_and_fresh_spectrum(self, p):
+        g = paley_graph(p)
+        adj = g.adjacency.astype(np.float64)
+        w = np.linalg.eigvalsh(adj)
+        lam = float(max(abs(w[0]), abs(w[-2])))
+        d = (p - 1) // 2
+        rng = np.random.default_rng(p)
+        pairs = [([], []), ([], [0, 1]), (list(range(p)), list(range(p)))]
+        for _ in range(30):
+            i_set = sorted(rng.choice(p, int(rng.integers(1, p + 1)), replace=False).tolist())
+            j_set = sorted(rng.choice(p, int(rng.integers(1, p + 1)), replace=False).tolist())
+            pairs += [(i_set, j_set), (i_set, i_set), (i_set, i_set[: len(i_set) // 2 + 1])]
+        for i_set, j_set in pairs:
+            ones_i, ones_j = np.zeros(p), np.zeros(p)
+            ones_i[i_set] = 1.0
+            ones_j[j_set] = 1.0
+            edges = float(ones_i @ adj @ ones_j)
+            check = expander_mixing_check(g, i_set, j_set)
+            assert check.edge_count == edges
+            assert check.lhs == abs(edges - d / p * len(i_set) * len(j_set))
+            assert check.second_eigenvalue == lam
+            assert check.rhs == lam * math.sqrt(len(i_set) * len(j_set))
+
 
 class TestSeidelTraceExpansion:
     def test_two_columns_q1(self, paley5_real):
@@ -395,6 +449,27 @@ class TestSeidelTraceExpansion:
     def test_budget(self, paley13_real):
         with pytest.raises(EnumerationBudgetError):
             seidel_trace_expansion(paley13_real, (0, 1, 2, 3), 2, budget=10)
+
+    @pytest.mark.parametrize("p", [13, 29])
+    def test_trace_equals_closed_walk_enumeration(self, p):
+        frame = realify_paley(p)
+        seidel, _ = seidel_from_gram(frame)
+        rng = np.random.default_rng(p)
+        for k in range(2, 7):
+            for q in (1, 2, 3):
+                kset = sorted(rng.choice(frame.n, k, replace=False).tolist())
+                s_sub = seidel.entries[np.ix_(kset, kset)].astype(np.int64)
+                total = 0
+                for walk in itertools.product(range(k), repeat=2 * q):
+                    if any(walk[i] == walk[(i + 1) % (2 * q)] for i in range(2 * q)):
+                        continue
+                    prod = 1
+                    for i in range(2 * q):
+                        prod *= int(s_sub[walk[i], walk[(i + 1) % (2 * q)]])
+                    total += prod
+                result = seidel_trace_expansion(frame, kset, q)
+                assert result.tuple_sum == total, (kset, q)
+                assert result.ok
 
 
 class TestGramRoundTrip:
