@@ -71,7 +71,6 @@ from .graphs import (
     srg_check,
 )
 from .linalg import (
-    DenseMatrix,
     gram,
     trace_power,
 )

@@ -25,6 +25,7 @@ from .errors import (
     PreconditionError,
 )
 from .subsets import (
+    DEFAULT_BUDGET,
     disjoint_pair_count,
     iter_disjoint_pair_chunks,
     iter_subset_chunks,
@@ -35,8 +36,6 @@ from .subsets import (
     worker_count,
 )
 
-#: default cap on the number of enumerated subsets (or subset pairs)
-DEFAULT_BUDGET = 5_000_000
 #: relative smallest-singular-value threshold declaring columns dependent
 SPARK_TOL = 1e-9
 #: slack used by the internal consistency checks between computed constants
@@ -103,13 +102,13 @@ def verify_etf(frame: Frame, tol: float = 1e-12) -> EtfReport:
     """
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
-    arr = frame.matrix.data
+    arr = frame.matrix
     unit_dev = float(np.abs(frame.column_norms_squared - 1.0).max())
     ff = arr @ arr.conj().T
     target = (frame.n / frame.m) * np.eye(frame.m)
     tight_dev = float(np.abs(ff - target).max())
     if frame.n >= 2:
-        off = np.abs(frame.gram.data)
+        off = np.abs(frame.gram)
         mask = ~np.eye(frame.n, dtype=bool)
         vals = off[mask]
         spread = float(vals.max() - vals.min())
@@ -518,7 +517,7 @@ def _spark_clear_ratio(frame: Frame, size: int, tol: float) -> float:
     m = frame.m
     u = np.finfo(float).eps
     g = frame.gram_array
-    dropped = 0.0 if np.iscomplexobj(g) else float(np.abs(frame.gram.data.imag).max())
+    dropped = 0.0 if np.iscomplexobj(g) else frame.gram_imag
     e_g = size * (16 * (m + size) * u + dropped / float(frame.column_norms_squared.min()))
     e_s = 16 * (m + size) * u
     if e_g >= 1.0:
@@ -550,7 +549,7 @@ def spark_search(
         raise InvalidParameterError("tol must be positive")
     total = sum(subset_count(n, s) for s in range(1, cap + 1))
     require_budget(total, budget, f"spark search up to size {cap}")
-    mat = frame.matrix.data
+    mat = frame.matrix
     g = frame.gram_array
     tested = 0
     for size in range(1, cap + 1):

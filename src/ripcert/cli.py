@@ -414,7 +414,7 @@ def _cmd_graph(args) -> int:
         frame = read_matrix(args.input)
         writer.kv("input", args.input)
         writer.kv("input-sha256", sha256_file(args.input))
-        if not frame.matrix.is_real():
+        if not frame.is_real:
             frame = realify(frame)  # raises NotRealError (exit 4) for complex Grams
         anchor = args.canonicalize if args.canonicalize is not None else frame.n - 1
         seidel, mu = seidel_from_gram(flip_canonical(frame, anchor))

@@ -27,8 +27,9 @@ from .errors import (
     NotRealError,
     RipcertError,
 )
-from .linalg import DEFAULT_TOL, DenseMatrix, gram, spectral_norm
+from .linalg import DEFAULT_TOL, gram, spectral_norm
 from .modular import is_prime, quadratic_residues
+from .subsets import DEFAULT_BUDGET, require_budget
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -84,49 +85,73 @@ class SteinerSystem:
 class Frame:
     """A dense matrix read as a dictionary of column vectors.
 
-    Carries a provenance label and caches the Gram matrix and coherence,
+    ``matrix`` is stored as a read-only complex128 copy of the given array,
+    which must be nonempty, 2-D and finite, with no zero column. The frame
+    carries a provenance label and caches the Gram matrix and coherence,
     which almost every certification formula consumes.
     """
 
-    matrix: DenseMatrix
+    matrix: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        norms = np.linalg.norm(self.matrix.data, axis=0)
+        arr = np.asarray(self.matrix)
+        if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
+            raise MatrixShapeError(f"expected a nonempty 2-D array, got shape {arr.shape}")
+        arr = np.array(arr, dtype=np.complex128, order="C")
+        if not np.isfinite(arr).all():
+            raise InvalidParameterError("matrix entries must be finite")
+        arr.setflags(write=False)
+        object.__setattr__(self, "matrix", arr)
+        norms = np.linalg.norm(arr, axis=0)
         if not np.all(np.isfinite(norms)) or float(norms.min()) <= 0.0:
             raise InvalidParameterError("every frame column must have finite positive norm")
 
     @property
     def m(self) -> int:
-        return self.matrix.rows
+        return self.matrix.shape[0]
 
     @property
     def n(self) -> int:
-        return self.matrix.cols
+        return self.matrix.shape[1]
+
+    @property
+    def is_real(self) -> bool:
+        """Whether every entry's imaginary part is within ``DEFAULT_TOL`` of zero."""
+        return float(np.abs(self.matrix.imag).max()) <= DEFAULT_TOL
 
     @cached_property
-    def gram(self) -> DenseMatrix:
-        return gram(self.matrix)
+    def gram(self) -> np.ndarray:
+        """Read-only complex Gram matrix Phi* Phi."""
+        g = gram(self.matrix)
+        if not np.isfinite(g).all():  # finite entries can still overflow
+            raise InvalidParameterError("matrix entries must be finite")
+        return g
+
+    @cached_property
+    def gram_imag(self) -> float:
+        """Largest imaginary part of the Gram matrix, in magnitude."""
+        return float(np.abs(self.gram.imag).max())
 
     @cached_property
     def gram_array(self) -> np.ndarray:
-        """Gram matrix as an ndarray, real when the imaginary part vanishes."""
-        g = self.gram.data
-        if float(np.abs(g.imag).max()) <= DEFAULT_TOL:
-            g = np.array(g.real)
-            g.setflags(write=False)
+        """Gram matrix as an ndarray, real when ``gram_imag`` is within ``DEFAULT_TOL``."""
+        if self.gram_imag > DEFAULT_TOL:
+            return self.gram
+        g = np.array(self.gram.real)
+        g.setflags(write=False)
         return g
 
     @cached_property
     def column_norms_squared(self) -> np.ndarray:
-        return np.abs(np.diagonal(self.gram.data).real.copy())
+        return np.abs(np.diagonal(self.gram).real)
 
     @cached_property
     def coherence(self) -> float:
         """Largest off-diagonal Gram magnitude (needs at least two columns)."""
         if self.n < 2:
             raise InvalidParameterError("coherence is undefined for fewer than 2 columns")
-        offdiag = np.abs(self.gram.data).copy()
+        offdiag = np.abs(self.gram)
         np.fill_diagonal(offdiag, 0.0)
         return float(offdiag.max())
 
@@ -137,9 +162,9 @@ def negate_columns(frame: Frame, indices) -> Frame:
     for i in idx:
         if not 0 <= i < frame.n:
             raise InvalidParameterError(f"column {i} out of range")
-    data = np.array(frame.matrix.data)
+    data = np.array(frame.matrix)
     data[:, idx] *= -1.0
-    return Frame(DenseMatrix(data), label=frame.label)
+    return Frame(data, label=frame.label)
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +172,19 @@ def negate_columns(frame: Frame, indices) -> Frame:
 # ---------------------------------------------------------------------------
 
 
+def _require_incidence_budget(v: int, k: int) -> None:
+    """Refuse a (2, k, v) design whose b x v incidence matrix exceeds the budget."""
+    b = v * (v - 1) // (k * (k - 1))
+    require_budget(
+        b * v, DEFAULT_BUDGET, f"the incidence matrix of a (2,{k},{v}) design", "matrix entries"
+    )
+
+
 def all_pairs_steiner(v: int) -> SteinerSystem:
     """The (2, 2, v) design whose blocks are all pairs, in lexicographic order."""
     if v < 2:
         raise InvalidParameterError(f"need v >= 2, got {v}")
+    _require_incidence_budget(v, 2)
     blocks = tuple((i, j) for i in range(v) for j in range(i + 1, v))
     return SteinerSystem(v, 2, blocks)
 
@@ -182,6 +216,7 @@ def steiner_triple(v: int) -> SteinerSystem:
         raise CongruenceError(
             f"triple systems exist only for v = 1 or 3 (mod 6) with v >= 7, got v={v}"
         )
+    _require_incidence_budget(v, 3)
     blocks: list[tuple[int, int, int]] = []
     if v % 6 == 3:
         n = v // 3
@@ -218,13 +253,13 @@ def steiner_triple(v: int) -> SteinerSystem:
     return SteinerSystem(v, 3, tuple(canon))
 
 
-def incidence_matrix(system: SteinerSystem) -> DenseMatrix:
+def incidence_matrix(system: SteinerSystem) -> np.ndarray:
     """0/1 block-by-point incidence matrix of a design."""
     a = np.zeros((system.num_blocks, system.v))
     for i, b in enumerate(system.blocks):
         for j in b:
             a[i, j] = 1.0
-    return DenseMatrix(a)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +267,7 @@ def incidence_matrix(system: SteinerSystem) -> DenseMatrix:
 # ---------------------------------------------------------------------------
 
 
-def hadamard(n: int, kind: str = "sylvester") -> DenseMatrix:
+def hadamard(n: int, kind: str = "sylvester") -> np.ndarray:
     """Unit-modulus matrix with pairwise orthogonal rows (H*H = nI).
 
     ``sylvester`` gives the +/-1 doubling construction (n a power of 2),
@@ -248,10 +283,10 @@ def hadamard(n: int, kind: str = "sylvester") -> DenseMatrix:
         block = np.array([[1.0, 1.0], [1.0, -1.0]])
         while h.shape[0] < n:
             h = np.kron(block, h)
-        return DenseMatrix(h)
+        return h
     if kind == "dft":
         jk = np.outer(np.arange(n), np.arange(n))
-        return DenseMatrix(np.exp(-2j * np.pi * jk / n))
+        return np.exp(-2j * np.pi * jk / n)
     raise InvalidParameterError(f"unknown hadamard kind {kind!r}")
 
 
@@ -260,7 +295,7 @@ def hadamard(n: int, kind: str = "sylvester") -> DenseMatrix:
 # ---------------------------------------------------------------------------
 
 
-def steiner_etf(system: SteinerSystem, h: DenseMatrix) -> Frame:
+def steiner_etf(system: SteinerSystem, h: np.ndarray) -> Frame:
     """Equiangular tight frame assembled from a design and a Hadamard matrix.
 
     Each point contributes one block of 1 + (v-1)/(k-1) columns: the rows
@@ -270,22 +305,19 @@ def steiner_etf(system: SteinerSystem, h: DenseMatrix) -> Frame:
     """
     r = system.replication
     size = r + 1
-    if h.rows != size or h.cols != size:
-        raise MatrixShapeError(
-            f"hadamard must be {size}x{size} for this design, got {h.rows}x{h.cols}"
-        )
+    if h.shape != (size, size):
+        raise MatrixShapeError(f"hadamard must be {size}x{size} for this design, got {h.shape}")
     b = system.num_blocks
-    out = np.zeros((b, system.v * size), dtype=np.complex128)
-    a = incidence_matrix(system).data.real
+    cols = system.v * size
+    require_budget(b * cols, DEFAULT_BUDGET, f"a {b}x{cols} steiner frame", "matrix entries")
+    out = np.zeros((b, cols), dtype=np.complex128)
+    a = incidence_matrix(system)
     for j in range(system.v):
         rows = np.flatnonzero(a[:, j] > 0.5)
         for pos, row in enumerate(rows):
-            out[row, j * size : (j + 1) * size] = h.data[pos + 1]
+            out[row, j * size : (j + 1) * size] = h[pos + 1]
     out *= math.sqrt((system.k - 1) / (system.v - 1))
-    return Frame(
-        DenseMatrix(out),
-        label=f"steiner-etf v={system.v} k={system.k}",
-    )
+    return Frame(out, label=f"steiner-etf v={system.v} k={system.k}")
 
 
 def paley_etf(p: int, require_1mod4: bool = True) -> Frame:
@@ -296,21 +328,24 @@ def paley_etf(p: int, require_1mod4: bool = True) -> Frame:
     zero-residue row is scaled by p^(-1/2) and the others by (2/p)^(1/2).
     With p = 1 (mod 4) the Gram matrix is real, which the graph
     correspondence requires; pass ``require_1mod4=False`` to allow the
-    complex-Gram frames of p = 3 (mod 4).
+    complex-Gram frames of p = 3 (mod 4). Like ``paley_graph``, orders
+    whose dense matrix exceeds the default budget are refused before any
+    primality test.
     """
+    m = (p + 1) // 2
+    require_budget(m * (p + 1), DEFAULT_BUDGET, f"a paley frame of order {p}", "matrix entries")
     if not is_prime(p) or p == 2:
         raise InvalidParameterError(f"p={p} is not an odd prime")
     if require_1mod4 and p % 4 != 1:
         raise CongruenceError(f"p={p} is not 1 (mod 4); pass require_1mod4=False to override")
     qs = np.array(quadratic_residues(p))
-    m = (p + 1) // 2
     h = np.exp(-2j * np.pi * np.outer(qs, np.arange(p)) / p)
     d = np.full(m, math.sqrt(2.0 / p))
     d[0] = math.sqrt(1.0 / p)  # residue list starts at zero
     phi = np.zeros((m, p + 1), dtype=np.complex128)
     phi[:, :p] = d[:, None] * h
     phi[0, p] = 1.0
-    return Frame(DenseMatrix(phi), label=f"paley-etf p={p}")
+    return Frame(phi, label=f"paley-etf p={p}")
 
 
 def realify(frame: Frame, tol: float = DEFAULT_TOL) -> Frame:
@@ -323,21 +358,19 @@ def realify(frame: Frame, tol: float = DEFAULT_TOL) -> Frame:
     """
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
-    g = frame.gram.data
-    imag_max = float(np.abs(g.imag).max())
-    if imag_max > tol:
+    if frame.gram_imag > tol:
         raise NotRealError(
-            f"gram matrix has imaginary part {imag_max:.3e} > tol; cannot realify"
+            f"gram matrix has imaginary part {frame.gram_imag:.3e} > tol; cannot realify"
         )
-    greal = 0.5 * (g.real + g.real.T)
-    phi = frame.matrix.data
+    greal = 0.5 * (frame.gram.real + frame.gram.real.T)
+    phi = frame.matrix
     _, s, vt = np.linalg.svd(np.vstack([phi.real, phi.imag]), full_matrices=False)
     keep = s > 1e-9 * s[0]
     psi = s[keep, None] * vt[keep]
     resid = spectral_norm(psi.T @ psi - greal)
     if resid > 10.0 * tol * max(spectral_norm(greal), 1.0):
         raise RipcertError(f"realified gram deviates by {resid:.3e}")
-    return Frame(DenseMatrix(psi), label=f"{frame.label} realified".strip())
+    return Frame(psi, label=f"{frame.label} realified".strip())
 
 
 # ---------------------------------------------------------------------------
@@ -353,18 +386,17 @@ def gaussian_matrix(m: int, n: int, seed: int) -> Frame:
     """i.i.d. Gaussian entries of mean zero and variance 1/m, seeded."""
     if m < 1 or n < 1:
         raise InvalidParameterError("need m, n >= 1")
+    require_budget(m * n, DEFAULT_BUDGET, f"a {m}x{n} gaussian frame", "matrix entries")
     rng = _generator(seed)
     entries = rng.normal(0.0, 1.0 / math.sqrt(m), size=(m, n))
-    return Frame(DenseMatrix(entries), label=f"gaussian m={m} n={n} seed={seed}")
+    return Frame(entries, label=f"gaussian m={m} n={n} seed={seed}")
 
 
 def bernoulli_matrix(m: int, n: int, seed: int) -> Frame:
     """i.i.d. entries +/- 1/sqrt(m) with equal probability, seeded."""
     if m < 1 or n < 1:
         raise InvalidParameterError("need m, n >= 1")
+    require_budget(m * n, DEFAULT_BUDGET, f"a {m}x{n} bernoulli frame", "matrix entries")
     rng = _generator(seed)
     signs = rng.integers(0, 2, size=(m, n)) * 2 - 1
-    return Frame(
-        DenseMatrix(signs / math.sqrt(m)),
-        label=f"bernoulli m={m} n={n} seed={seed}",
-    )
+    return Frame(signs / math.sqrt(m), label=f"bernoulli m={m} n={n} seed={seed}")

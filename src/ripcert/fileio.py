@@ -15,11 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .certification import DEFAULT_BUDGET
 from .constructions import Frame, SteinerSystem
-from .errors import EnumerationBudgetError, InvalidParameterError
+from .errors import InvalidParameterError
 from .graphs import SimpleGraph
-from .linalg import DenseMatrix
+from .subsets import DEFAULT_BUDGET, require_budget
 
 MATRIX_MAGIC = "ripmat"
 STEINER_MAGIC = "ripsteiner"
@@ -77,18 +76,17 @@ def _build(path, make, *args):
 
 
 def write_matrix(path, frame: Frame) -> None:
-    dm = frame.matrix
-    complex_flag = not dm.is_real()
+    complex_flag = not frame.is_real
     lines = [
         f"{MATRIX_MAGIC} {FORMAT_VERSION}",
-        f"rows {dm.rows}",
-        f"cols {dm.cols}",
+        f"rows {frame.m}",
+        f"cols {frame.n}",
         f"complex {int(complex_flag)}",
     ]
     if frame.label:
         lines.append(f"label {frame.label}")
-    for i in range(dm.rows):
-        lines.append(" ".join(_fmt_entry(dm.data[i, j], complex_flag) for j in range(dm.cols)))
+    for row in frame.matrix:
+        lines.append(" ".join(_fmt_entry(z, complex_flag) for z in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -122,7 +120,7 @@ def read_matrix(path) -> Frame:
         raise InvalidParameterError(f"{path}: expected {rows} data rows")
     kind = complex if complex_flag else float
     data = [_numbers(path, pos + i, text[pos + i], cols, kind) for i in range(rows)]
-    return _build(path, lambda: Frame(DenseMatrix(np.array(data, dtype=np.complex128)), label))
+    return _build(path, Frame, data, label)
 
 
 def write_steiner(path, system: SteinerSystem) -> None:
@@ -154,10 +152,8 @@ def read_graph(path) -> SimpleGraph:
     (n,) = _numbers(path, 1, value, 1)
     if n < 0:
         raise InvalidParameterError(f"{path}:2: negative vertex count {n}")
-    if n * n > DEFAULT_BUDGET:  # the adjacency matrix is dense
-        raise EnumerationBudgetError(
-            n * n, DEFAULT_BUDGET, f"{path}:2: a graph on {n} vertices", "adjacency entries"
-        )
+    # the adjacency matrix is dense
+    require_budget(n * n, DEFAULT_BUDGET, f"{path}:2: a graph on {n} vertices", "adjacency entries")
     edges = []
     for i, line in enumerate(text[2:], start=2):
         if not line.strip():

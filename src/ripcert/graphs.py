@@ -22,7 +22,6 @@ import numpy as np
 
 from .certification import (
     CHECK_SLACK,
-    DEFAULT_BUDGET,
     SubsetSearch,
     ric_exact_search,
     verify_etf,
@@ -42,8 +41,9 @@ from .errors import (
     NotRegularError,
     PreconditionError,
 )
-from .linalg import DenseMatrix, trace_power
+from .linalg import trace_power
 from .modular import is_prime, quadratic_residues
+from .subsets import DEFAULT_BUDGET, require_budget
 
 DEFAULT_CLIQUE_BUDGET = 10_000_000
 DEFAULT_TUPLE_BUDGET = 10_000_000
@@ -170,10 +170,7 @@ def paley_graph(p: int) -> SimpleGraph:
     Like a graph file, the dense adjacency matrix must fit the default
     budget; larger orders are refused before any primality test.
     """
-    if p * p > DEFAULT_BUDGET:
-        raise EnumerationBudgetError(
-            p * p, DEFAULT_BUDGET, f"a paley graph of order {p}", "adjacency entries"
-        )
+    require_budget(p * p, DEFAULT_BUDGET, f"a paley graph of order {p}", "adjacency entries")
     if not is_prime(p):
         raise InvalidParameterError(f"p={p} is not prime")
     if p % 4 != 1:
@@ -197,8 +194,7 @@ def seidel_from_gram(frame: Frame, tol: float = 1e-12) -> tuple[SeidelMatrix, fl
     every off-diagonal entry must match the coherence in magnitude
     within ``tol``, and entries indistinguishable from zero are refused.
     """
-    g = frame.gram.data
-    if float(np.abs(g.imag).max()) > tol:
+    if frame.gram_imag > tol:
         raise NotRealError("gram matrix is not real; realify the frame first")
     report = verify_etf(frame, tol)
     if not report.all_ok:
@@ -211,7 +207,7 @@ def seidel_from_gram(frame: Frame, tol: float = 1e-12) -> tuple[SeidelMatrix, fl
     mu = frame.coherence
     if mu <= tol:
         raise AmbiguousSignError("off-diagonal Gram entries vanish; signs are undefined")
-    off = g.real.copy()
+    off = frame.gram.real.copy()
     np.fill_diagonal(off, 0.0)
     mask = ~np.eye(frame.n, dtype=bool)
     if float(np.abs(np.abs(off[mask]) - mu).max()) > tol:
@@ -229,10 +225,9 @@ def flip_canonical(frame: Frame, anchor: int, tol: float = 1e-12) -> Frame:
     """
     if not 0 <= anchor < frame.n:
         raise InvalidSelectionError(f"anchor {anchor} out of range")
-    g = frame.gram.data
-    if float(np.abs(g.imag).max()) > tol:
+    if frame.gram_imag > tol:
         raise NotRealError("canonical flipping needs a real Gram matrix")
-    row = g.real[anchor].copy()
+    row = frame.gram.real[anchor].copy()
     row[anchor] = -1.0
     if float(np.abs(row).min()) <= tol:
         raise AmbiguousSignError(
@@ -567,9 +562,8 @@ def seidel_trace_expansion(
         raise EnumerationBudgetError(tuples_needed, budget, "sign-walk expansion")
     seidel, mu = seidel_from_gram(frame)
     s_sub = seidel.entries[np.ix_(cols, cols)].astype(np.int64)
-    sub = frame.gram_array[np.ix_(cols, cols)].astype(np.complex128)
-    hollow = sub - np.eye(k)
-    direct = trace_power(DenseMatrix(hollow), 2 * q)
+    hollow = frame.gram_array[np.ix_(cols, cols)] - np.eye(k)
+    direct = trace_power(hollow, 2 * q)
 
     total = int(np.trace(np.linalg.matrix_power(s_sub.astype(object), 2 * q)))
     expansion = mu ** (2 * q) * total

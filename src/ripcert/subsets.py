@@ -27,6 +27,9 @@ WORKERS_ENV = "RIPCERT_WORKERS"
 #: rows per enumerated chunk, and the row cap of the r-subset table that
 #: k-subset chunks are assembled from; results never depend on it (see above)
 CHUNK = 4096
+#: default cap on the number of enumerated subsets (or subset pairs), and on
+#: the entries of a dense matrix a constructor or reader allocates
+DEFAULT_BUDGET = 5_000_000
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -44,11 +47,11 @@ def worker_count(explicit: int | None = None) -> int:
     return explicit
 
 
-def require_budget(needed: int, budget: int, what: str) -> None:
+def require_budget(needed: int, budget: int, what: str, unit: str = "subset evaluations") -> None:
     if budget < 0:
         raise InvalidParameterError(f"budget must be >= 0, got {budget}")
     if needed > budget:
-        raise EnumerationBudgetError(needed, budget, what)
+        raise EnumerationBudgetError(needed, budget, what, unit)
 
 
 def subset_count(n: int, k: int) -> int:

@@ -106,7 +106,7 @@ def test_golden_matrix_steiner(tmp_path):
     with _Timer(0.1) as t:
         out = tmp_path / "s.mat"
         assert main(["construct", "steiner", "--v", "4", "--k", "2", "-o", str(out)]) == 0
-        got = read_matrix(out).matrix.data
+        got = read_matrix(out).matrix
         scale = 1 / math.sqrt(3)
         expected = np.array(
             [
@@ -122,7 +122,7 @@ def test_golden_matrix_paley(tmp_path):
     with _Timer(0.1) as t:
         out = tmp_path / "p.mat"
         assert main(["construct", "paley", "--p", "5", "-o", str(out)]) == 0
-        got = read_matrix(out).matrix.data
+        got = read_matrix(out).matrix
         r15, r25 = math.sqrt(1 / 5), math.sqrt(2 / 5)
         w = np.exp(-2j * np.pi / 5)
         expected = np.array(
@@ -147,7 +147,7 @@ def test_etf_axioms_and_welch_equality(etf_collection):
 
 def test_gauss_sum_gram(paley13):
     with _Timer(1.0) as t:
-        g = paley13.gram.data
+        g = paley13.gram
         for a in range(13):
             for b in range(13):
                 if a == b:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import ripcert
+import ripcert.cli  # the benchmark child imports it too, binding ripcert.cli
 import ripcert.fileio
 from ripcert.subsets import ordered_map
 
@@ -48,6 +49,20 @@ def test_traced_searches_and_chunk_iterators_exist(spans):
         assert fn.__module__ == f"ripcert.{name.partition('.')[0]}", name
 
 
+def test_traced_layers_are_package_modules(spans):
+    for layer in spans.LAYERS:
+        module = getattr(ripcert, layer)
+        assert inspect.ismodule(module), layer
+        assert module.__name__ == f"ripcert.{layer}", layer
+
+
+def test_gram_metric_names_a_linalg_function():
+    # linalg.gram_s is the inclusive time of spans named "linalg.gram"
+    fn = resolve("linalg.gram")
+    assert inspect.isfunction(fn)
+    assert (fn.__module__, fn.__name__) == ("ripcert.linalg", "gram")
+
+
 def test_chunk_iterators_are_generators(spans):
     for name in spans.CHUNK_GENERATORS:
         assert inspect.isgeneratorfunction(resolve(name)), name
@@ -64,7 +79,7 @@ def test_workload_inputs_build_with_the_package(kind, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     workloads.build_inputs(kind, 1, ripcert)
     frame = ripcert.fileio.read_matrix(tmp_path / "frame.mat")
-    assert frame.matrix.is_real()
+    assert frame.is_real
     if kind == "paley29":
         assert (frame.m, frame.n) == (15, 30)
         assert np.isclose(frame.coherence, 1 / np.sqrt(29), atol=1e-12)

@@ -33,16 +33,16 @@ from ripcert.errors import (
     InvalidParameterError,
     PreconditionError,
 )
-from ripcert.linalg import DenseMatrix, spectral_norm
+from ripcert.linalg import spectral_norm
 
 
 def orthonormal_frame(n):
-    return Frame(DenseMatrix(np.eye(n)), label="identity")
+    return Frame(np.eye(n), label="identity")
 
 
 def svd_only_spark(frame, cap, tol):
     """Reference spark search: one SVD per subset, in lexicographic order."""
-    mat = frame.matrix.data
+    mat = frame.matrix
     tested = 0
     for size in range(1, cap + 1):
         subsets = list(itertools.combinations(range(frame.n), size))
@@ -67,7 +67,7 @@ class TestCoherenceAndWelch:
 
     def test_single_column_rejected(self):
         with pytest.raises(InvalidParameterError):
-            Frame(DenseMatrix(np.ones((3, 1)))).coherence
+            Frame(np.ones((3, 1))).coherence
 
     def test_welch_values(self):
         assert math.isclose(welch_bound(6, 16), 1 / 3, rel_tol=1e-15)
@@ -98,7 +98,7 @@ class TestDelta1:
     def test_scaled_column(self):
         data = np.eye(3)
         data[:, 1] *= 2.0
-        assert math.isclose(delta1(Frame(DenseMatrix(data))), 3.0, rel_tol=1e-15)
+        assert math.isclose(delta1(Frame(data)), 3.0, rel_tol=1e-15)
 
     def test_gaussian_tall_matrix(self):
         value = delta1(gaussian_matrix(100, 50, 0))
@@ -158,7 +158,7 @@ class TestRicExact:
                 abs_tol=1e-10,
             )
         complex_gram = steiner_etf(steiner_triple(7), hadamard(4, "dft"))
-        assert np.abs(complex_gram.gram.data.imag).max() > 1e-3
+        assert np.abs(complex_gram.gram.imag).max() > 1e-3
         mu = complex_gram.coherence
         assert math.isclose(ric_exact_search(complex_gram, 2).value, mu, abs_tol=1e-12)
         assert math.isclose(
@@ -207,7 +207,7 @@ class TestRicPower:
         best = 0.0
         for sub in itertools.combinations(range(10), k):
             hollow = g[np.ix_(sub, sub)] - np.eye(k)
-            best = max(best, trace_power(DenseMatrix(hollow), 2 * q) ** (1 / (2 * q)))
+            best = max(best, trace_power(hollow, 2 * q) ** (1 / (2 * q)))
         assert math.isclose(ric_power_search(frame, k, q).value, best, rel_tol=1e-10)
 
 
@@ -255,7 +255,7 @@ class TestRocExact:
     @pytest.mark.parametrize("shape, k", [((5, 10), 2), ((5, 10), 3), ((8, 12), 3), (None, 2)])
     def test_matches_per_pair_spectral_norms(self, shape, k, paley13):
         frame = paley13 if shape is None else gaussian_matrix(*shape, 17)
-        g = frame.gram.data
+        g = frame.gram
         subsets = list(itertools.combinations(range(frame.n), k))
         best = max(
             np.linalg.norm(g[np.ix_(a, b)], 2)
@@ -426,8 +426,8 @@ class TestSpark:
         # ratio, where only the SVD can decide
         data = np.random.default_rng(5).normal(size=(5, 9))
         data[:, 5] = 0.6 * data[:, 1] - 0.8 * data[:, 3] + 1e-9 * data[:, 7]
-        frame = Frame(DenseMatrix(data), label="planted")
-        sv = np.linalg.svd(frame.matrix.data[:, [1, 3, 5]], compute_uv=False)
+        frame = Frame(data, label="planted")
+        sv = np.linalg.svd(frame.matrix[:, [1, 3, 5]], compute_uv=False)
         ratio = sv[-1] / sv[0]
         assert ratio**2 < _spark_clear_ratio(frame, 3, ratio)
         tol = ratio * (1.0 + side)
@@ -489,9 +489,15 @@ class TestWorkerDeterminism:
 
 
 def unchecked_frame(data):
-    """A Frame over ``data`` without the constructor's column checks (zero columns pass)."""
+    """A Frame over ``data`` without the constructor's column checks (zero columns pass).
+
+    Stored as ``Frame`` stores it, read-only complex128, so the searches see
+    the Gram that ``Frame`` builds.
+    """
+    arr = np.array(data, dtype=np.complex128)
+    arr.setflags(write=False)
     frame = object.__new__(Frame)
-    object.__setattr__(frame, "matrix", DenseMatrix(np.asarray(data, dtype=float)))
+    object.__setattr__(frame, "matrix", arr)
     object.__setattr__(frame, "label", "unchecked")
     return frame
 
@@ -499,7 +505,7 @@ def unchecked_frame(data):
 def degenerate_frame():
     """Duplicated columns, a column negated, a near-zero column whose Gram entries
     are subnormal, and an all-zero column."""
-    base = gaussian_matrix(5, 6, 2).matrix.data.real
+    base = gaussian_matrix(5, 6, 2).matrix.real
     cols = [base[:, 0], base[:, 0], base[:, 1], -base[:, 1], 1e-156 * base[:, 2],
             np.zeros(5), base[:, 3], base[:, 4], base[:, 4], base[:, 5]]
     return unchecked_frame(np.column_stack(cols))

@@ -24,7 +24,7 @@ from ripcert.errors import (
     MatrixShapeError,
     NotRealError,
 )
-from ripcert.linalg import DenseMatrix, spectral_norm
+from ripcert.linalg import spectral_norm
 from ripcert.modular import legendre_symbol
 
 PRINTED_STEINER_SIGNS = [
@@ -38,7 +38,7 @@ PRINTED_STEINER_SIGNS = [
 
 
 def sign_rows(frame):
-    data = frame.matrix.data.real
+    data = frame.matrix.real
     out = []
     for row in data:
         out.append(
@@ -89,7 +89,7 @@ class TestSteinerSystems:
 
 class TestIncidenceMatrix:
     def test_printed_2_2_4(self):
-        a = incidence_matrix(all_pairs_steiner(4)).data.real
+        a = incidence_matrix(all_pairs_steiner(4))
         expected = np.array(
             [
                 [1, 1, 0, 0],
@@ -103,34 +103,34 @@ class TestIncidenceMatrix:
         assert np.array_equal(a, expected)
 
     def test_degenerate_2_2_2(self):
-        assert np.array_equal(incidence_matrix(all_pairs_steiner(2)).data.real, [[1, 1]])
+        assert np.array_equal(incidence_matrix(all_pairs_steiner(2)), [[1, 1]])
 
     def test_triple_v7_row_and_column_sums(self):
-        a = incidence_matrix(steiner_triple(7)).data.real
+        a = incidence_matrix(steiner_triple(7))
         assert a.shape == (7, 7)
         assert np.all(a.sum(axis=1) == 3)
         assert np.all(a.sum(axis=0) == 3)
 
     def test_column_sums_equal_replication(self):
         for s in (all_pairs_steiner(6), steiner_triple(9)):
-            a = incidence_matrix(s).data.real
+            a = incidence_matrix(s)
             assert np.all(a.sum(axis=0) == s.replication)
 
 
 class TestHadamard:
     def test_sylvester_4_printed(self):
-        h = hadamard(4, "sylvester").data.real
+        h = hadamard(4, "sylvester")
         expected = np.array(
             [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
         )
         assert np.array_equal(h, expected)
 
     def test_size_one(self):
-        assert np.array_equal(hadamard(1, "sylvester").data, [[1.0]])
-        assert np.array_equal(hadamard(1, "dft").data, [[1.0]])
+        assert np.array_equal(hadamard(1, "sylvester"), [[1.0]])
+        assert np.array_equal(hadamard(1, "dft"), [[1.0]])
 
     def test_dft_5_unitary_rows(self):
-        h = hadamard(5, "dft").data
+        h = hadamard(5, "dft")
         assert np.allclose(np.abs(h), 1.0, atol=1e-12)
         assert np.allclose(h @ h.conj().T, 5 * np.eye(5), atol=1e-12)
 
@@ -147,7 +147,7 @@ class TestSteinerEtf:
     def test_matches_printed_6x16(self, steiner_6x16):
         assert (steiner_6x16.m, steiner_6x16.n) == (6, 16)
         assert sign_rows(steiner_6x16) == PRINTED_STEINER_SIGNS
-        mags = np.abs(steiner_6x16.matrix.data)
+        mags = np.abs(steiner_6x16.matrix)
         assert np.allclose(mags[mags > 1e-14], 1 / math.sqrt(3), atol=1e-14)
 
     def test_axioms_and_welch_equality(self, steiner_6x16):
@@ -178,10 +178,10 @@ class TestPaleyEtf:
                 [root25, root25 * w**4, root25 * w**3, root25 * w**2, root25 * w, 0.0],
             ]
         )
-        assert np.abs(paley5.matrix.data - expected).max() < 1e-14
+        assert np.abs(paley5.matrix - expected).max() < 1e-14
 
     def test_gauss_sum_gram(self, paley5):
-        g = paley5.gram.data
+        g = paley5.gram
         for a in range(5):
             for b in range(5):
                 if a == b:
@@ -190,7 +190,7 @@ class TestPaleyEtf:
                 assert abs(g[a, b] - expected) < 1e-12
 
     def test_tightness_p13(self, paley13):
-        arr = paley13.matrix.data
+        arr = paley13.matrix
         assert (paley13.m, paley13.n) == (7, 14)
         assert np.abs(arr @ arr.conj().T - 2 * np.eye(7)).max() < 1e-12
 
@@ -209,14 +209,14 @@ class TestPaleyEtf:
 class TestRealify:
     def test_real_frame_keeps_gram(self, steiner_6x16):
         rotated = realify(steiner_6x16)
-        assert rotated.matrix.is_real()
-        diff = rotated.gram.data - steiner_6x16.gram.data
+        assert rotated.is_real
+        diff = rotated.gram - steiner_6x16.gram
         assert spectral_norm(diff) < 1e-10
 
     def test_paley5_gram_preserved(self, paley5, paley5_real):
         assert (paley5_real.m, paley5_real.n) == (3, 6)
-        assert paley5_real.matrix.is_real()
-        assert spectral_norm(paley5_real.gram.data - paley5.gram.data) < 1e-10
+        assert paley5_real.is_real
+        assert spectral_norm(paley5_real.gram - paley5.gram) < 1e-10
 
     def test_paley13_is_etf(self, paley13_real):
         assert (paley13_real.m, paley13_real.n) == (7, 14)
@@ -257,7 +257,7 @@ class TestTightFrameSpectra:
             paley_etf(17),
         ]
         for frame in frames:
-            w = np.linalg.eigvalsh(frame.gram.data)
+            w = np.linalg.eigvalsh(frame.gram)
             ratio = frame.n / frame.m
             nonzero = w[np.abs(w) > 1e-9]
             assert np.allclose(nonzero, ratio, atol=1e-9), frame.label
@@ -268,14 +268,14 @@ class TestRandomEnsembles:
     def test_gaussian_determinism(self):
         a = gaussian_matrix(8, 12, 7)
         b = gaussian_matrix(8, 12, 7)
-        assert np.array_equal(a.matrix.data, b.matrix.data)
+        assert np.array_equal(a.matrix, b.matrix)
         c = gaussian_matrix(8, 12, 8)
-        assert not np.array_equal(a.matrix.data, c.matrix.data)
+        assert not np.array_equal(a.matrix, c.matrix)
 
     def test_gaussian_mean_within_four_sigma(self):
         frame = gaussian_matrix(100, 200, 3)
         sem = (1 / math.sqrt(100)) / math.sqrt(100 * 200)
-        assert abs(frame.matrix.data.real.mean()) <= 4 * sem
+        assert abs(frame.matrix.real.mean()) <= 4 * sem
 
     def test_gaussian_average_column_norm(self):
         frame = gaussian_matrix(50, 100, 1)
@@ -283,13 +283,13 @@ class TestRandomEnsembles:
 
     def test_bernoulli_entries_and_unit_norm(self):
         frame = bernoulli_matrix(6, 10, 2)
-        vals = np.unique(np.abs(frame.matrix.data.real))
+        vals = np.unique(np.abs(frame.matrix.real))
         assert np.allclose(vals, 1 / math.sqrt(6), atol=0)
         assert np.abs(frame.column_norms_squared - 1.0).max() < 1e-12
 
     def test_bernoulli_determinism(self):
         assert np.array_equal(
-            bernoulli_matrix(5, 9, 42).matrix.data, bernoulli_matrix(5, 9, 42).matrix.data
+            bernoulli_matrix(5, 9, 42).matrix, bernoulli_matrix(5, 9, 42).matrix
         )
 
     def test_rejects_bad_shapes(self):
@@ -298,8 +298,44 @@ class TestRandomEnsembles:
 
 
 class TestFrameValidation:
+    def test_rejects_nonfinite(self):
+        with pytest.raises(InvalidParameterError):
+            Frame(np.array([[np.nan, 1.0]]))
+        with pytest.raises(InvalidParameterError):
+            Frame(np.array([[1.0, np.inf]]))
+
+    def test_rejects_empty_and_1d(self):
+        with pytest.raises(MatrixShapeError):
+            Frame(np.zeros((0, 3)))
+        with pytest.raises(MatrixShapeError):
+            Frame(np.ones(4))
+
+    def test_is_real_predicate(self):
+        assert Frame(np.eye(2)).is_real
+        assert not Frame(np.eye(2) * (1 + 1e-6j)).is_real
+
+    def test_matrix_is_readonly(self):
+        frame = Frame(np.eye(2))
+        with pytest.raises(ValueError):
+            frame.matrix[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            frame.gram[0, 0] = 2.0
+
+    def test_overflowing_gram_rejected(self):
+        frame = Frame(np.full((1, 2), 1.3e154))  # finite norms, Gram entries overflow
+        with np.errstate(all="ignore"), pytest.raises(InvalidParameterError):
+            frame.gram
+
+    @pytest.mark.parametrize("data", [np.eye(2), np.eye(2, dtype=int), np.eye(2) * 1j])
+    def test_stores_readonly_complex128_copy(self, data):
+        frame = Frame(data)
+        assert frame.matrix.dtype == np.complex128
+        assert not frame.matrix.flags.writeable
+        assert np.array_equal(frame.matrix, data)
+        assert data.flags.writeable
+
     def test_zero_column_rejected(self):
         data = np.eye(3)
         data[:, 1] = 0.0
         with pytest.raises(InvalidParameterError):
-            Frame(DenseMatrix(data))
+            Frame(data)

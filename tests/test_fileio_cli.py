@@ -21,7 +21,6 @@ from ripcert.fileio import (
     write_steiner,
 )
 from ripcert.graphs import SimpleGraph
-from ripcert.linalg import DenseMatrix
 
 
 class TestMatrixFormat:
@@ -30,22 +29,22 @@ class TestMatrixFormat:
         path = tmp_path / "g.mat"
         write_matrix(path, frame)
         back = read_matrix(path)
-        assert np.array_equal(back.matrix.data, frame.matrix.data)
+        assert np.array_equal(back.matrix, frame.matrix)
         assert back.label == frame.label
 
     def test_complex_roundtrip_bit_for_bit(self, tmp_path, paley13):
         path = tmp_path / "p.mat"
         write_matrix(path, paley13)
         back = read_matrix(path)
-        assert np.array_equal(back.matrix.data, paley13.matrix.data)
+        assert np.array_equal(back.matrix, paley13.matrix)
 
     def test_negative_zero_and_tiny_values_roundtrip(self, tmp_path):
         data = np.array([[1e-308, -0.0], [1e150, 1.0]])
-        frame = Frame(DenseMatrix(data), label="extremes")
+        frame = Frame(data, label="extremes")
         path = tmp_path / "x.mat"
         write_matrix(path, frame)
         assert np.array_equal(
-            read_matrix(path).matrix.data, frame.matrix.data
+            read_matrix(path).matrix, frame.matrix
         )
 
     def test_rejects_garbage(self, tmp_path):
@@ -188,13 +187,13 @@ class TestConstructCommand:
         out = tmp_path / "paley5.mat"
         assert main(["construct", "paley", "--p", "5", "-o", str(out)]) == 0
         frame = read_matrix(out)
-        assert np.array_equal(frame.matrix.data, paley_etf(5).matrix.data)
+        assert np.array_equal(frame.matrix, paley_etf(5).matrix)
         assert "coherence" in capsys.readouterr().out
 
     def test_steiner_eq_matrix(self, tmp_path, steiner_6x16):
         out = tmp_path / "s.mat"
         assert main(["construct", "steiner", "--v", "4", "--k", "2", "-o", str(out)]) == 0
-        assert np.array_equal(read_matrix(out).matrix.data, steiner_6x16.matrix.data)
+        assert np.array_equal(read_matrix(out).matrix, steiner_6x16.matrix)
 
     def test_gaussian_runs_are_identical(self, tmp_path):
         a, b = tmp_path / "a.mat", tmp_path / "b.mat"
@@ -216,6 +215,29 @@ class TestConstructCommand:
         assert main(["construct", "paley", "--p", "9", "-o", str(out)]) == 1
         assert main(["construct", "paley", "--p", "7", "-o", str(out)]) == 1
         assert main(["construct", "steiner", "--v", "8", "--k", "3", "-o", str(out)]) == 1
+
+    @pytest.mark.parametrize(
+        "family, what",
+        [
+            (["paley", "--p", "1000000009"], "a paley frame of order 1000000009"),
+            (["gaussian", "--m", "200000", "--n", "200000", "--seed", "1"],
+             "a 200000x200000 gaussian frame"),
+            (["bernoulli", "--m", "3000", "--n", "2000", "--seed", "1"],
+             "a 3000x2000 bernoulli frame"),
+            (["steiner", "--v", "200001", "--k", "2"],
+             "the incidence matrix of a (2,2,200001) design"),
+            (["steiner", "--v", "2001", "--k", "3"],
+             "the incidence matrix of a (2,3,2001) design"),
+            (["steiner", "--v", "200", "--k", "2"], "a 19900x40000 steiner frame"),
+        ],
+    )
+    def test_oversized_matrix_exits_three(self, tmp_path, capsys, family, what):
+        out = tmp_path / "x.mat"
+        assert main(["construct", *family, "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {what} requires")
+        assert "matrix entries, exceeding the budget of 5000000" in err
+        assert not out.exists()
 
 
 @pytest.fixture()

@@ -34,7 +34,6 @@ from ripcert.errors import (
     NotRegularError,
 )
 from ripcert.graphs import CliqueResult, SimpleGraph, SrgParams
-from ripcert.linalg import DenseMatrix
 from ripcert.modular import legendre_symbol, quadratic_residues
 
 
@@ -132,7 +131,7 @@ class TestPaleyGraph:
 
 class TestSeidelFromGram:
     def test_two_column_frame(self):
-        frame = Frame(DenseMatrix(np.array([[1.0, -1.0]])))
+        frame = Frame(np.array([[1.0, -1.0]]))
         seidel, mu = seidel_from_gram(frame)
         assert np.array_equal(seidel.entries, [[0, -1], [-1, 0]])
         assert math.isclose(mu, 1.0, rel_tol=1e-12)
@@ -157,13 +156,13 @@ class TestSeidelFromGram:
 
     def test_rejects_orthonormal_signs(self):
         with pytest.raises(AmbiguousSignError):
-            seidel_from_gram(Frame(DenseMatrix(np.eye(3))))
+            seidel_from_gram(Frame(np.eye(3)))
 
 
 class TestFlipCanonical:
     def test_already_canonical_unchanged(self):
-        frame = Frame(DenseMatrix(np.array([[1.0, -1.0]])))
-        assert np.array_equal(flip_canonical(frame, 0).matrix.data, frame.matrix.data)
+        frame = Frame(np.array([[1.0, -1.0]]))
+        assert np.array_equal(flip_canonical(frame, 0).matrix, frame.matrix)
 
     def test_anchor_row_all_negative(self, paley13_real):
         anchor = paley13_real.n - 1
@@ -181,12 +180,12 @@ class TestFlipCanonical:
     def test_double_negation_is_identity(self, paley5_real):
         once = negate_columns(paley5_real, [1, 3])
         twice = negate_columns(once, [1, 3])
-        assert np.array_equal(twice.matrix.data, paley5_real.matrix.data)
+        assert np.array_equal(twice.matrix, paley5_real.matrix)
 
     def test_idempotent(self, paley13_real):
         flipped = flip_canonical(paley13_real, 2)
         again = flip_canonical(flipped, 2)
-        assert np.array_equal(flipped.matrix.data, again.matrix.data)
+        assert np.array_equal(flipped.matrix, again.matrix)
 
 
 class TestGraphFromSeidel:

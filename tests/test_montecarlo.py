@@ -36,8 +36,8 @@ class TestConfigAndSeeding:
 
     def test_trial_seeds_are_distinct_streams(self):
         cfg = TrialConfig(m=4, n=6, k=2, trials=3, base_seed=9, delta=1.0)
-        a = cfg.draw(0).matrix.data
-        b = cfg.draw(1).matrix.data
+        a = cfg.draw(0).matrix
+        b = cfg.draw(1).matrix
         assert not np.array_equal(a, b)
         assert trial_seed(9, 1) == 10
 
