@@ -82,7 +82,6 @@ from .montecarlo import (
     column_sum_tail,
     run_fro_trials,
     run_power_trials,
-    sweep_m,
     trial_seed,
     wilson_interval,
 )

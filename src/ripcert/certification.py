@@ -797,7 +797,6 @@ def certify_frame(
     spark_cap: int | None = None,
     bounds: bool = False,
     budget: int = DEFAULT_BUDGET,
-    spark_tol: float = SPARK_TOL,
     workers: int | None = None,
 ) -> CertificationReport:
     """Run the requested certifications on one frame and collect a report.
@@ -865,7 +864,7 @@ def certify_frame(
             )
         )
     spark_result = (
-        spark_search(frame, spark_cap, spark_tol, budget, workers)
+        spark_search(frame, spark_cap, budget=budget, workers=workers)
         if spark_cap is not None
         else None
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .certification import (
@@ -66,7 +67,6 @@ from .montecarlo import (
     run_fro_trials,
     run_power_trials,
     sidak_z,
-    sweep_m,
 )
 
 EXIT_OK = 0
@@ -178,25 +178,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     mc = sub.add_parser("mc", help="seeded Monte Carlo experiments")
     mc_sub = mc.add_subparsers(dest="experiment", required=True)
-    fro = mc_sub.add_parser("fro", help="flat-orthogonality criterion trials")
-    fro.add_argument("--m", required=True, help="row count or comma-separated sweep")
-    fro.add_argument("--n", type=int, required=True)
-    fro.add_argument("--k", type=int, required=True)
-    fro.add_argument("--delta", type=float, required=True)
-    fro.add_argument("--trials", type=int, required=True)
-    fro.add_argument("--seed", type=int, required=True)
-    fro.add_argument("--ensemble", choices=("gaussian", "bernoulli"), default="gaussian")
-    fro.add_argument("-o", "--output", required=True)
-    power = mc_sub.add_parser("power", help="trace power estimate trials")
-    power.add_argument("--m", required=True, help="row count or comma-separated sweep")
-    power.add_argument("--n", type=int, required=True)
-    power.add_argument("--k", type=int, required=True)
-    power.add_argument("--q", type=int, required=True)
-    power.add_argument("--delta", type=float, required=True)
-    power.add_argument("--trials", type=int, required=True)
-    power.add_argument("--seed", type=int, required=True)
-    power.add_argument("--ensemble", choices=("gaussian", "bernoulli"), default="gaussian")
-    power.add_argument("-o", "--output", required=True)
+    for experiment, text in (
+        ("fro", "flat-orthogonality criterion trials"),
+        ("power", "trace power estimate trials"),
+    ):
+        exp = mc_sub.add_parser(experiment, help=text)
+        exp.add_argument("--m", required=True, help="row count or comma-separated sweep")
+        exp.add_argument("--n", type=int, required=True)
+        exp.add_argument("--k", type=int, required=True)
+        if experiment == "power":
+            exp.add_argument("--q", type=int, required=True)
+        exp.add_argument("--delta", type=float, required=True)
+        exp.add_argument("--trials", type=int, required=True)
+        exp.add_argument("--seed", type=int, required=True)
+        exp.add_argument("--ensemble", choices=("gaussian", "bernoulli"), default="gaussian")
+        exp.add_argument("-o", "--output", required=True)
     tail = mc_sub.add_parser("tail", help="column-sum tail table")
     tail.add_argument("--m", required=True, help="term count or comma-separated sweep")
     tail.add_argument("--k1", type=int, required=True)
@@ -240,15 +236,15 @@ def _cmd_construct(args) -> int:
         frame = gaussian_matrix(args.m, args.n, args.seed)
     else:
         frame = bernoulli_matrix(args.m, args.n, args.seed)
+    # the Gram-based checks run first, so a refused Gram leaves no file behind
+    rep = verify_etf(frame)
     write_matrix(args.output, frame)
     print(f"wrote {args.output}: {frame.label}")
     print(f"rows {frame.m} cols {frame.n}")
     if frame.n >= 2:
-        mu = frame.coherence
-        print(f"coherence {mu!r}")
+        print(f"coherence {frame.coherence!r}")
         if frame.n >= frame.m:
             print(f"welch-bound {welch_bound(frame.m, frame.n)!r}")
-    rep = verify_etf(frame)
     print(
         "etf-axioms"
         f" unit-norm={'pass' if rep.unit_norm_ok else 'fail'}"
@@ -531,9 +527,9 @@ def _cmd_mc(args) -> int:
             k=args.k,
             trials=args.trials,
             base_seed=args.seed,
+            delta=args.delta,
             ensemble=args.ensemble,
             q=getattr(args, "q", None),
-            delta=args.delta,
         )
         runner = run_fro_trials if args.experiment == "fro" else run_power_trials
         writer.kv("n", args.n)
@@ -544,7 +540,7 @@ def _cmd_mc(args) -> int:
         writer.kv("ensemble", args.ensemble)
         if args.experiment == "power":
             writer.kv("q", args.q)
-        results = sweep_m(cfg, m_values, runner)
+        results = [(m, runner(replace(cfg, m=m))) for m in m_values]
         for m, outcome in results:
             _write_outcome(writer, m, outcome)
         freqs = [outcome.frequency for _, outcome in results]

@@ -32,6 +32,9 @@ from .modular import is_prime, quadratic_residues
 from .subsets import DEFAULT_BUDGET, require_budget
 
 _SEED_MASK = (1 << 64) - 1
+#: cap on n^2 for a frame's n x n Gram; it admits the widest built-in frames
+#: (steiner_triple(87) has n = 3828, paley_etf(3137) n = 3138)
+_GRAM_BUDGET = 3 * DEFAULT_BUDGET
 
 
 @dataclass(frozen=True)
@@ -122,7 +125,9 @@ class Frame:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """Read-only complex Gram matrix Phi* Phi."""
+        """Read-only complex Gram matrix Phi* Phi, refused above ``_GRAM_BUDGET`` entries."""
+        n = self.n
+        require_budget(n * n, _GRAM_BUDGET, f"the {n}x{n} gram matrix", "Gram entries")
         g = gram(self.matrix)
         if not np.isfinite(g).all():  # finite entries can still overflow
             raise InvalidParameterError("matrix entries must be finite")

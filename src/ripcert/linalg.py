@@ -22,9 +22,14 @@ DEFAULT_TOL = 1e-12
 
 
 def gram(arr: np.ndarray) -> np.ndarray:
-    """Conjugate-transpose product A*A, symmetrized to be exactly Hermitian."""
-    g = arr.conj().T @ arr
-    g = 0.5 * (g + g.conj().T)
+    """Conjugate-transpose product A*A, symmetrized to be exactly Hermitian.
+
+    Finite entries near 1e154 overflow to inf or nan here without a
+    warning; callers that need a finite Gram check it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = arr.conj().T @ arr
+        g = 0.5 * (g + g.conj().T)
     g.setflags(write=False)
     return g
 

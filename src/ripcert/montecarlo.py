@@ -12,12 +12,11 @@ carry binomial standard errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .certification import (
-    DEFAULT_BUDGET,
     FRO_C,
     delta1_witness,
     fro_constant_search,
@@ -30,6 +29,8 @@ from .errors import InvalidParameterError
 DEFAULT_ALPHA = 0.01
 #: trials are simulated in fixed-size blocks so results never depend on workers
 _TRIAL_BLOCK = 20_000
+#: theta_hat values of the column-sum tail table
+_TAIL_GRID = tuple(i / 10 for i in range(11))
 
 
 def trial_seed(base_seed: int, trial: int) -> int:
@@ -39,19 +40,16 @@ def trial_seed(base_seed: int, trial: int) -> int:
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Shape, thresholds and seeding of one ensemble experiment."""
+    """Shape, target and seeding of one ensemble experiment."""
 
     m: int
     n: int
     k: int
     trials: int
     base_seed: int
+    delta: float
     ensemble: str = "gaussian"
     q: int | None = None
-    delta: float | None = None
-    theta_hat: float | None = None
-    alpha: float = DEFAULT_ALPHA
-    budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
         if self.trials < 1:
@@ -60,15 +58,8 @@ class TrialConfig:
             raise InvalidParameterError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if self.ensemble not in ("gaussian", "bernoulli"):
             raise InvalidParameterError(f"unknown ensemble {self.ensemble!r}")
-        if self.delta is not None and self.delta <= 0:
+        if self.delta <= 0:
             raise InvalidParameterError("delta must be positive")
-        if self.theta_hat is not None and self.theta_hat <= 0:
-            raise InvalidParameterError("theta_hat must be positive")
-        if not 0 < self.alpha < 1:
-            raise InvalidParameterError("alpha must lie in (0, 1)")
-
-    def with_m(self, m: int) -> "TrialConfig":
-        return replace(self, m=m)
 
     def draw(self, trial: int) -> Frame:
         seed = trial_seed(self.base_seed, trial)
@@ -120,56 +111,56 @@ class TrialOutcome:
         return wilson_interval(self.successes, self.trials)
 
 
-def run_fro_trials(cfg: TrialConfig) -> TrialOutcome:
-    """Frequency with which seeded frames meet the flat-orthogonality criterion.
+def _run_trials(cfg: TrialConfig, measure):
+    """Draw and measure every trial of ``cfg`` in order.
 
-    Success at target delta means the flat constant is at most
-    (1-alpha) * delta / (2 * 75 * ln k) and the column-norm deviation is
-    at most alpha * delta; passing ``theta_hat`` instead compares the
-    flat constant against it directly.
+    ``measure(frame)`` returns the trial's value, its delta1 (or None) and
+    the (reason, value, subsets) of each criterion the frame failed; a
+    trial succeeds when it failed none. Returns the success count, the
+    values, the delta1 values and the failure witnesses.
     """
-    if cfg.k < 2:
-        raise InvalidParameterError("flat-orthogonality trials need k >= 2")
-    if cfg.delta is None and cfg.theta_hat is None:
-        raise InvalidParameterError("need a delta or theta_hat target")
-    if cfg.theta_hat is not None:
-        theta_thr = cfg.theta_hat
-    else:
-        theta_thr = (1.0 - cfg.alpha) * cfg.delta / (2.0 * FRO_C * math.log(cfg.k))
-    d1_thr = cfg.alpha * cfg.delta if cfg.delta is not None else None
-
     successes = 0
     values: list[float] = []
     d1_values: list[float] = []
     failures: list[FailureWitness] = []
     for t in range(cfg.trials):
-        seed = trial_seed(cfg.base_seed, t)
-        frame = cfg.draw(t)
-        search = fro_constant_search(frame, cfg.k, cfg.budget)
-        d1, d1_col = delta1_witness(frame)
-        values.append(search.value)
-        d1_values.append(d1)
-        ok = search.value <= theta_thr
-        d1_ok = d1_thr is None or d1 <= d1_thr
-        if ok and d1_ok:
+        value, d1, failed = measure(cfg.draw(t))
+        values.append(value)
+        if d1 is not None:
+            d1_values.append(d1)
+        if not failed:
             successes += 1
-        if not ok:
-            failures.append(
-                FailureWitness(t, seed, "fro-constant", search.value,
-                               (search.witness_i, search.witness_j))
-            )
-        if not d1_ok:
-            failures.append(FailureWitness(t, seed, "delta1", d1, ((d1_col,),)))
-    thresholds = [("theta_hat", theta_thr)]
-    if d1_thr is not None:
-        thresholds.append(("delta1", d1_thr))
+        seed = trial_seed(cfg.base_seed, t)
+        failures.extend(FailureWitness(t, seed, *fail) for fail in failed)
+    return successes, tuple(values), tuple(d1_values), tuple(failures)
+
+
+def run_fro_trials(cfg: TrialConfig) -> TrialOutcome:
+    """Frequency with which seeded frames meet the flat-orthogonality criterion.
+
+    Success at target delta means the flat constant is at most
+    (1-alpha) * delta / (2 * 75 * ln k) and the column-norm deviation is
+    at most alpha * delta, with alpha = ``DEFAULT_ALPHA``.
+    """
+    if cfg.k < 2:
+        raise InvalidParameterError("flat-orthogonality trials need k >= 2")
+    theta_thr = (1.0 - DEFAULT_ALPHA) * cfg.delta / (2.0 * FRO_C * math.log(cfg.k))
+    d1_thr = DEFAULT_ALPHA * cfg.delta
+
+    def measure(frame):
+        search = fro_constant_search(frame, cfg.k)
+        d1, d1_col = delta1_witness(frame)
+        failed = []
+        if search.value > theta_thr:
+            failed.append(("fro-constant", search.value, (search.witness_i, search.witness_j)))
+        if d1 > d1_thr:
+            failed.append(("delta1", d1, ((d1_col,),)))
+        return search.value, d1, failed
+
     return TrialOutcome(
         cfg.trials,
-        successes,
-        tuple(values),
-        tuple(d1_values),
-        tuple(failures),
-        tuple(thresholds),
+        *_run_trials(cfg, measure),
+        (("theta_hat", theta_thr), ("delta1", d1_thr)),
     )
 
 
@@ -182,39 +173,22 @@ def run_power_trials(cfg: TrialConfig) -> TrialOutcome:
     """
     if cfg.q is None or cfg.q < 1:
         raise InvalidParameterError("power trials need q >= 1")
-    if cfg.delta is None:
-        raise InvalidParameterError("power trials need a delta target")
-    successes = 0
-    values: list[float] = []
-    failures: list[FailureWitness] = []
-    for t in range(cfg.trials):
-        seed = trial_seed(cfg.base_seed, t)
-        frame = cfg.draw(t)
-        search = ric_power_search(frame, cfg.k, cfg.q, cfg.budget)
-        values.append(search.value)
+
+    def measure(frame):
+        search = ric_power_search(frame, cfg.k, cfg.q)
         if search.value <= cfg.delta:
-            successes += 1
-        else:
-            failures.append(
-                FailureWitness(t, seed, "power", search.value, (search.witness,))
-            )
+            return search.value, None, ()
+        return search.value, None, (("power", search.value, (search.witness,)),)
+
     needed = 81.0 / cfg.delta**2 * cfg.k ** (1.0 + 1.0 / cfg.q) * math.log(
         math.e * cfg.n / cfg.k
     )
     return TrialOutcome(
         cfg.trials,
-        successes,
-        tuple(values),
-        (),
-        tuple(failures),
+        *_run_trials(cfg, measure),
         (("delta", cfg.delta),),
         meets_measurement_bound=bool(cfg.m >= needed),
     )
-
-
-def sweep_m(cfg: TrialConfig, m_values, runner) -> list[tuple[int, TrialOutcome]]:
-    """Run one experiment per row count, preserving everything else."""
-    return [(int(m), runner(cfg.with_m(int(m)))) for m in m_values]
 
 
 # ---------------------------------------------------------------------------
@@ -303,28 +277,23 @@ class TailTable:
         return all(r.symmetric_ok for r in self.rows)
 
 
-def column_sum_tail(
-    m: int, k1: int, k2: int, trials: int, seed: int, grid=None
-) -> TailTable:
+def column_sum_tail(m: int, k1: int, k2: int, trials: int, seed: int) -> TailTable:
     """Simulate sums of m independent Gaussian products and tabulate tails.
 
     Each trial draws X_i ~ N(0, k1/m) and Y_i ~ N(0, k2/m) and sums the
-    products. For every grid value the two-sided tail frequency at
-    threshold theta_hat * sqrt(k1 k2) is compared with the exponential
-    bound 2 exp(-m theta_hat^2 / 4). The bound is a theorem for
-    theta_hat <= 1/2 and holds empirically well beyond; the default grid
-    stops at 1.
+    products. For every theta_hat in 0, 0.1, ..., 1 the two-sided tail
+    frequency at threshold theta_hat * sqrt(k1 k2) is compared with the
+    exponential bound 2 exp(-m theta_hat^2 / 4). The bound is a theorem
+    for theta_hat <= 1/2 and holds empirically well beyond.
     """
     if m < 1 or k1 < 1 or k2 < 1:
         raise InvalidParameterError("need m, k1, k2 >= 1")
     if trials < 1:
         raise InvalidParameterError("need trials >= 1")
-    if grid is None:
-        grid = tuple(i / 10 for i in range(11))
-    thresholds = np.array([th * math.sqrt(k1 * k2) for th in grid])
-    counts = np.zeros(len(grid), dtype=np.int64)
-    pos = np.zeros(len(grid), dtype=np.int64)
-    neg = np.zeros(len(grid), dtype=np.int64)
+    thresholds = np.array([th * math.sqrt(k1 * k2) for th in _TAIL_GRID])
+    counts = np.zeros(len(_TAIL_GRID), dtype=np.int64)
+    pos = np.zeros(len(_TAIL_GRID), dtype=np.int64)
+    neg = np.zeros(len(_TAIL_GRID), dtype=np.int64)
     rng = _generator(seed)
     done = 0
     while done < trials:
@@ -347,9 +316,9 @@ def column_sum_tail(
             bound=2.0 * math.exp(-m * float(th) ** 2 / 4.0),
             pos_count=int(pos[i]),
             neg_count=int(neg[i]),
-            family=len(grid),
+            family=len(_TAIL_GRID),
         )
-        for i, th in enumerate(grid)
+        for i, th in enumerate(_TAIL_GRID)
     )
     return TailTable(m, k1, k2, trials, seed, rows)
 

@@ -7,6 +7,7 @@ criterion; every tolerance and runtime limit is asserted here.
 import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,7 +40,6 @@ from ripcert import (
     srg_check,
     steiner_etf,
     steiner_triple,
-    sweep_m,
     verify_etf,
     welch_bound,
 )
@@ -296,7 +296,9 @@ def test_monte_carlo_bounds_domination():
                 assert row.empirical <= row.bound + 3 * row.stderr
             assert table.all_symmetric
         fro_cfg = TrialConfig(m=8, n=24, k=2, trials=60, base_seed=1, delta=0.5)
-        fro_results = sweep_m(fro_cfg, (8, 16, 32, 64), run_fro_trials)
+        fro_results = [
+            (m, run_fro_trials(replace(fro_cfg, m=m))) for m in (8, 16, 32, 64)
+        ]
         failure = [1.0 - o.frequency for _, o in fro_results]
         assert all(a >= b - 1e-12 for a, b in zip(failure, failure[1:]))
         fro_means = [sum(o.values) / len(o.values) for _, o in fro_results]
@@ -304,7 +306,9 @@ def test_monte_carlo_bounds_domination():
         power_cfg = TrialConfig(
             m=8, n=20, k=2, q=1, trials=60, base_seed=1, delta=0.5
         )
-        power_results = sweep_m(power_cfg, (8, 32, 128, 512), run_power_trials)
+        power_results = [
+            (m, run_power_trials(replace(power_cfg, m=m))) for m in (8, 32, 128, 512)
+        ]
         freqs = [o.frequency for _, o in power_results]
         assert all(b >= a - 1e-12 for a, b in zip(freqs, freqs[1:]))
         assert freqs[-1] > freqs[0]

@@ -17,9 +17,10 @@ from ripcert import (
     verify_etf,
     welch_bound,
 )
-from ripcert.constructions import Frame, SteinerSystem
+from ripcert.constructions import _GRAM_BUDGET, Frame, SteinerSystem
 from ripcert.errors import (
     CongruenceError,
+    EnumerationBudgetError,
     InvalidParameterError,
     MatrixShapeError,
     NotRealError,
@@ -323,7 +324,19 @@ class TestFrameValidation:
 
     def test_overflowing_gram_rejected(self):
         frame = Frame(np.full((1, 2), 1.3e154))  # finite norms, Gram entries overflow
-        with np.errstate(all="ignore"), pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError):  # and no overflow warning first
+            frame.gram
+
+    def test_gram_budget_admits_the_widest_built_in_frames(self):
+        triple, pairs = steiner_triple(87), all_pairs_steiner(56)
+        # a paley frame of prime order p has p + 1 columns
+        widths = [s.v * (s.replication + 1) for s in (triple, pairs)] + [3137 + 1]
+        assert widths == [3828, 3136, 3138]
+        assert all(n * n <= _GRAM_BUDGET for n in widths)
+
+    def test_oversized_gram_refused_before_allocating(self):
+        frame = Frame(np.ones((1, 3873)))
+        with pytest.raises(EnumerationBudgetError, match="the 3873x3873 gram matrix requires"):
             frame.gram
 
     @pytest.mark.parametrize("data", [np.eye(2), np.eye(2, dtype=int), np.eye(2) * 1j])

@@ -1,12 +1,17 @@
 import hashlib
 import math
+import os
 import string
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import ripcert
 from ripcert import gaussian_matrix, paley_etf, realify, steiner_triple
 from ripcert.cli import main
 from ripcert.constructions import Frame, SteinerSystem
@@ -239,6 +244,19 @@ class TestConstructCommand:
         assert "matrix entries, exceeding the budget of 5000000" in err
         assert not out.exists()
 
+    def test_oversized_gram_exits_three_without_a_file(self, tmp_path, capsys):
+        out = tmp_path / "wide.mat"
+        start = time.perf_counter()
+        code = main(["construct", "gaussian", "--m", "1", "--n", "100000", "--seed", "1",
+                     "-o", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: the 100000x100000 gram matrix requires 10000000000 Gram entries, "
+            "exceeding the budget of 15000000\n"
+        )
+        assert not out.exists()
+
 
 @pytest.fixture()
 def paley5_file(tmp_path):
@@ -297,6 +315,25 @@ class TestCertifyCommand:
             ["certify", str(steiner_file), "--exact-ric", "8", "--budget", "100", "-o", str(rep)]
         )
         assert code == 3
+
+    def test_oversized_gram_exits_three(self, tmp_path, capsys):
+        wide = tmp_path / "wide.mat"
+        write_matrix(wide, Frame(np.ones((1, 3873))))
+        assert main(["certify", str(wide), "-o", str(tmp_path / "rep.txt")]) == 3
+        assert "3873x3873 gram matrix requires" in capsys.readouterr().err
+
+    def test_overflowing_gram_prints_only_the_error_line(self, tmp_path):
+        # numpy warnings bypass capsys, so the command runs in its own interpreter
+        big = tmp_path / "big.mat"
+        write_matrix(big, Frame(np.full((1, 2), 1.3e154)))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ripcert.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ripcert.cli", "certify", str(big), "-o",
+             str(tmp_path / "rep.txt")],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: matrix entries must be finite\n"
 
     @pytest.mark.parametrize("search", [["--exact-ric", "2"], []])
     def test_negative_budget_is_usage_error(self, tmp_path, steiner_file, capsys, search):
@@ -472,6 +509,38 @@ def test_golden_graph_report_bodies(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_matrix("p29.mat", realify(paley_etf(29)))
     for argv, digest in GOLDEN_GRAPH_REPORTS:
+        assert main(argv) == 0
+        body = report_body((tmp_path / argv[-1]).read_text())
+        assert hashlib.sha256(body.encode()).hexdigest() == digest, argv
+
+
+#: report-body sha256 of mc and certify runs, pinned before the trial loops merged
+GOLDEN_MC_CERTIFY_REPORTS = [
+    # fro-constant and delta1 failures, and the 20-line failure cap
+    (["mc", "fro", "--m", "8,16", "--n", "12", "--k", "2", "--delta", "0.5",
+      "--trials", "20", "--seed", "1", "-o", "a.txt"],
+     "0ecd2865a9d0c0ff3461ab3658f9f43a5380d8430497bd67095b664c0df2caf6"),
+    (["mc", "power", "--m", "8,64", "--n", "12", "--k", "2", "--q", "2", "--delta", "0.5",
+      "--trials", "20", "--seed", "2", "-o", "b.txt"],
+     "f21ff241c33f37f68b6b9578427885a2345d66ebe32ee966ee6cf352565c8824"),
+    (["mc", "fro", "--m", "8", "--n", "12", "--k", "3", "--delta", "0.5", "--trials", "20",
+      "--seed", "3", "--ensemble", "bernoulli", "-o", "c.txt"],
+     "7905cd7c607d2079841bc788cb45332811ce0ce1bccb3c049d75c06ceff8c8df"),
+    (["mc", "tail", "--m", "16", "--k1", "2", "--k2", "2", "--trials", "20000",
+      "--seed", "5", "-o", "d.txt"],
+     "ff3de00301b52ec865a4805f498cb97e5599524464fddcf1847f9d07757a9b50"),
+    (["certify", "p13.mat", "--gershgorin", "--exact-ric", "3", "--power", "3", "2",
+      "--roc", "2", "--fro", "2", "--spark", "4", "--bounds", "-o", "e.txt"],
+     "ed48ac0c72b7e3d71cd69e0e5c21e8e361cc384df08c24dfb949ad11f998130f"),
+]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_golden_mc_and_certify_report_bodies(tmp_path, monkeypatch, workers):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("RIPCERT_WORKERS", workers)
+    assert main(["construct", "paley", "--p", "13", "-o", "p13.mat"]) == 0
+    for argv, digest in GOLDEN_MC_CERTIFY_REPORTS:
         assert main(argv) == 0
         body = report_body((tmp_path / argv[-1]).read_text())
         assert hashlib.sha256(body.encode()).hexdigest() == digest, argv

@@ -9,7 +9,6 @@ from ripcert import (
     column_sum_tail,
     run_fro_trials,
     run_power_trials,
-    sweep_m,
     trial_seed,
     wilson_interval,
 )
@@ -28,11 +27,13 @@ from ripcert.montecarlo import (
 class TestConfigAndSeeding:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
-            TrialConfig(m=8, n=12, k=13, trials=5, base_seed=0)
+            TrialConfig(m=8, n=12, k=13, trials=5, base_seed=0, delta=0.5)
         with pytest.raises(InvalidParameterError):
-            TrialConfig(m=8, n=12, k=2, trials=0, base_seed=0)
+            TrialConfig(m=8, n=12, k=2, trials=0, base_seed=0, delta=0.5)
         with pytest.raises(InvalidParameterError):
-            TrialConfig(m=8, n=12, k=2, trials=5, base_seed=0, ensemble="uniform")
+            TrialConfig(m=8, n=12, k=2, trials=5, base_seed=0, delta=0.5, ensemble="uniform")
+        with pytest.raises(InvalidParameterError):
+            TrialConfig(m=8, n=12, k=2, trials=5, base_seed=0, delta=0.0)
 
     def test_trial_seeds_are_distinct_streams(self):
         cfg = TrialConfig(m=4, n=6, k=2, trials=3, base_seed=9, delta=1.0)
@@ -53,7 +54,7 @@ class TestFroTrials:
         return TrialConfig(**base)
 
     def test_generous_threshold_always_succeeds(self):
-        outcome = run_fro_trials(self.cfg(delta=None, theta_hat=10.0))
+        outcome = run_fro_trials(self.cfg(delta=1e4))
         assert outcome.successes == outcome.trials
         assert outcome.frequency == 1.0
 
@@ -92,13 +93,13 @@ class TestFroTrials:
 
     def test_failure_frequency_non_increasing_in_m(self):
         cfg = self.cfg(trials=12, n=24)
-        results = sweep_m(cfg, (8, 16, 32, 64), run_fro_trials)
+        results = [(m, run_fro_trials(replace(cfg, m=m))) for m in (8, 16, 32, 64)]
         failure_freqs = [1.0 - outcome.frequency for _, outcome in results]
         assert all(a >= b - 1e-12 for a, b in zip(failure_freqs, failure_freqs[1:]))
 
     def test_mean_fro_constant_shrinks_with_m(self):
         cfg = self.cfg(trials=12, n=24)
-        results = sweep_m(cfg, (8, 64), run_fro_trials)
+        results = [(m, run_fro_trials(replace(cfg, m=m))) for m in (8, 64)]
         means = [sum(o.values) / len(o.values) for _, o in results]
         assert means[1] < means[0]
 
@@ -123,7 +124,7 @@ class TestPowerTrials:
         assert outcome.frequency == 1.0
 
     def test_success_frequency_non_decreasing_in_m(self):
-        results = sweep_m(self.cfg(trials=15), (8, 32, 128, 512), run_power_trials)
+        results = [(m, run_power_trials(self.cfg(trials=15, m=m))) for m in (8, 32, 128, 512)]
         freqs = [outcome.frequency for _, outcome in results]
         assert all(b >= a - 1e-12 for a, b in zip(freqs, freqs[1:]))
         assert freqs[-1] > freqs[0]  # the sweep actually moves
@@ -172,10 +173,10 @@ class TestColumnSumTail:
         b = column_sum_tail(16, 2, 2, 5000, 1)
         assert a == b
 
-    def test_custom_grid(self):
-        table = column_sum_tail(16, 3, 2, 1000, 5, grid=(0.25, 0.5))
-        assert [r.theta_hat for r in table.rows] == [0.25, 0.5]
-        assert table.rows[0].threshold == 0.25 * math.sqrt(6)
+    def test_fixed_grid_thresholds(self):
+        table = column_sum_tail(16, 3, 2, 1000, 5)
+        assert [r.theta_hat for r in table.rows] == [i / 10 for i in range(11)]
+        assert table.rows[5].threshold == 0.5 * math.sqrt(6)
 
 
 class TestTailSymmetry:
