@@ -64,6 +64,7 @@ from .graphs import (
     flip_canonical,
     graph_from_seidel,
     join_decompose,
+    paley_clique_number,
     paley_graph,
     predicted_srg,
     seidel_from_gram,

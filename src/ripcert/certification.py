@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constructions import Frame
+from .constructions import _GRAM_BUDGET, Frame
 from .errors import (
     ChainError,
     InvalidParameterError,
@@ -98,14 +98,17 @@ def verify_etf(frame: Frame, tol: float = 1e-12) -> EtfReport:
 
     (i) unit-norm columns, (ii) orthogonal equal-norm rows, measured as
     the largest entry of |FF* - (n/m) I|, and (iii) equal off-diagonal
-    Gram magnitudes, measured as their max-min spread.
+    Gram magnitudes, measured as their max-min spread. The m x m row
+    Gram is refused above ``_GRAM_BUDGET`` entries, like the n x n one.
     """
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
     arr = frame.matrix
+    m = frame.m
+    require_budget(m * m, _GRAM_BUDGET, f"the {m}x{m} row gram matrix", "row Gram entries")
     unit_dev = float(np.abs(frame.column_norms_squared - 1.0).max())
     ff = arr @ arr.conj().T
-    target = (frame.n / frame.m) * np.eye(frame.m)
+    target = (frame.n / m) * np.eye(m)
     tight_dev = float(np.abs(ff - target).max())
     if frame.n >= 2:
         off = np.abs(frame.gram)

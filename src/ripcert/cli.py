@@ -55,6 +55,7 @@ from .graphs import (
     flip_canonical,
     graph_from_seidel,
     join_decompose,
+    paley_clique_number,
     paley_graph,
     predicted_srg,
     seidel_from_gram,
@@ -450,7 +451,7 @@ def _cmd_graph(args) -> int:
         elif p is not None and not result.is_srg:
             violations.append(f"paley graph of order {p} failed strong regularity")
     if args.clique:
-        res = clique_number(g)
+        res = paley_clique_number(g) if p is not None else clique_number(g)
         writer.section("clique")
         writer.kv("omega", res.size)
         writer.kv("witness", res.clique)

@@ -7,9 +7,10 @@ columns so one anchor column has negative inner products with all
 others, removing the anchor leaves a strongly regular graph whose
 parameters depend only on the frame dimensions. This module builds and
 checks all of that, plus quadratic-residue (Paley) graphs, exact clique
-numbers by branch and bound, the clique identity for the exact isometry
-constant, the expander mixing inequality, and the sign-walk expansion of
-trace powers as an exact integer trace.
+numbers by branch and bound (for Paley graphs on the common neighbourhood
+of one edge, by arc-transitivity), the clique identity for the exact
+isometry constant, the expander mixing inequality, and the sign-walk
+expansion of trace powers as an exact integer trace.
 """
 
 from __future__ import annotations
@@ -405,6 +406,22 @@ def clique_number(g: SimpleGraph, budget: int = DEFAULT_CLIQUE_BUDGET) -> Clique
         exact = False
     clique = tuple(sorted(int(order[v]) for v in best_clique))
     return CliqueResult(best_size, clique, exact, nodes)
+
+
+def paley_clique_number(g: SimpleGraph) -> CliqueResult:
+    """Exact clique number of a Paley graph, searched on N(0) & N(1).
+
+    ``g`` must be ``paley_graph(p)``: its labels are the residues mod p.
+    The affine maps x -> ax + b with a a nonzero square are automorphisms
+    taking the edge {0, 1} to any edge {u, v} (b = u, a = v - u), so some
+    maximum clique contains 0 and 1 and omega = 2 + omega(P_p[N(0) & N(1)]).
+    ``nodes`` counts the search on that (p - 5)/4-vertex subgraph.
+    """
+    adj = g.adjacency
+    common = np.flatnonzero(adj[0] & adj[1])
+    inner = clique_number(SimpleGraph(adj[np.ix_(common, common)]))
+    clique = tuple(sorted((0, 1, *(int(common[v]) for v in inner.clique))))
+    return CliqueResult(inner.size + 2, clique, inner.exact, inner.nodes)
 
 
 @dataclass(frozen=True)

@@ -257,6 +257,17 @@ class TestConstructCommand:
         )
         assert not out.exists()
 
+    def test_oversized_row_gram_exits_three_without_a_file(self, tmp_path, capsys):
+        out = tmp_path / "tall.mat"
+        code = main(["construct", "gaussian", "--m", "5000000", "--n", "1", "--seed", "1",
+                     "-o", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: the 5000000x5000000 row gram matrix requires 25000000000000 row Gram "
+            "entries, exceeding the budget of 15000000\n"
+        )
+        assert not out.exists()
+
 
 @pytest.fixture()
 def paley5_file(tmp_path):
@@ -492,9 +503,10 @@ class TestGraphCommand:
 
 #: report-body sha256 of each step, pinned from the two-path graph command
 GOLDEN_GRAPH_REPORTS = [
+    # its clique section comes from the search on N(0) & N(1)
     (["graph", "--paley-graph", "61", "--srg-check", "--clique", "--mixing", "50",
       "--seed", "3", "-o", "a.txt"],
-     "9d9a9b63b93f79127930c4b2b9fcd8594ca203dbad4919a53fa19d236c1f94c2"),
+     "d9e41b448972e01914bb6c237837aff821e91e17ed0c67a9b3aa2d66155e44f2"),
     (["graph", "p29.mat", "--seidel", "--predicted-srg", "--srg-check", "--clique",
       "--mixing", "50", "--seed", "3", "--trace-expansion", "0,1,2,3,4", "2",
       "--graph-out", "G", "-o", "b.txt"],

@@ -14,6 +14,7 @@ from ripcert import (
     graph_from_seidel,
     join_decompose,
     negate_columns,
+    paley_clique_number,
     paley_graph,
     predicted_srg,
     seidel_from_gram,
@@ -34,7 +35,7 @@ from ripcert.errors import (
     NotRegularError,
 )
 from ripcert.graphs import CliqueResult, SimpleGraph, SrgParams
-from ripcert.modular import legendre_symbol, quadratic_residues
+from ripcert.modular import is_prime, legendre_symbol, quadratic_residues
 
 
 def realify_paley(p):
@@ -328,6 +329,41 @@ class TestCliqueNumber:
         # size, witness and search-node count pinned from the per-vertex bitmask build
         result = clique_number(paley_graph(101))
         assert result == CliqueResult(5, (78, 94, 95, 99, 100), True, 7008)
+
+
+def assert_clique(g, clique):
+    assert all(g.adjacency[a, b] for a, b in itertools.combinations(clique, 2))
+
+
+class TestPaleyCliqueNumber:
+    @pytest.mark.parametrize(
+        "p", [p for p in range(5, 230) if p % 4 == 1 and is_prime(p)]
+    )
+    def test_matches_generic_search(self, p):
+        g = paley_graph(p)
+        result = paley_clique_number(g)
+        assert result.exact
+        assert result.size == clique_number(g).size
+        assert len(result.clique) == result.size
+        assert {0, 1} <= set(result.clique)
+        assert_clique(g, result.clique)
+
+    def test_budget_exhaustion_keeps_a_clique(self, monkeypatch):
+        # a one-node inner search stops early; its witness must still map back
+        monkeypatch.setattr("ripcert.graphs.clique_number", lambda g: clique_number(g, 1))
+        g = paley_graph(229)
+        result = paley_clique_number(g)
+        assert not result.exact
+        assert {0, 1} <= set(result.clique) and len(result.clique) == result.size
+        assert_clique(g, result.clique)
+
+    def test_paley401_below_sqrt_p(self):
+        # the generic search needs about 1.9M nodes here
+        g = paley_graph(401)
+        result = paley_clique_number(g)
+        assert result.exact
+        assert len(result.clique) == result.size < math.sqrt(401)
+        assert_clique(g, result.clique)
 
 
 class TestCliqueRicIdentity:
