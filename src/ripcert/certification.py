@@ -11,7 +11,6 @@ witness subset and the exact number of evaluations performed.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ from .errors import (
 )
 from .subsets import (
     DEFAULT_BUDGET,
+    _subset_table,
     disjoint_pair_count,
     iter_disjoint_pair_chunks,
     iter_subset_chunks,
@@ -445,13 +445,6 @@ def roc_exact_search(
     return PairSearch(value, wi, wj, total)
 
 
-def _subsets_up_to(n: int, k: int) -> list[tuple[int, ...]]:
-    subs: list[tuple[int, ...]] = []
-    for size in range(1, k + 1):
-        subs.extend(itertools.combinations(range(n), size))
-    return subs
-
-
 def fro_constant_search(
     frame: Frame, k: int, budget: int = DEFAULT_BUDGET, workers: int | None = None
 ) -> PairSearch:
@@ -470,11 +463,15 @@ def fro_constant_search(
     total = mixed_pair_count(n, k)
     require_budget(total, budget, f"flat orthogonality constant at K={k}")
     g = frame.gram_array
-    subs = _subsets_up_to(n, min(k, n - 1))
+    # every subset of each size 1..min(k, n-1), sizes ascending, each size lexicographic
+    tables = [_subset_table(n, size) for size in range(1, min(k, n - 1) + 1)]
+    subs = [tuple(row) for table in tables for row in table.tolist()]
     count = len(subs)
     indicator = np.zeros((count, n))
-    for row, s in enumerate(subs):
-        indicator[row, list(s)] = 1.0
+    filled = 0
+    for table in tables:
+        indicator[np.arange(filled, filled + len(table))[:, None], table] = 1.0
+        filled += len(table)
     sizes = indicator.sum(axis=1)
     sums = indicator @ g  # row s holds <column sums of s against every column>
     blocks = [(lo, min(lo + _FRO_BLOCK, count)) for lo in range(0, count, _FRO_BLOCK)]

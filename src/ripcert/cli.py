@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import time
 from dataclasses import replace
 
 from . import __version__
@@ -69,6 +70,7 @@ from .montecarlo import (
     run_power_trials,
     sidak_z,
 )
+from .subsets import worker_count
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -541,9 +543,13 @@ def _cmd_mc(args) -> int:
         writer.kv("ensemble", args.ensemble)
         if args.experiment == "power":
             writer.kv("q", args.q)
-        results = [(m, runner(replace(cfg, m=m))) for m in m_values]
-        for m, outcome in results:
+        results = []
+        for m in m_values:
+            start = time.perf_counter()
+            outcome = runner(replace(cfg, m=m))
             _write_outcome(writer, m, outcome)
+            writer.comment(f"wall {time.perf_counter() - start:.6f}s workers {worker_count()}")
+            results.append((m, outcome))
         freqs = [outcome.frequency for _, outcome in results]
         print("frequencies: " + " ".join(f"m={m}:{o.frequency:.3f}" for m, o in results))
         for (m, o) in results:
@@ -558,6 +564,7 @@ def _cmd_mc(args) -> int:
         writer.kv("trials", args.trials)
         writer.kv("seed", args.seed)
         for m in m_values:
+            start = time.perf_counter()
             table = column_sum_tail(m, args.k1, args.k2, args.trials, args.seed)
             writer.section(f"m={m}")
             for row in table.rows:
@@ -566,6 +573,8 @@ def _cmd_mc(args) -> int:
                     f"count={row.count} empirical={row.empirical!r} "
                     f"bound={row.bound!r} ok={row.ok} symmetric={row.symmetric_ok}",
                 )
+            # one generator draws every block, so the tail table runs serially
+            writer.comment(f"wall {time.perf_counter() - start:.6f}s workers 1")
             if not table.all_ok:
                 violations.append(f"m={m}: empirical tail exceeded its bound")
             if not table.all_symmetric:

@@ -24,6 +24,7 @@ from .certification import (
 )
 from .constructions import _SEED_MASK, Frame, _generator, bernoulli_matrix, gaussian_matrix
 from .errors import InvalidParameterError
+from .subsets import ordered_map, worker_count
 
 #: fraction of the isometry target budgeted to column-norm deviations
 DEFAULT_ALPHA = 0.01
@@ -112,19 +113,21 @@ class TrialOutcome:
 
 
 def _run_trials(cfg: TrialConfig, measure):
-    """Draw and measure every trial of ``cfg`` in order.
+    """Draw and measure every trial of ``cfg``, in parallel, reduced in order.
 
     ``measure(frame)`` returns the trial's value, its delta1 (or None) and
     the (reason, value, subsets) of each criterion the frame failed; a
-    trial succeeds when it failed none. Returns the success count, the
-    values, the delta1 values and the failure witnesses.
+    trial succeeds when it failed none. Trials run on one pool of
+    ``worker_count()`` threads and are consumed in trial order, so the
+    outcome does not depend on the worker count. Returns the success
+    count, the values, the delta1 values and the failure witnesses.
     """
     successes = 0
     values: list[float] = []
     d1_values: list[float] = []
     failures: list[FailureWitness] = []
-    for t in range(cfg.trials):
-        value, d1, failed = measure(cfg.draw(t))
+    results = ordered_map(lambda t: measure(cfg.draw(t)), range(cfg.trials), worker_count())
+    for t, (value, d1, failed) in enumerate(results):
         values.append(value)
         if d1 is not None:
             d1_values.append(d1)
@@ -148,7 +151,7 @@ def run_fro_trials(cfg: TrialConfig) -> TrialOutcome:
     d1_thr = DEFAULT_ALPHA * cfg.delta
 
     def measure(frame):
-        search = fro_constant_search(frame, cfg.k)
+        search = fro_constant_search(frame, cfg.k, workers=1)
         d1, d1_col = delta1_witness(frame)
         failed = []
         if search.value > theta_thr:
@@ -175,7 +178,7 @@ def run_power_trials(cfg: TrialConfig) -> TrialOutcome:
         raise InvalidParameterError("power trials need q >= 1")
 
     def measure(frame):
-        search = ric_power_search(frame, cfg.k, cfg.q)
+        search = ric_power_search(frame, cfg.k, cfg.q, workers=1)
         if search.value <= cfg.delta:
             return search.value, None, ()
         return search.value, None, (("power", search.value, (search.witness,)),)

@@ -5,9 +5,11 @@ arrays of at most ``CHUNK`` rows, and reduced chunk by chunk in that
 order. Every reduction keeps the first strict maximum, so a search
 returns the same value and the same witness (its lexicographically first
 maximiser among equal floats) wherever the chunk boundaries fall, and for
-any worker count. The worker count comes from the RIPCERT_WORKERS
-environment variable unless a caller passes one explicitly; the default
-is 1.
+any worker count. ``ordered_map`` runs the workers: a subset search maps
+its chunks through it, and a Monte Carlo experiment maps its trials
+through one pool, each trial's search then running on one worker. The
+worker count comes from the RIPCERT_WORKERS environment variable unless
+a caller passes one explicitly; the default is 1.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def disjoint_pair_count(n: int, k: int) -> int:
 def mixed_pair_count(n: int, k: int) -> int:
     """Unordered pairs of disjoint nonempty subsets with sizes up to k."""
     total = 0
-    for a in range(1, k + 1):
+    for a in range(1, min(k, n) + 1):
         for b in range(1, k + 1):
             total += math.comb(n, a) * math.comb(n - a, b)
     return total // 2

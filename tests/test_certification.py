@@ -283,14 +283,16 @@ class TestFroConstant:
             theta_hat = fro_constant_search(paley13_real, k).value
             assert theta_hat <= roc_exact_search(paley13_real, k).value + 1e-9
 
-    def test_matches_bruteforce(self):
-        frame = gaussian_matrix(5, 8, 17)
+    # k >= n - 1 clips the subset sizes to n - 1, the largest with a disjoint partner
+    @pytest.mark.parametrize("m, n, k, seed", [(5, 8, 3, 17), (4, 6, 5, 3), (4, 6, 9, 3)])
+    def test_matches_bruteforce(self, m, n, k, seed):
+        frame = gaussian_matrix(m, n, seed)
         g = frame.gram_array
-        k = 3
         subs = [
-            c for size in range(1, k + 1) for c in itertools.combinations(range(8), size)
+            c for size in range(1, k + 1) for c in itertools.combinations(range(n), size)
         ]
         best = 0.0
+        pairs = 0
         for first in subs:
             for second in subs:
                 if set(first) & set(second):
@@ -299,8 +301,10 @@ class TestFroConstant:
                     sum(g[i, j] for i in first for j in second)
                 ) / math.sqrt(len(first) * len(second))
                 best = max(best, value)
+                pairs += 1
         search = fro_constant_search(frame, k)
         assert math.isclose(search.value, best, rel_tol=1e-10)
+        assert search.count == pairs // 2
         # the reported witness reproduces the reported value
         wi, wj = search.witness_i, search.witness_j
         recomputed = abs(sum(g[i, j] for i in wi for j in wj)) / math.sqrt(

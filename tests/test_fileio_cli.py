@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import string
 import subprocess
 import sys
@@ -585,6 +586,29 @@ class TestMcCommand:
         )
         assert code == 0
         assert "meets-measurement-bound:" in rep.read_text()
+
+    @pytest.mark.parametrize(
+        "argv, workers",
+        [
+            (["mc", "fro", "--m", "8,16", "--n", "12", "--k", "2", "--delta", "0.5",
+              "--trials", "5", "--seed", "1"], "2"),
+            (["mc", "power", "--m", "8,64", "--n", "12", "--k", "2", "--q", "1",
+              "--delta", "0.5", "--trials", "5", "--seed", "2"], "2"),
+            # the tail table runs serially whatever RIPCERT_WORKERS says
+            (["mc", "tail", "--m", "16,64", "--k1", "2", "--k2", "2", "--trials", "5000",
+              "--seed", "1"], "1"),
+        ],
+    )
+    def test_every_row_ends_with_its_wall_time(self, tmp_path, monkeypatch, argv, workers):
+        monkeypatch.setenv("RIPCERT_WORKERS", "2")
+        rep = tmp_path / "rep.txt"
+        assert main(argv + ["-o", str(rep)]) == 0
+        text = rep.read_text()
+        rows = [sec for sec in text.split("\n[")[1:] if sec.startswith("m=")]
+        assert len(rows) == 2
+        for sec in rows:
+            assert re.fullmatch(rf"# wall \d+\.\d{{6}}s workers {workers}", sec.splitlines()[-1])
+        assert "# wall" not in report_body(text)
 
 
 class TestReportDeterminism:

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from ripcert import (
     trial_seed,
     wilson_interval,
 )
-from ripcert import cli
+from ripcert import cli, subsets
 from ripcert.cli import main
 from ripcert.errors import InvalidParameterError
 from ripcert.montecarlo import (
@@ -149,6 +150,51 @@ class TestPowerTrials:
 
     def test_deterministic(self):
         assert run_power_trials(self.cfg()) == run_power_trials(self.cfg())
+
+    def test_worker_count_does_not_change_outcome(self, monkeypatch):
+        monkeypatch.setenv("RIPCERT_WORKERS", "1")
+        serial = run_power_trials(self.cfg(delta=0.2))
+        monkeypatch.setenv("RIPCERT_WORKERS", "2")
+        parallel = run_power_trials(self.cfg(delta=0.2))
+        assert serial.failures  # failure witnesses are compared too
+        assert serial == parallel
+
+
+class TestTrialPool:
+    @pytest.mark.parametrize(
+        "runner, cfg",
+        [
+            (run_fro_trials, TrialConfig(m=8, n=12, k=2, trials=8, base_seed=5, delta=0.5)),
+            (run_power_trials, TrialConfig(m=8, n=20, k=2, q=1, trials=8, base_seed=3, delta=0.5)),
+        ],
+    )
+    def test_one_pool_per_experiment(self, monkeypatch, runner, cfg):
+        pools = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(subsets, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setenv("RIPCERT_WORKERS", "2")
+        runner(cfg)
+        assert pools == [2]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_refused_search_inside_a_trial_exits_three(
+        self, tmp_path, monkeypatch, capsys, workers
+    ):
+        monkeypatch.setenv("RIPCERT_WORKERS", workers)
+        out = tmp_path / "fro.txt"
+        argv = ["mc", "fro", "--m", "8", "--n", "60", "--k", "4", "--delta", "0.5",
+                "--trials", "50", "--seed", "1", "-o", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: flat orthogonality constant at K=4 requires 104406008830 subset "
+            "evaluations, exceeding the budget of 5000000\n"
+        )
+        assert not out.exists()
 
 
 class TestColumnSumTail:
