@@ -71,10 +71,7 @@ from .graphs import (
     seidel_trace_expansion,
     srg_check,
 )
-from .linalg import (
-    gram,
-    trace_power,
-)
+from .linalg import gram
 from .montecarlo import (
     TailRow,
     TailTable,

@@ -23,6 +23,7 @@ from .errors import (
     InvalidParameterError,
     PreconditionError,
 )
+from .linalg import DEFAULT_TOL
 from .subsets import (
     DEFAULT_BUDGET,
     _subset_table,
@@ -69,31 +70,30 @@ def welch_bound(m: int, n: int) -> float:
 
 @dataclass(frozen=True)
 class EtfReport:
-    """Measured deviations from the three tight-frame axioms."""
+    """Measured deviations from the three tight-frame axioms, each held to ``DEFAULT_TOL``."""
 
     unit_norm_dev: float
     tight_dev: float
     equiangular_spread: float
-    tol: float
 
     @property
     def unit_norm_ok(self) -> bool:
-        return self.unit_norm_dev <= self.tol
+        return self.unit_norm_dev <= DEFAULT_TOL
 
     @property
     def tight_ok(self) -> bool:
-        return self.tight_dev <= self.tol
+        return self.tight_dev <= DEFAULT_TOL
 
     @property
     def equiangular_ok(self) -> bool:
-        return self.equiangular_spread <= self.tol
+        return self.equiangular_spread <= DEFAULT_TOL
 
     @property
     def all_ok(self) -> bool:
         return self.unit_norm_ok and self.tight_ok and self.equiangular_ok
 
 
-def verify_etf(frame: Frame, tol: float = 1e-12) -> EtfReport:
+def verify_etf(frame: Frame) -> EtfReport:
     """Check the tight-frame axioms, reporting measured deviations.
 
     (i) unit-norm columns, (ii) orthogonal equal-norm rows, measured as
@@ -101,12 +101,10 @@ def verify_etf(frame: Frame, tol: float = 1e-12) -> EtfReport:
     Gram magnitudes, measured as their max-min spread. The m x m row
     Gram is refused above ``_GRAM_BUDGET`` entries, like the n x n one.
     """
-    if tol <= 0:
-        raise InvalidParameterError("tol must be positive")
     arr = frame.matrix
     m = frame.m
     require_budget(m * m, _GRAM_BUDGET, f"the {m}x{m} row gram matrix", "row Gram entries")
-    unit_dev = float(np.abs(frame.column_norms_squared - 1.0).max())
+    unit_dev = delta1(frame)
     ff = arr @ arr.conj().T
     target = (frame.n / m) * np.eye(m)
     tight_dev = float(np.abs(ff - target).max())
@@ -117,7 +115,7 @@ def verify_etf(frame: Frame, tol: float = 1e-12) -> EtfReport:
         spread = float(vals.max() - vals.min())
     else:
         spread = 0.0
-    return EtfReport(unit_dev, tight_dev, spread, tol)
+    return EtfReport(unit_dev, tight_dev, spread)
 
 
 def delta1(frame: Frame) -> float:
@@ -797,7 +795,6 @@ def certify_frame(
     spark_cap: int | None = None,
     bounds: bool = False,
     budget: int = DEFAULT_BUDGET,
-    workers: int | None = None,
 ) -> CertificationReport:
     """Run the requested certifications on one frame and collect a report.
 
@@ -825,15 +822,14 @@ def certify_frame(
     for k in ks:
         start = time.perf_counter()
         gersh = gershgorin_bound(frame, k) if gershgorin else None
-        ric = ric_exact_search(frame, k, budget, workers) if k in exact_ks else None
+        ric = ric_exact_search(frame, k, budget) if k in exact_ks else None
         powers = tuple(
-            (q, ric_power_search(frame, k, q, budget, workers).value)
-            for q in power_map.get(k, ())
+            (q, ric_power_search(frame, k, q, budget).value) for q in power_map.get(k, ())
         )
-        roc = roc_exact_search(frame, k, budget, workers) if k in roc_ks else None
+        roc = roc_exact_search(frame, k, budget) if k in roc_ks else None
         if roc is not None:
             theta_cache[k] = roc.value
-        fro = fro_constant_search(frame, k, budget, workers) if k in fro_ks else None
+        fro = fro_constant_search(frame, k, budget) if k in fro_ks else None
         derived: list[tuple[str, float]] = []
         if bounds:
             if fro is not None and k >= 2:
@@ -846,7 +842,7 @@ def certify_frame(
                 chain = halving_chain(k)
                 for kk in chain:
                     if kk not in theta_cache:
-                        theta_cache[kk] = roc_exact_search(frame, kk, budget, workers).value
+                        theta_cache[kk] = roc_exact_search(frame, kk, budget).value
                 thetas = [theta_cache[kk] for kk in chain]
                 iterated = iterated_ro_bound(thetas, d1, k=k)
                 derived.append(("iterated-ro-sum-2k", iterated.sum_bound))
@@ -863,11 +859,7 @@ def certify_frame(
                 wall=time.perf_counter() - start,
             )
         )
-    spark_result = (
-        spark_search(frame, spark_cap, budget=budget, workers=workers)
-        if spark_cap is not None
-        else None
-    )
+    spark_result = spark_search(frame, spark_cap, budget=budget) if spark_cap is not None else None
     return CertificationReport(
         label=frame.label,
         m=frame.m,

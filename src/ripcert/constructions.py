@@ -27,7 +27,7 @@ from .errors import (
     NotRealError,
     RipcertError,
 )
-from .linalg import DEFAULT_TOL, gram, spectral_norm
+from .linalg import DEFAULT_TOL, gram
 from .modular import is_prime, quadratic_residues
 from .subsets import DEFAULT_BUDGET, require_budget
 
@@ -353,27 +353,24 @@ def paley_etf(p: int, require_1mod4: bool = True) -> Frame:
     return Frame(phi, label=f"paley-etf p={p}")
 
 
-def realify(frame: Frame, tol: float = DEFAULT_TOL) -> Frame:
+def realify(frame: Frame) -> Frame:
     """Rotate a frame with real Gram onto real coordinates.
 
     When Phi*Phi is real, the stacked real matrix [Re Phi; Im Phi] has the
     same Gram. With its SVD U S V^T, the rows of S V^T above 1e-9 of the
     largest singular value form a real frame with that Gram, one row per
-    Gram rank.
+    Gram rank; the Gram's norm is s[0]^2.
     """
-    if tol <= 0:
-        raise InvalidParameterError("tol must be positive")
-    if frame.gram_imag > tol:
+    if frame.gram_imag > DEFAULT_TOL:
         raise NotRealError(
             f"gram matrix has imaginary part {frame.gram_imag:.3e} > tol; cannot realify"
         )
-    greal = 0.5 * (frame.gram.real + frame.gram.real.T)
     phi = frame.matrix
     _, s, vt = np.linalg.svd(np.vstack([phi.real, phi.imag]), full_matrices=False)
     keep = s > 1e-9 * s[0]
     psi = s[keep, None] * vt[keep]
-    resid = spectral_norm(psi.T @ psi - greal)
-    if resid > 10.0 * tol * max(spectral_norm(greal), 1.0):
+    resid = float(np.linalg.norm(psi.T @ psi - frame.gram.real, 2))
+    if resid > 10.0 * DEFAULT_TOL * max(float(s[0]) ** 2, 1.0):
         raise RipcertError(f"realified gram deviates by {resid:.3e}")
     return Frame(psi, label=f"{frame.label} realified".strip())
 

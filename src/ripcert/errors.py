@@ -23,20 +23,12 @@ class InvalidSelectionError(InvalidParameterError):
     """A column or vertex selection is out of range or contains duplicates."""
 
 
-class UnsupportedExponentError(InvalidParameterError):
-    """Only even positive matrix powers are supported."""
-
-
 class ChainError(InvalidParameterError):
     """A halving chain of restricted-orthogonality constants is malformed."""
 
 
 class MatrixShapeError(RipcertError, ValueError):
     """Operands have incompatible or unexpected dimensions."""
-
-
-class NotHermitianError(RipcertError, ValueError):
-    """A matrix required to be Hermitian is not, within tolerance."""
 
 
 class PreconditionError(RipcertError, ValueError):
@@ -74,7 +66,7 @@ class InfeasibleSizeError(InfeasibleInputError):
 class EnumerationBudgetError(RipcertError):
     """A subset enumeration would exceed the configured budget (CLI exit 3)."""
 
-    def __init__(self, needed: int, budget: int, what: str, unit: str = "subset evaluations"):
+    def __init__(self, needed: int, budget: int, what: str, unit: str):
         super().__init__(f"{what} requires {needed} {unit}, exceeding the budget of {budget}")
         self.needed = needed
         self.budget = budget

@@ -76,7 +76,8 @@ def _build(path, make, *args):
 
 
 def write_matrix(path, frame: Frame) -> None:
-    complex_flag = not frame.is_real
+    """Write a frame, as complex when any imaginary part is nonzero, however small."""
+    complex_flag = bool(np.any(frame.matrix.imag))
     lines = [
         f"{MATRIX_MAGIC} {FORMAT_VERSION}",
         f"rows {frame.m}",

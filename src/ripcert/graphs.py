@@ -31,7 +31,6 @@ from .constructions import Frame, negate_columns
 from .errors import (
     AmbiguousSignError,
     CongruenceError,
-    EnumerationBudgetError,
     InfeasibleSizeError,
     InvalidParameterError,
     InvalidSelectionError,
@@ -42,7 +41,7 @@ from .errors import (
     NotRegularError,
     PreconditionError,
 )
-from .linalg import trace_power
+from .linalg import DEFAULT_TOL
 from .modular import is_prime, quadratic_residues
 from .subsets import DEFAULT_BUDGET, require_budget
 
@@ -188,16 +187,17 @@ def paley_graph(p: int) -> SimpleGraph:
 # ---------------------------------------------------------------------------
 
 
-def seidel_from_gram(frame: Frame, tol: float = 1e-12) -> tuple[SeidelMatrix, float]:
+def seidel_from_gram(frame: Frame) -> tuple[SeidelMatrix, float]:
     """Sign pattern S and magnitude mu of a real equiangular frame's Gram.
 
-    Requires the tight-frame axioms at ``tol`` and a real Gram matrix;
-    every off-diagonal entry must match the coherence in magnitude
-    within ``tol``, and entries indistinguishable from zero are refused.
+    Requires the tight-frame axioms at ``DEFAULT_TOL`` and a real Gram
+    matrix; every off-diagonal entry must match the coherence in magnitude
+    within ``DEFAULT_TOL``, and entries indistinguishable from zero are
+    refused.
     """
-    if frame.gram_imag > tol:
+    if frame.gram_imag > DEFAULT_TOL:
         raise NotRealError("gram matrix is not real; realify the frame first")
-    report = verify_etf(frame, tol)
+    report = verify_etf(frame)
     if not report.all_ok:
         raise NotEtfError(
             "frame fails the tight-frame axioms: "
@@ -206,19 +206,19 @@ def seidel_from_gram(frame: Frame, tol: float = 1e-12) -> tuple[SeidelMatrix, fl
             f"equiangularity spread {report.equiangular_spread:.3e}"
         )
     mu = frame.coherence
-    if mu <= tol:
+    if mu <= DEFAULT_TOL:
         raise AmbiguousSignError("off-diagonal Gram entries vanish; signs are undefined")
     off = frame.gram.real.copy()
     np.fill_diagonal(off, 0.0)
     mask = ~np.eye(frame.n, dtype=bool)
-    if float(np.abs(np.abs(off[mask]) - mu).max()) > tol:
+    if float(np.abs(np.abs(off[mask]) - mu).max()) > DEFAULT_TOL:
         raise NotEtfError("off-diagonal Gram magnitudes do not all equal the coherence")
     signs = np.where(off > 0, 1, -1).astype(np.int8)
     np.fill_diagonal(signs, 0)
     return SeidelMatrix(signs), mu
 
 
-def flip_canonical(frame: Frame, anchor: int, tol: float = 1e-12) -> Frame:
+def flip_canonical(frame: Frame, anchor: int) -> Frame:
     """Negate columns until the anchor's inner products are all negative.
 
     This is a flipping equivalence: Gram magnitudes, the axioms and all
@@ -226,11 +226,11 @@ def flip_canonical(frame: Frame, anchor: int, tol: float = 1e-12) -> Frame:
     """
     if not 0 <= anchor < frame.n:
         raise InvalidSelectionError(f"anchor {anchor} out of range")
-    if frame.gram_imag > tol:
+    if frame.gram_imag > DEFAULT_TOL:
         raise NotRealError("canonical flipping needs a real Gram matrix")
     row = frame.gram.real[anchor].copy()
     row[anchor] = -1.0
-    if float(np.abs(row).min()) <= tol:
+    if float(np.abs(row).min()) <= DEFAULT_TOL:
         raise AmbiguousSignError(
             "anchor has a vanishing inner product; canonical flipping is ambiguous"
         )
@@ -443,14 +443,7 @@ class CliqueRicReport:
         )
 
 
-def clique_ric_identity(
-    frame: Frame,
-    g: SimpleGraph,
-    k: int,
-    anchor: int,
-    budget: int = 5_000_000,
-    clique_budget: int = DEFAULT_CLIQUE_BUDGET,
-) -> CliqueRicReport:
+def clique_ric_identity(frame: Frame, g: SimpleGraph, k: int, anchor: int) -> CliqueRicReport:
     """Check that the exact isometry constant equals (k-1)*mu for k <= omega+1.
 
     ``g`` is the graph left after removing the universal anchor vertex,
@@ -462,14 +455,14 @@ def clique_ric_identity(
         raise MatrixShapeError("graph must have one vertex per non-anchor column")
     if not 0 <= anchor < frame.n:
         raise InvalidSelectionError(f"anchor {anchor} out of range")
-    clique = clique_number(g, clique_budget)
+    clique = clique_number(g)
     if not clique.exact:
         raise PreconditionError("clique search budget exhausted; omega unknown")
     omega = clique.size
     if not 1 <= k <= omega + 1:
         raise PreconditionError(f"need 1 <= k <= omega+1 = {omega + 1}, got k={k}")
     mu = frame.coherence
-    search = ric_exact_search(frame, k, budget)
+    search = ric_exact_search(frame, k)
     predicted = (k - 1) * mu
 
     members = clique.clique[: k - 1]
@@ -574,13 +567,11 @@ def seidel_trace_expansion(
     k = len(cols)
     if k < 2:
         raise InvalidParameterError("need at least two columns")
-    tuples_needed = k ** (2 * q)
-    if tuples_needed > budget:
-        raise EnumerationBudgetError(tuples_needed, budget, "sign-walk expansion")
+    require_budget(k ** (2 * q), budget, "sign-walk expansion", "sign walks")
     seidel, mu = seidel_from_gram(frame)
     s_sub = seidel.entries[np.ix_(cols, cols)].astype(np.int64)
     hollow = frame.gram_array[np.ix_(cols, cols)] - np.eye(k)
-    direct = trace_power(hollow, 2 * q)
+    direct = float(np.trace(np.linalg.matrix_power(hollow.astype(np.complex128), 2 * q)).real)
 
     total = int(np.trace(np.linalg.matrix_power(s_sub.astype(object), 2 * q)))
     expansion = mu ** (2 * q) * total

@@ -24,7 +24,7 @@ from .certification import (
 )
 from .constructions import _SEED_MASK, Frame, _generator, bernoulli_matrix, gaussian_matrix
 from .errors import InvalidParameterError
-from .subsets import ordered_map, worker_count
+from .subsets import DEFAULT_BUDGET, ordered_map, require_budget, worker_count
 
 #: fraction of the isometry target budgeted to column-norm deviations
 DEFAULT_ALPHA = 0.01
@@ -80,10 +80,11 @@ class FailureWitness:
     subsets: tuple[tuple[int, ...], ...]
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
+def wilson_interval(successes: int, trials: int):
     """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise InvalidParameterError("need trials >= 1")
+    z = 1.959963984540054  # two-sided 95% normal quantile
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -287,12 +288,16 @@ def column_sum_tail(m: int, k1: int, k2: int, trials: int, seed: int) -> TailTab
     products. For every theta_hat in 0, 0.1, ..., 1 the two-sided tail
     frequency at threshold theta_hat * sqrt(k1 k2) is compared with the
     exponential bound 2 exp(-m theta_hat^2 / 4). The bound is a theorem
-    for theta_hat <= 1/2 and holds empirically well beyond.
+    for theta_hat <= 1/2 and holds empirically well beyond. A block of
+    ``min(trials, _TRIAL_BLOCK)`` x m draws is refused above
+    ``DEFAULT_BUDGET`` entries before the first draw.
     """
     if m < 1 or k1 < 1 or k2 < 1:
         raise InvalidParameterError("need m, k1, k2 >= 1")
     if trials < 1:
         raise InvalidParameterError("need trials >= 1")
+    block = min(trials, _TRIAL_BLOCK)
+    require_budget(block * m, DEFAULT_BUDGET, f"a {block}x{m} tail block", "matrix entries")
     thresholds = np.array([th * math.sqrt(k1 * k2) for th in _TAIL_GRID])
     counts = np.zeros(len(_TAIL_GRID), dtype=np.int64)
     pos = np.zeros(len(_TAIL_GRID), dtype=np.int64)

@@ -139,7 +139,7 @@ def test_golden_matrix_paley(tmp_path):
 def test_etf_axioms_and_welch_equality(etf_collection):
     with _Timer(5.0) as t:
         for frame in etf_collection:
-            report = verify_etf(frame, 1e-12)
+            report = verify_etf(frame)
             assert report.all_ok, frame.label
             assert abs(frame.coherence - welch_bound(frame.m, frame.n)) <= 1e-12
     _pass("tight-frame axioms and welch equality on all constructions", t)

@@ -13,7 +13,15 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ripcert
-from ripcert import gaussian_matrix, paley_etf, realify, steiner_triple
+from ripcert import (
+    all_pairs_steiner,
+    gaussian_matrix,
+    hadamard,
+    paley_etf,
+    realify,
+    steiner_etf,
+    steiner_triple,
+)
 from ripcert.cli import main
 from ripcert.constructions import Frame, SteinerSystem
 from ripcert.errors import EnumerationBudgetError, InvalidParameterError
@@ -52,6 +60,18 @@ class TestMatrixFormat:
         assert np.array_equal(
             read_matrix(path).matrix, frame.matrix
         )
+
+    def test_tiny_imaginary_parts_roundtrip_bit_for_bit(self, tmp_path):
+        # the DFT Hadamard of order 2 leaves imaginary parts of 1.2e-16
+        frame = steiner_etf(all_pairs_steiner(2), hadamard(2, "dft"))
+        assert 0 < np.abs(frame.matrix.imag).max() < 1e-12
+        path = tmp_path / "s.mat"
+        write_matrix(path, frame)
+        assert np.array_equal(read_matrix(path).matrix, frame.matrix)
+        out = tmp_path / "cli.mat"
+        assert main(["construct", "steiner", "--v", "2", "--k", "2", "--hadamard", "dft",
+                     "-o", str(out)]) == 0
+        assert np.array_equal(read_matrix(out).matrix, frame.matrix)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.mat"
@@ -398,6 +418,20 @@ class TestGraphCommand:
         assert "all-ok: true" in text
         assert "q2-first-term: 36" in text
 
+    def test_sign_walk_budget_exits_three_without_a_file(self, tmp_path, capsys):
+        mat = tmp_path / "p13.mat"
+        rep = tmp_path / "rep.txt"
+        assert main(["construct", "paley", "--p", "13", "-o", str(mat)]) == 0
+        capsys.readouterr()
+        code = main(["graph", str(mat), "--trace-expansion", "0,1,2,3,4,5,6,7,8,9", "8",
+                     "-o", str(rep)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: sign-walk expansion requires 10000000000000000 sign walks, "
+            "exceeding the budget of 10000000\n"
+        )
+        assert not rep.exists()
+
     def test_canonicalize_at_any_anchor(self, tmp_path, paley5_file):
         # the strongly regular descendant is anchor-independent
         for anchor in (0, 3):
@@ -568,6 +602,20 @@ class TestMcCommand:
         )
         assert code == 0
         assert "violations: 0" in rep.read_text()
+
+    @pytest.mark.parametrize("m, needed", [("251", 5020000), ("1000000", 20000000000)])
+    def test_tail_block_over_budget_exits_three_without_a_file(self, tmp_path, capsys, m, needed):
+        rep = tmp_path / "rep.txt"
+        start = time.perf_counter()
+        code = main(["mc", "tail", "--m", m, "--k1", "2", "--k2", "2", "--trials", "20000",
+                     "--seed", "1", "-o", str(rep)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: a 20000x{m} tail block requires {needed} matrix entries, "
+            "exceeding the budget of 5000000\n"
+        )
+        assert not rep.exists()
 
     def test_fro_sweep_report(self, tmp_path):
         rep = tmp_path / "rep.txt"

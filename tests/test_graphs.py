@@ -170,7 +170,7 @@ class TestFlipCanonical:
         flipped = flip_canonical(paley13_real, anchor)
         row = np.delete(flipped.gram_array[anchor].real, anchor)
         assert np.all(row < 0)
-        assert verify_etf(flipped, 1e-12).all_ok
+        assert verify_etf(flipped).all_ok
 
     def test_preserves_gram_magnitudes(self, paley13_real):
         flipped = flip_canonical(paley13_real, 0)
@@ -512,9 +512,7 @@ class TestGramRoundTrip:
         for frame in (paley13_real, steiner_6x16):
             seidel, mu = seidel_from_gram(frame)
             rebuilt = np.eye(frame.n) + mu * seidel.entries
-            from ripcert.linalg import spectral_norm
-
-            assert spectral_norm((rebuilt - frame.gram_array).astype(complex)) < 1e-9
+            assert np.linalg.norm(rebuilt - frame.gram_array, 2) < 1e-9
 
 
 class TestFroEdgeCountIdentity:
