@@ -226,6 +226,37 @@ class TestRealify:
         with pytest.raises(NotRealError):
             realify(paley_etf(7, require_1mod4=False))
 
+    def test_global_phase_is_removed(self, steiner_6x16):
+        phased = Frame(steiner_6x16.matrix * np.exp(0.7j))
+        assert not phased.is_real
+        rotated = realify(phased)
+        assert rotated.is_real
+        assert np.linalg.norm(rotated.gram - steiner_6x16.gram, 2) < 1e-10
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e4])
+    def test_residual_gate_is_relative_to_the_gram_norm(self, steiner_6x16, scale):
+        # at scale 1e4 the Gram has norm ~3e8, so its rounding exceeds any
+        # absolute 1e-11 gate; the gate scales with s[0]^2 and still admits it
+        frame = Frame(steiner_6x16.matrix * scale)
+        rotated = realify(frame)
+        assert rotated.is_real
+        gram_norm = np.linalg.norm(frame.gram, 2)
+        assert np.linalg.norm(rotated.gram - frame.gram, 2) <= 1e-10 * max(gram_norm, 1.0)
+
+    def test_gram_norm_is_top_singular_value_squared(self, paley5, paley13, steiner_6x16):
+        for frame in (paley5, paley13, steiner_6x16, gaussian_matrix(5, 9, 3)):
+            stacked = np.vstack([frame.matrix.real, frame.matrix.imag])
+            top = float(np.linalg.svd(stacked, compute_uv=False)[0])
+            assert math.isclose(np.linalg.norm(frame.gram, 2), top**2, rel_tol=1e-10)
+
+    def test_rank_deficient_frame_keeps_one_row_per_rank(self):
+        rng = np.random.Generator(np.random.Philox(key=11))
+        a = rng.normal(size=(2, 7))
+        frame = Frame(np.vstack([a, a[:1], a[1:] - a[:1]]))
+        rotated = realify(frame)
+        assert (rotated.m, rotated.n) == (2, 7)
+        assert np.linalg.norm(rotated.gram - frame.gram, 2) < 1e-10
+
     @pytest.mark.parametrize("p", [37, 41, 53, 101, 197])
     def test_large_paley_frames_give_their_strongly_regular_graph(self, p):
         from ripcert import (

@@ -30,6 +30,7 @@ from ripcert.errors import (
     EnumerationBudgetError,
     InfeasibleSizeError,
     InvalidParameterError,
+    InvalidSelectionError,
     NotEtfError,
     NotJoinError,
     NotRegularError,
@@ -484,6 +485,58 @@ class TestSeidelTraceExpansion:
     def test_budget(self, paley13_real):
         with pytest.raises(EnumerationBudgetError):
             seidel_trace_expansion(paley13_real, (0, 1, 2, 3), 2, budget=10)
+
+    def test_signed_pair_is_exact(self):
+        frame = Frame(np.array([[1.0, -1.0]]))
+        for q in (1, 2, 3, 4):
+            result = seidel_trace_expansion(frame, (0, 1), q)
+            assert result.direct == 2.0
+            assert result.expansion == 2.0
+            assert result.tuple_sum == 2
+
+    def test_two_columns_every_q(self, paley13_real):
+        mu = paley13_real.coherence
+        for q in (1, 2, 3, 4):
+            result = seidel_trace_expansion(paley13_real, (0, 5), q)
+            assert math.isclose(result.direct, 2 * mu ** (2 * q), rel_tol=1e-10)
+            assert result.ok
+
+    def test_all_negative_steiner_block(self, steiner_6x16):
+        # G_K - I = -mu (J - I) with mu = 1/3 has eigenvalues -3 mu once and mu thrice
+        for q in (1, 2, 3):
+            result = seidel_trace_expansion(steiner_6x16, (0, 1, 2, 3), q)
+            assert math.isclose(result.direct, (3 ** (2 * q) + 3) / 3 ** (2 * q), rel_tol=1e-12)
+            assert result.ok
+        assert result.tuple_sum == 3**6 + 3
+
+    @pytest.mark.parametrize("p", [13, 29])
+    def test_direct_matches_spectrum_route(self, p):
+        frame = realify_paley(p)
+        rng = np.random.default_rng(p + 1)
+        for k in (3, 5, 7):
+            kset = sorted(rng.choice(frame.n, k, replace=False).tolist())
+            hollow = frame.gram_array[np.ix_(kset, kset)] - np.eye(k)
+            w = np.linalg.eigvalsh(hollow)
+            for q in (1, 2, 4):
+                direct = seidel_trace_expansion(frame, kset, q).direct
+                assert math.isclose(direct, float(np.sum(w ** (2 * q))), rel_tol=1e-10)
+
+    def test_q_must_be_a_positive_integer(self, paley13_real):
+        for q in (0, -1, 1.5):
+            with pytest.raises(InvalidParameterError):
+                seidel_trace_expansion(paley13_real, (0, 1, 2), q)
+
+    def test_rejects_bad_subsets(self, paley13_real):
+        with pytest.raises(InvalidSelectionError):
+            seidel_trace_expansion(paley13_real, (0, 0, 1), 1)
+        with pytest.raises(InvalidSelectionError):
+            seidel_trace_expansion(paley13_real, (0, paley13_real.n), 1)
+        with pytest.raises(InvalidParameterError):
+            seidel_trace_expansion(paley13_real, (3,), 1)
+
+    def test_non_etf_rejected(self):
+        with pytest.raises(NotEtfError):
+            seidel_trace_expansion(gaussian_matrix(8, 12, 1), (0, 1, 2), 1)
 
     @pytest.mark.parametrize("p", [13, 29])
     def test_trace_equals_closed_walk_enumeration(self, p):
