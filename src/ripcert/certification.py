@@ -335,7 +335,7 @@ def ric_exact_search(
         raise InvalidParameterError(f"need 1 <= k <= {n}, got k={k}")
     total = subset_count(n, k)
     require_budget(total, budget, f"exact isometry constant at K={k}")
-    g = frame.gram_array
+    g = frame.gram
 
     def kernel(chunk: np.ndarray) -> np.ndarray:
         return _screened(_hollow_subgrams(g, chunk), _spectral_radius, (1.0, -1.0))
@@ -405,7 +405,7 @@ def ric_power_search(
         raise InvalidParameterError(f"need integer q >= 1, got {q}")
     total = subset_count(n, k)
     require_budget(total, budget, f"trace power estimate at K={k}")
-    g = frame.gram_array
+    g = frame.gram
 
     def kernel(chunk: np.ndarray) -> np.ndarray:
         return _trace_power_roots(_hollow_subgrams(g, chunk), 2 * q)
@@ -430,7 +430,7 @@ def roc_exact_search(
         raise PreconditionError(f"need 1 <= k <= n/2 = {n // 2}, got k={k}")
     total = disjoint_pair_count(n, k)
     require_budget(total, budget, f"exact orthogonality constant at K={k}")
-    g = frame.gram_array
+    g = frame.gram
 
     def kernel(pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         first, second = pair
@@ -460,7 +460,7 @@ def fro_constant_search(
         raise PreconditionError("need at least two columns")
     total = mixed_pair_count(n, k)
     require_budget(total, budget, f"flat orthogonality constant at K={k}")
-    g = frame.gram_array
+    g = frame.gram
     # every subset of each size 1..min(k, n-1), sizes ascending, each size lexicographic
     tables = [_subset_table(n, size) for size in range(1, min(k, n - 1) + 1)]
     subs = [tuple(row) for table in tables for row in table.tolist()]
@@ -498,10 +498,11 @@ def _spark_clear_ratio(frame: Frame, size: int, tol: float) -> float:
     With u the unit roundoff, m rows and s = ``size`` columns (s <= m):
 
     - each Gram entry is a length-m inner product, off by at most
-      ~(m+2)u |phi_i||phi_j| <= (m+2)u lambda_max; a real ``gram_array``
-      also drops an imaginary part d <= d/nu * lambda_max, nu the smallest
-      squared column norm. ``eigvalsh`` is backward stable with error
-      ~s u lambda_max. By Weyl, every computed eigenvalue is within
+      ~(m+2)u |phi_i||phi_j| <= (m+2)u lambda_max; a float64 ``Frame.gram``
+      also dropped imaginary parts of at most its narrowing bound
+      d = ``DEFAULT_TOL`` max(1, max_i g_ii) <= d/nu * lambda_max, nu the
+      smallest squared column norm. ``eigvalsh`` is backward stable with
+      error ~s u lambda_max. By Weyl, every computed eigenvalue is within
       e_g * lambda_max of the exact one, e_g = s (16 (m+s) u + d/nu);
     - the SVD's singular values are within e_s * sigma_max of the exact
       ones, e_s = 16 (m+s) u.
@@ -514,9 +515,9 @@ def _spark_clear_ratio(frame: Frame, size: int, tol: float) -> float:
     """
     m = frame.m
     u = np.finfo(float).eps
-    g = frame.gram_array
-    dropped = 0.0 if np.iscomplexobj(g) else frame.gram_imag
-    e_g = size * (16 * (m + size) * u + dropped / float(frame.column_norms_squared.min()))
+    norms = frame.column_norms_squared
+    dropped = 0.0 if np.iscomplexobj(frame.gram) else DEFAULT_TOL * max(1.0, float(norms.max()))
+    e_g = size * (16 * (m + size) * u + dropped / float(norms.min()))
     e_s = 16 * (m + size) * u
     if e_g >= 1.0:
         return math.inf
@@ -548,7 +549,7 @@ def spark_search(
     total = sum(subset_count(n, s) for s in range(1, cap + 1))
     require_budget(total, budget, f"spark search up to size {cap}")
     mat = frame.matrix
-    g = frame.gram_array
+    g = frame.gram
     tested = 0
     for size in range(1, cap + 1):
         clear = _spark_clear_ratio(frame, size, tol)

@@ -125,26 +125,19 @@ class Frame:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """Read-only complex Gram matrix Phi* Phi, refused above ``_GRAM_BUDGET`` entries."""
+        """Read-only Gram matrix Phi* Phi, refused above ``_GRAM_BUDGET`` entries.
+
+        float64 when every imaginary part is within ``DEFAULT_TOL * max(1, max_i g_ii)``,
+        complex128 otherwise; every realness gate reads this dtype.
+        """
         n = self.n
         require_budget(n * n, _GRAM_BUDGET, f"the {n}x{n} gram matrix", "Gram entries")
         g = gram(self.matrix)
         if not np.isfinite(g).all():  # finite entries can still overflow
             raise InvalidParameterError("matrix entries must be finite")
-        return g
-
-    @cached_property
-    def gram_imag(self) -> float:
-        """Largest imaginary part of the Gram matrix, in magnitude."""
-        return float(np.abs(self.gram.imag).max())
-
-    @cached_property
-    def gram_array(self) -> np.ndarray:
-        """Gram matrix as an ndarray, real when ``gram_imag`` is within ``DEFAULT_TOL``."""
-        if self.gram_imag > DEFAULT_TOL:
-            return self.gram
-        g = np.array(self.gram.real)
-        g.setflags(write=False)
+        if float(np.abs(g.imag).max()) <= DEFAULT_TOL * max(1.0, float(g.diagonal().real.max())):
+            g = np.array(g.real)
+            g.setflags(write=False)
         return g
 
     @cached_property
@@ -361,15 +354,14 @@ def realify(frame: Frame) -> Frame:
     largest singular value form a real frame with that Gram, one row per
     Gram rank; the Gram's norm is s[0]^2.
     """
-    if frame.gram_imag > DEFAULT_TOL:
-        raise NotRealError(
-            f"gram matrix has imaginary part {frame.gram_imag:.3e} > tol; cannot realify"
-        )
+    if np.iscomplexobj(frame.gram):
+        imag = float(np.abs(frame.gram.imag).max())
+        raise NotRealError(f"gram matrix has imaginary part {imag:.3e} > tol; cannot realify")
     phi = frame.matrix
     _, s, vt = np.linalg.svd(np.vstack([phi.real, phi.imag]), full_matrices=False)
     keep = s > 1e-9 * s[0]
     psi = s[keep, None] * vt[keep]
-    resid = float(np.linalg.norm(psi.T @ psi - frame.gram.real, 2))
+    resid = float(np.linalg.norm(psi.T @ psi - frame.gram, 2))
     if resid > 10.0 * DEFAULT_TOL * max(float(s[0]) ** 2, 1.0):
         raise RipcertError(f"realified gram deviates by {resid:.3e}")
     return Frame(psi, label=f"{frame.label} realified".strip())

@@ -46,7 +46,6 @@ from .modular import is_prime, quadratic_residues
 from .subsets import DEFAULT_BUDGET, require_budget
 
 DEFAULT_CLIQUE_BUDGET = 10_000_000
-DEFAULT_TUPLE_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -190,12 +189,12 @@ def paley_graph(p: int) -> SimpleGraph:
 def seidel_from_gram(frame: Frame) -> tuple[SeidelMatrix, float]:
     """Sign pattern S and magnitude mu of a real equiangular frame's Gram.
 
-    Requires the tight-frame axioms at ``DEFAULT_TOL`` and a real Gram
-    matrix; every off-diagonal entry must match the coherence in magnitude
-    within ``DEFAULT_TOL``, and entries indistinguishable from zero are
-    refused.
+    Requires a real Gram matrix and the tight-frame axioms at
+    ``DEFAULT_TOL``, whose equiangularity spread already bounds every
+    off-diagonal magnitude's distance from the coherence; entries
+    indistinguishable from zero are refused.
     """
-    if frame.gram_imag > DEFAULT_TOL:
+    if np.iscomplexobj(frame.gram):
         raise NotRealError("gram matrix is not real; realify the frame first")
     report = verify_etf(frame)
     if not report.all_ok:
@@ -208,12 +207,7 @@ def seidel_from_gram(frame: Frame) -> tuple[SeidelMatrix, float]:
     mu = frame.coherence
     if mu <= DEFAULT_TOL:
         raise AmbiguousSignError("off-diagonal Gram entries vanish; signs are undefined")
-    off = frame.gram.real.copy()
-    np.fill_diagonal(off, 0.0)
-    mask = ~np.eye(frame.n, dtype=bool)
-    if float(np.abs(np.abs(off[mask]) - mu).max()) > DEFAULT_TOL:
-        raise NotEtfError("off-diagonal Gram magnitudes do not all equal the coherence")
-    signs = np.where(off > 0, 1, -1).astype(np.int8)
+    signs = np.where(frame.gram > 0, 1, -1).astype(np.int8)
     np.fill_diagonal(signs, 0)
     return SeidelMatrix(signs), mu
 
@@ -226,9 +220,9 @@ def flip_canonical(frame: Frame, anchor: int) -> Frame:
     """
     if not 0 <= anchor < frame.n:
         raise InvalidSelectionError(f"anchor {anchor} out of range")
-    if frame.gram_imag > DEFAULT_TOL:
+    if np.iscomplexobj(frame.gram):
         raise NotRealError("canonical flipping needs a real Gram matrix")
-    row = frame.gram.real[anchor].copy()
+    row = frame.gram[anchor].copy()
     row[anchor] = -1.0
     if float(np.abs(row).min()) <= DEFAULT_TOL:
         raise AmbiguousSignError(
@@ -305,7 +299,8 @@ def predicted_srg(m: int, n: int) -> SrgParams:
     A real m x n equiangular tight frame with n > m + 1 canonicalizes to
     a vertex joined with an srg(n-1, L, (3L-n)/2, L/2) graph, where
     L = n/2 - 1 + (1 - n/(2m)) sqrt(m(n-1)/(n-m)). Non-integer values
-    mean no real frame of that size exists.
+    mean no real frame of that size exists; negative ones (as for 1 x 4)
+    mean no strongly regular descendant does.
     """
     if n <= m + 1:
         raise InvalidParameterError(f"need n > m+1, got m={m}, n={n}")
@@ -318,7 +313,10 @@ def predicted_srg(m: int, n: int) -> SrgParams:
             f"no real frame of size {m}x{n}: parameters ({ell}, {lam}, {mu}) "
             "are not integers"
         )
-    return SrgParams(n - 1, round(ell), round(lam), round(mu))
+    params = (round(ell), round(lam), round(mu))
+    if min(params) < 0:
+        raise InfeasibleSizeError(f"size {m}x{n} has no srg descendant: (L, lambda, mu) = {params}")
+    return SrgParams(n - 1, *params)
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +465,7 @@ def clique_ric_identity(frame: Frame, g: SimpleGraph, k: int, anchor: int) -> Cl
 
     members = clique.clique[: k - 1]
     cols = sorted([anchor] + [v if v < anchor else v + 1 for v in members])
-    sub = frame.gram_array[np.ix_(cols, cols)].astype(np.complex128)
-    hollow = sub - np.eye(k)
+    hollow = frame.gram[np.ix_(cols, cols)].astype(np.complex128) - np.eye(k)
     value = float(np.abs(np.linalg.eigvalsh(hollow)).max())
     return CliqueRicReport(k, mu, search, predicted, tuple(cols), value)
 
@@ -542,9 +539,7 @@ class TraceExpansion:
         return agree
 
 
-def seidel_trace_expansion(
-    frame: Frame, kset, q: int, budget: int = DEFAULT_TUPLE_BUDGET
-) -> TraceExpansion:
+def seidel_trace_expansion(frame: Frame, kset, q: int) -> TraceExpansion:
     """Evaluate Tr[(sub-Gram - I)^(2q)] two independent ways.
 
     Directly by matrix powers, and as mu^(2q) times the sum over closed
@@ -552,9 +547,12 @@ def seidel_trace_expansion(
     consecutive entries equal, each contributing the product of sign
     matrix entries along the walk. S has a zero diagonal, so the walks
     that repeat an entry contribute nothing and the walk sum is the exact
-    integer trace of S_K^(2q). ``budget`` caps the k^(2q) walks it counts.
-    For q = 2 the walk sum splits into the backtracking term k(k-1)^2
-    plus a residual, both returned.
+    integer trace of S_K^(2q): one exact matrix power, whose
+    2 k^3 (2q).bit_length() integer multiply-adds are charged to
+    ``DEFAULT_BUDGET``. Subsets whose walk-sum bound k (k-1)^(2q) reaches
+    2^1024, past the float range, are refused. For q = 2 the walk sum
+    splits into the backtracking term k(k-1)^2 plus a residual, both
+    returned.
     """
     if not isinstance(q, int) or q < 1:
         raise InvalidParameterError(f"need integer q >= 1, got {q}")
@@ -567,10 +565,16 @@ def seidel_trace_expansion(
     k = len(cols)
     if k < 2:
         raise InvalidParameterError("need at least two columns")
-    require_budget(k ** (2 * q), budget, "sign-walk expansion", "sign walks")
+    # |Tr S_K^(2q)| <= k (k-1)^(2q), and k >= 3 makes it at least 2^(2q)
+    if k > 2 and (q >= 512 or k * (k - 1) ** (2 * q) >= 2**1024):
+        raise InvalidParameterError(f"k={k}, q={q}: the walk-sum bound k (k-1)^(2q) reaches 2^1024")
+    require_budget(
+        2 * k**3 * (2 * q).bit_length(), DEFAULT_BUDGET, "sign-walk expansion",
+        "integer multiply-adds",
+    )
     seidel, mu = seidel_from_gram(frame)
     s_sub = seidel.entries[np.ix_(cols, cols)].astype(np.int64)
-    hollow = frame.gram_array[np.ix_(cols, cols)] - np.eye(k)
+    hollow = frame.gram[np.ix_(cols, cols)] - np.eye(k)
     direct = float(np.trace(np.linalg.matrix_power(hollow.astype(np.complex128), 2 * q)).real)
 
     total = int(np.trace(np.linalg.matrix_power(s_sub.astype(object), 2 * q)))

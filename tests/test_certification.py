@@ -199,7 +199,7 @@ class TestRicPower:
     def test_matches_plain_trace_route(self):
         # the scaled exponentiation must agree with direct matrix powers
         frame = gaussian_matrix(6, 10, 3)
-        g = frame.gram_array
+        g = frame.gram
         k, q = 3, 2
         best = 0.0
         for sub in itertools.combinations(range(10), k):
@@ -230,7 +230,7 @@ class TestRocExact:
         # restricting to |I| = |J| = K loses nothing: the cross-Gram norm
         # is monotone under adding columns
         frame = gaussian_matrix(4, 7, 9)
-        g = frame.gram_array
+        g = frame.gram
         for k in (1, 2, 3):
             subs = [
                 c
@@ -285,7 +285,7 @@ class TestFroConstant:
     @pytest.mark.parametrize("m, n, k, seed", [(5, 8, 3, 17), (4, 6, 5, 3), (4, 6, 9, 3)])
     def test_matches_bruteforce(self, m, n, k, seed):
         frame = gaussian_matrix(m, n, seed)
-        g = frame.gram_array
+        g = frame.gram
         subs = [
             c for size in range(1, k + 1) for c in itertools.combinations(range(n), size)
         ]
@@ -613,7 +613,7 @@ class TestScreen:
         monkeypatch.setattr(certification, "_SCREEN_TOP", top)
         TestChunkIndependence._set_chunk(monkeypatch, 64, [])
         fn(frame, k)
-        g = frame.gram_array
+        g = frame.gram
         settled = 0
         for chunk, values in seen:
             reference = full(g, chunk)

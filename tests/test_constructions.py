@@ -226,6 +226,27 @@ class TestRealify:
         with pytest.raises(NotRealError):
             realify(paley_etf(7, require_1mod4=False))
 
+    def test_realness_tolerance_scales_with_the_gram(self, paley13):
+        # scaled by 1e4 the Gram's rounding leaves imaginary parts ~1e-7,
+        # far above 1e-12 but within 1e-12 * max g_ii = 1e-4
+        frame = Frame(paley13.matrix * 1e4)
+        assert frame.gram.dtype == np.float64
+        rotated = realify(frame)
+        assert rotated.is_real
+        assert (rotated.m, rotated.n) == (7, 14)
+        gram_norm = np.linalg.norm(frame.gram, 2)
+        assert np.linalg.norm(rotated.gram - frame.gram, 2) <= 1e-10 * gram_norm
+
+    def test_complex_gram_stays_complex_when_scaled(self):
+        frame = Frame(paley_etf(7, require_1mod4=False).matrix * 1e4)
+        assert frame.gram.dtype == np.complex128
+        with pytest.raises(NotRealError, match="cannot realify"):
+            realify(frame)
+
+    def test_gram_is_read_only_in_both_dtypes(self, paley13):
+        for frame in (paley13, paley_etf(7, require_1mod4=False)):
+            assert not frame.gram.flags.writeable
+
     def test_global_phase_is_removed(self, steiner_6x16):
         phased = Frame(steiner_6x16.matrix * np.exp(0.7j))
         assert not phased.is_real

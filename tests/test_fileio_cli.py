@@ -419,16 +419,51 @@ class TestGraphCommand:
         assert "q2-first-term: 36" in text
 
     def test_sign_walk_budget_exits_three_without_a_file(self, tmp_path, capsys):
+        # the matrix power costs 2 k^3 log2(2q) = 2 * 95^3 * 3 multiply-adds
+        mat = tmp_path / "p101.mat"
+        rep = tmp_path / "rep.txt"
+        assert main(["construct", "paley", "--p", "101", "-o", str(mat)]) == 0
+        capsys.readouterr()
+        kset = ",".join(str(c) for c in range(95))
+        code = main(["graph", str(mat), "--trace-expansion", kset, "2", "-o", str(rep)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: sign-walk expansion requires 5144250 integer multiply-adds, "
+            "exceeding the budget of 5000000\n"
+        )
+        assert not rep.exists()
+
+    def test_ten_columns_at_q8_now_run(self, tmp_path):
+        # 10^16 sign walks, once refused, are one 10 x 10 integer matrix power
+        mat = tmp_path / "p13.mat"
+        rep = tmp_path / "rep.txt"
+        assert main(["construct", "paley", "--p", "13", "-o", str(mat)]) == 0
+        code = main(["graph", str(mat), "--trace-expansion", "0,1,2,3,4,5,6,7,8,9", "8",
+                     "-o", str(rep)])
+        assert code == 0
+        assert "ok: true" in rep.read_text().split("[trace-expansion]")[1]
+
+    def test_walk_sum_past_the_float_range_exits_one(self, tmp_path, capsys):
         mat = tmp_path / "p13.mat"
         rep = tmp_path / "rep.txt"
         assert main(["construct", "paley", "--p", "13", "-o", str(mat)]) == 0
         capsys.readouterr()
-        code = main(["graph", str(mat), "--trace-expansion", "0,1,2,3,4,5,6,7,8,9", "8",
-                     "-o", str(rep)])
-        assert code == 3
+        code = main(["graph", str(mat), "--trace-expansion", "0,1,2,3", "2000", "-o", str(rep)])
+        assert code == 1
         assert capsys.readouterr().err == (
-            "error: sign-walk expansion requires 10000000000000000 sign walks, "
-            "exceeding the budget of 10000000\n"
+            "error: k=4, q=2000: the walk-sum bound k (k-1)^(2q) reaches 2^1024\n"
+        )
+        assert not rep.exists()
+
+    def test_srg_check_on_a_1x4_frame_exits_four(self, tmp_path, capsys):
+        mat = tmp_path / "s.mat"
+        rep = tmp_path / "rep.txt"
+        assert main(["construct", "steiner", "--v", "2", "--k", "2", "-o", str(mat)]) == 0
+        capsys.readouterr()
+        code = main(["graph", str(mat), "--srg-check", "-o", str(rep)])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "error: size 1x4 has no srg descendant: (L, lambda, mu) = (0, -2, 0)\n"
         )
         assert not rep.exists()
 

@@ -15,6 +15,7 @@ from ripcert import (
     join_decompose,
     negate_columns,
     paley_clique_number,
+    paley_etf,
     paley_graph,
     predicted_srg,
     seidel_from_gram,
@@ -33,6 +34,7 @@ from ripcert.errors import (
     InvalidSelectionError,
     NotEtfError,
     NotJoinError,
+    NotRealError,
     NotRegularError,
 )
 from ripcert.graphs import CliqueResult, SimpleGraph, SrgParams
@@ -169,14 +171,14 @@ class TestFlipCanonical:
     def test_anchor_row_all_negative(self, paley13_real):
         anchor = paley13_real.n - 1
         flipped = flip_canonical(paley13_real, anchor)
-        row = np.delete(flipped.gram_array[anchor].real, anchor)
+        row = np.delete(flipped.gram[anchor].real, anchor)
         assert np.all(row < 0)
         assert verify_etf(flipped).all_ok
 
     def test_preserves_gram_magnitudes(self, paley13_real):
         flipped = flip_canonical(paley13_real, 0)
         assert np.allclose(
-            np.abs(flipped.gram_array), np.abs(paley13_real.gram_array), atol=1e-12
+            np.abs(flipped.gram), np.abs(paley13_real.gram), atol=1e-12
         )
 
     def test_double_negation_is_identity(self, paley5_real):
@@ -188,6 +190,17 @@ class TestFlipCanonical:
         flipped = flip_canonical(paley13_real, 2)
         again = flip_canonical(flipped, 2)
         assert np.array_equal(flipped.matrix, again.matrix)
+
+
+class TestRealnessGates:
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    def test_complex_gram_is_refused(self, scale):
+        frame = Frame(paley_etf(7, require_1mod4=False).matrix * scale)
+        assert frame.gram.dtype == np.complex128
+        with pytest.raises(NotRealError, match="realify the frame first"):
+            seidel_from_gram(frame)
+        with pytest.raises(NotRealError, match="needs a real Gram matrix"):
+            flip_canonical(frame, 0)
 
 
 class TestGraphFromSeidel:
@@ -263,6 +276,15 @@ class TestPredictedSrg:
     def test_requires_overcompleteness(self):
         with pytest.raises(InvalidParameterError):
             predicted_srg(6, 7)
+
+    def test_negative_parameters_are_refused_with_the_size(self):
+        # a real 1 x 4 ETF exists (the Steiner frame of v = k = 2), but its
+        # parameters L = 0, lambda = -2, mu = 0 describe no graph
+        with pytest.raises(InfeasibleSizeError) as info:
+            predicted_srg(1, 4)
+        message = str(info.value)
+        assert "1x4" in message and "(0, -2, 0)" in message
+        assert "no real frame" not in message
 
 
 class TestJoinDecompose:
@@ -482,9 +504,25 @@ class TestSeidelTraceExpansion:
             for q in (1, 2):
                 assert seidel_trace_expansion(paley13_real, kset, q).ok
 
-    def test_budget(self, paley13_real):
-        with pytest.raises(EnumerationBudgetError):
-            seidel_trace_expansion(paley13_real, (0, 1, 2, 3), 2, budget=10)
+    def test_budget(self):
+        # 2 k^3 log2(2q) multiply-adds: 2 * 95^3 * 3 > 5,000,000, charged
+        # before the frame is read, so any frame with 95 columns shows it
+        with pytest.raises(EnumerationBudgetError, match="5144250 integer multiply-adds"):
+            seidel_trace_expansion(gaussian_matrix(2, 95, 1), range(95), 2)
+
+    def test_walk_counts_past_the_old_budget_run(self, paley13_real):
+        # 10^16 sign walks, refused while the budget counted walks
+        assert seidel_trace_expansion(paley13_real, range(10), 8).ok
+        assert seidel_trace_expansion(paley13_real, range(14), 20).ok
+
+    def test_walk_sums_past_the_float_range_are_refused(self, paley13_real):
+        with pytest.raises(InvalidParameterError, match="k=4, q=2000"):
+            seidel_trace_expansion(paley13_real, (0, 1, 2, 3), 2000)
+        # 3 * 2^1022 stays below 2^1024; two columns never overflow
+        assert seidel_trace_expansion(paley13_real, (0, 1, 2), 511).ok
+        with pytest.raises(InvalidParameterError):
+            seidel_trace_expansion(paley13_real, (0, 1, 2), 512)
+        assert seidel_trace_expansion(paley13_real, (0, 1), 10**6).ok
 
     def test_signed_pair_is_exact(self):
         frame = Frame(np.array([[1.0, -1.0]]))
@@ -515,7 +553,7 @@ class TestSeidelTraceExpansion:
         rng = np.random.default_rng(p + 1)
         for k in (3, 5, 7):
             kset = sorted(rng.choice(frame.n, k, replace=False).tolist())
-            hollow = frame.gram_array[np.ix_(kset, kset)] - np.eye(k)
+            hollow = frame.gram[np.ix_(kset, kset)] - np.eye(k)
             w = np.linalg.eigvalsh(hollow)
             for q in (1, 2, 4):
                 direct = seidel_trace_expansion(frame, kset, q).direct
@@ -565,7 +603,7 @@ class TestGramRoundTrip:
         for frame in (paley13_real, steiner_6x16):
             seidel, mu = seidel_from_gram(frame)
             rebuilt = np.eye(frame.n) + mu * seidel.entries
-            assert np.linalg.norm(rebuilt - frame.gram_array, 2) < 1e-9
+            assert np.linalg.norm(rebuilt - frame.gram, 2) < 1e-9
 
 
 class TestFroEdgeCountIdentity:

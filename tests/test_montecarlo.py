@@ -81,7 +81,7 @@ class TestFroTrials:
         assert outcome.failures  # the theorem threshold is tiny at this scale
         for witness in outcome.failures:
             frame = cfg.draw(witness.trial)
-            g = frame.gram_array
+            g = frame.gram
             if witness.reason == "fro-constant":
                 wi, wj = witness.subsets
                 value = abs(sum(g[i, j] for i in wi for j in wj)) / math.sqrt(
