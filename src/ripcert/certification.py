@@ -499,11 +499,11 @@ def _spark_clear_ratio(frame: Frame, size: int, tol: float) -> float:
 
     - each Gram entry is a length-m inner product, off by at most
       ~(m+2)u |phi_i||phi_j| <= (m+2)u lambda_max; a float64 ``Frame.gram``
-      also dropped imaginary parts of at most its narrowing bound
-      d = ``DEFAULT_TOL`` max(1, max_i g_ii) <= d/nu * lambda_max, nu the
-      smallest squared column norm. ``eigvalsh`` is backward stable with
-      error ~s u lambda_max. By Weyl, every computed eigenvalue is within
-      e_g * lambda_max of the exact one, e_g = s (16 (m+s) u + d/nu);
+      also dropped imaginary parts |E_ij| <= r |phi_i||phi_j|, r =
+      ``Frame.gram_dropped_tol``, so |E|_2 <= r trace <= s r lambda_max.
+      ``eigvalsh`` is backward stable with error ~s u lambda_max. By Weyl,
+      every computed eigenvalue is within e_g * lambda_max of the exact
+      one, e_g = s (16 (m+s) u + r);
     - the SVD's singular values are within e_s * sigma_max of the exact
       ones, e_s = 16 (m+s) u.
 
@@ -515,9 +515,7 @@ def _spark_clear_ratio(frame: Frame, size: int, tol: float) -> float:
     """
     m = frame.m
     u = np.finfo(float).eps
-    norms = frame.column_norms_squared
-    dropped = 0.0 if np.iscomplexobj(frame.gram) else DEFAULT_TOL * max(1.0, float(norms.max()))
-    e_g = size * (16 * (m + size) * u + dropped / float(norms.min()))
+    e_g = size * (16 * (m + size) * u + frame.gram_dropped_tol)
     e_s = 16 * (m + size) * u
     if e_g >= 1.0:
         return math.inf

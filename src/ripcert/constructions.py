@@ -125,20 +125,23 @@ class Frame:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """Read-only Gram matrix Phi* Phi, refused above ``_GRAM_BUDGET`` entries.
-
-        float64 when every imaginary part is within ``DEFAULT_TOL * max(1, max_i g_ii)``,
-        complex128 otherwise; every realness gate reads this dtype.
-        """
+        """Read-only Gram matrix Phi* Phi, refused above ``_GRAM_BUDGET`` entries: float64
+        when every |Im g_ij| <= ``DEFAULT_TOL`` sqrt(g_ii g_jj), else complex128."""
         n = self.n
         require_budget(n * n, _GRAM_BUDGET, f"the {n}x{n} gram matrix", "Gram entries")
         g = gram(self.matrix)
         if not np.isfinite(g).all():  # finite entries can still overflow
             raise InvalidParameterError("matrix entries must be finite")
-        if float(np.abs(g.imag).max()) <= DEFAULT_TOL * max(1.0, float(g.diagonal().real.max())):
+        norms = np.sqrt(g.diagonal().real)
+        if (np.abs(g.imag) <= DEFAULT_TOL * np.outer(norms, norms)).all():
             g = np.array(g.real)
             g.setflags(write=False)
         return g
+
+    @property
+    def gram_dropped_tol(self) -> float:
+        """r with every |Im g_ij| that ``gram`` dropped <= r sqrt(g_ii g_jj); 0 if complex."""
+        return 0.0 if np.iscomplexobj(self.gram) else DEFAULT_TOL
 
     @cached_property
     def column_norms_squared(self) -> np.ndarray:

@@ -164,6 +164,11 @@ class TestRicExact:
             roc_exact_search(complex_gram, 1).value, mu, abs_tol=1e-12
         )
 
+    def test_one_long_column_keeps_the_cross_gram_complex(self):
+        data = np.array([[0, 1, 1j / math.sqrt(2)], [0, 0, 1 / math.sqrt(2)], [1e6, 0, 0]])
+        result = roc_exact_search(Frame(data), 1)
+        assert math.isclose(result.value, 1 / math.sqrt(2), rel_tol=1e-12)
+
 
 class TestRicPower:
     def test_etf_q1_closed_form(self, steiner_6x16, paley13_real):

@@ -228,7 +228,7 @@ class TestRealify:
 
     def test_realness_tolerance_scales_with_the_gram(self, paley13):
         # scaled by 1e4 the Gram's rounding leaves imaginary parts ~1e-7,
-        # far above 1e-12 but within 1e-12 * max g_ii = 1e-4
+        # far above 1e-12 but within 1e-12 * sqrt(g_ii g_jj) = 1e-4
         frame = Frame(paley13.matrix * 1e4)
         assert frame.gram.dtype == np.float64
         rotated = realify(frame)
@@ -397,6 +397,19 @@ class TestFrameValidation:
         assert not frame.matrix.flags.writeable
         assert np.array_equal(frame.matrix, data)
         assert data.flags.writeable
+
+    def test_tiny_complex_gram_stays_complex(self):
+        # every Gram entry is below 1e-12, yet its imaginary parts are not rounding
+        frame = Frame(paley_etf(7, require_1mod4=False).matrix * 1e-7)
+        assert frame.gram.dtype == np.complex128
+        assert math.isclose(frame.coherence, 1e-14 / math.sqrt(7), rel_tol=1e-9)
+
+    def test_one_long_column_keeps_the_others_complex(self):
+        # a column of norm 1e6 must not widen the realness allowance of g_12 = 0.707i
+        data = np.array([[0, 1, 1j / math.sqrt(2)], [0, 0, 1 / math.sqrt(2)], [1e6, 0, 0]])
+        frame = Frame(data)
+        assert frame.gram.dtype == np.complex128
+        assert math.isclose(frame.coherence, 1 / math.sqrt(2), rel_tol=1e-12)
 
     def test_zero_column_rejected(self):
         data = np.eye(3)
