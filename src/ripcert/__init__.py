@@ -11,14 +11,12 @@ clique-forced isometry constants, and expander mixing.
 __version__ = "0.1.0"
 
 from .certification import (
-    AppendixConstants,
     CertificationReport,
     EtfReport,
     IteratedRoBound,
     PairSearch,
     SparkResult,
     SubsetSearch,
-    appendix_constants,
     certify_frame,
     delta1,
     fro_constant_search,
@@ -51,7 +49,6 @@ from .constructions import (
 )
 from .graphs import (
     CliqueResult,
-    CliqueRicReport,
     MixingCheck,
     SeidelMatrix,
     SimpleGraph,
@@ -59,7 +56,6 @@ from .graphs import (
     SrgParams,
     TraceExpansion,
     clique_number,
-    clique_ric_identity,
     expander_mixing_check,
     flip_canonical,
     graph_from_seidel,

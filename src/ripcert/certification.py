@@ -577,31 +577,6 @@ def spark_search(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AppendixConstants:
-    """Constants of the flat-to-plain orthogonality bound proof.
-
-    ``c_from_formula`` is what the constant chain actually evaluates to
-    (4 * (c0 + c1/ln 2)); ``c_quoted`` and ``c_headline`` are the values
-    stated alongside it. They disagree, and both are reported without
-    reconciliation.
-    """
-
-    c0: float
-    c1: float
-    c_prime: float
-    c_from_formula: float
-    c_quoted: float = 74.17
-    c_headline: float = FRO_C
-
-
-def appendix_constants() -> AppendixConstants:
-    c0 = 4.0 / LN2
-    c1 = 4.0 * (1.0 + 1.0 / LN2 + 1.0 / (2.0 * LN2) ** 2)
-    c_prime = c0 + c1 / LN2
-    return AppendixConstants(c0, c1, c_prime, 4.0 * c_prime)
-
-
 def select_t(k: int) -> int:
     """Smallest positive integer t with sqrt(k) 2^-t <= t^(-1/2) / (2 ln 2)."""
     if k < 2:

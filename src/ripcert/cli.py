@@ -354,6 +354,8 @@ def _cmd_certify(args) -> int:
 
 
 def _run_mixing(writer: ReportWriter, g, trials: int, seed: int) -> list[str]:
+    if g.n == 0:
+        raise InvalidParameterError("--mixing needs a graph with at least one vertex")
     rng = _generator(seed)
     violations = []
     worst = 0.0

@@ -8,9 +8,11 @@ others, removing the anchor leaves a strongly regular graph whose
 parameters depend only on the frame dimensions. This module builds and
 checks all of that, plus quadratic-residue (Paley) graphs, exact clique
 numbers by branch and bound (for Paley graphs on the common neighbourhood
-of one edge, by arc-transitivity), the clique identity for the exact
-isometry constant, the expander mixing inequality, and the sign-walk
-expansion of trace powers as an exact integer trace.
+of one edge, by arc-transitivity), the expander mixing inequality, and
+the sign-walk expansion of trace powers as an exact integer trace. The
+clique identity delta_K = (K-1)*mu for K <= omega+1 needs no function of
+its own: ``clique_number`` gives omega and ``ric_exact_search`` gives
+delta_K.
 """
 
 from __future__ import annotations
@@ -21,12 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .certification import (
-    CHECK_SLACK,
-    SubsetSearch,
-    ric_exact_search,
-    verify_etf,
-)
+from .certification import CHECK_SLACK, verify_etf
 from .constructions import Frame, negate_columns
 from .errors import (
     AmbiguousSignError,
@@ -39,7 +36,6 @@ from .errors import (
     NotJoinError,
     NotRealError,
     NotRegularError,
-    PreconditionError,
 )
 from .linalg import DEFAULT_TOL
 from .modular import is_prime, quadratic_residues
@@ -422,54 +418,6 @@ def paley_clique_number(g: SimpleGraph) -> CliqueResult:
     return CliqueResult(inner.size + 2, clique, inner.exact, inner.nodes)
 
 
-@dataclass(frozen=True)
-class CliqueRicReport:
-    """Exact isometry constant against its clique-forced value (k-1)*mu."""
-
-    k: int
-    mu: float
-    exact: SubsetSearch
-    predicted: float
-    clique_columns: tuple[int, ...]
-    clique_value: float
-
-    @property
-    def ok(self) -> bool:
-        return (
-            abs(self.exact.value - self.predicted) <= CHECK_SLACK
-            and abs(self.clique_value - self.predicted) <= CHECK_SLACK
-        )
-
-
-def clique_ric_identity(frame: Frame, g: SimpleGraph, k: int, anchor: int) -> CliqueRicReport:
-    """Check that the exact isometry constant equals (k-1)*mu for k <= omega+1.
-
-    ``g`` is the graph left after removing the universal anchor vertex,
-    its vertex i standing for frame column i (shifted past the anchor).
-    The witness is a (k-1)-clique of g joined with the anchor, whose
-    hollow sub-Gram has norm exactly (k-1)*mu.
-    """
-    if g.n != frame.n - 1:
-        raise MatrixShapeError("graph must have one vertex per non-anchor column")
-    if not 0 <= anchor < frame.n:
-        raise InvalidSelectionError(f"anchor {anchor} out of range")
-    clique = clique_number(g)
-    if not clique.exact:
-        raise PreconditionError("clique search budget exhausted; omega unknown")
-    omega = clique.size
-    if not 1 <= k <= omega + 1:
-        raise PreconditionError(f"need 1 <= k <= omega+1 = {omega + 1}, got k={k}")
-    mu = frame.coherence
-    search = ric_exact_search(frame, k)
-    predicted = (k - 1) * mu
-
-    members = clique.clique[: k - 1]
-    cols = sorted([anchor] + [v if v < anchor else v + 1 for v in members])
-    hollow = frame.gram[np.ix_(cols, cols)].astype(np.complex128) - np.eye(k)
-    value = float(np.abs(np.linalg.eigvalsh(hollow)).max())
-    return CliqueRicReport(k, mu, search, predicted, tuple(cols), value)
-
-
 # ---------------------------------------------------------------------------
 # Expander mixing and trace expansion
 # ---------------------------------------------------------------------------
@@ -556,8 +504,9 @@ def seidel_trace_expansion(frame: Frame, kset, q: int) -> TraceExpansion:
     """
     if not isinstance(q, int) or q < 1:
         raise InvalidParameterError(f"need integer q >= 1, got {q}")
-    cols = sorted({int(x) for x in kset})
-    if len(cols) != len(list(kset)):
+    picked = [int(x) for x in kset]
+    cols = sorted(set(picked))
+    if len(cols) != len(picked):
         raise InvalidSelectionError("subset contains duplicates")
     for c in cols:
         if not 0 <= c < frame.n:

@@ -59,8 +59,8 @@ class TrialConfig:
             raise InvalidParameterError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if self.ensemble not in ("gaussian", "bernoulli"):
             raise InvalidParameterError(f"unknown ensemble {self.ensemble!r}")
-        if self.delta <= 0:
-            raise InvalidParameterError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise InvalidParameterError(f"delta must be finite and positive, got {self.delta}")
 
     def draw(self, trial: int) -> Frame:
         seed = trial_seed(self.base_seed, trial)
@@ -99,7 +99,6 @@ class TrialOutcome:
     trials: int
     successes: int
     values: tuple[float, ...]
-    delta1_values: tuple[float, ...]
     failures: tuple[FailureWitness, ...]
     thresholds: tuple[tuple[str, float], ...]
     meets_measurement_bound: bool | None = None
@@ -116,27 +115,24 @@ class TrialOutcome:
 def _run_trials(cfg: TrialConfig, measure):
     """Draw and measure every trial of ``cfg``, in parallel, reduced in order.
 
-    ``measure(frame)`` returns the trial's value, its delta1 (or None) and
-    the (reason, value, subsets) of each criterion the frame failed; a
-    trial succeeds when it failed none. Trials run on one pool of
-    ``worker_count()`` threads and are consumed in trial order, so the
-    outcome does not depend on the worker count. Returns the success
-    count, the values, the delta1 values and the failure witnesses.
+    ``measure(frame)`` returns the trial's value and the (reason, value,
+    subsets) of each criterion the frame failed; a trial succeeds when it
+    failed none. Trials run on one pool of ``worker_count()`` threads and
+    are consumed in trial order, so the outcome does not depend on the
+    worker count. Returns the success count, the values and the failure
+    witnesses.
     """
     successes = 0
     values: list[float] = []
-    d1_values: list[float] = []
     failures: list[FailureWitness] = []
     results = ordered_map(lambda t: measure(cfg.draw(t)), range(cfg.trials), worker_count())
-    for t, (value, d1, failed) in enumerate(results):
+    for t, (value, failed) in enumerate(results):
         values.append(value)
-        if d1 is not None:
-            d1_values.append(d1)
         if not failed:
             successes += 1
         seed = trial_seed(cfg.base_seed, t)
         failures.extend(FailureWitness(t, seed, *fail) for fail in failed)
-    return successes, tuple(values), tuple(d1_values), tuple(failures)
+    return successes, tuple(values), tuple(failures)
 
 
 def run_fro_trials(cfg: TrialConfig) -> TrialOutcome:
@@ -159,7 +155,7 @@ def run_fro_trials(cfg: TrialConfig) -> TrialOutcome:
             failed.append(("fro-constant", search.value, (search.witness_i, search.witness_j)))
         if d1 > d1_thr:
             failed.append(("delta1", d1, ((d1_col,),)))
-        return search.value, d1, failed
+        return search.value, failed
 
     return TrialOutcome(
         cfg.trials,
@@ -181,8 +177,8 @@ def run_power_trials(cfg: TrialConfig) -> TrialOutcome:
     def measure(frame):
         search = ric_power_search(frame, cfg.k, cfg.q, workers=1)
         if search.value <= cfg.delta:
-            return search.value, None, ()
-        return search.value, None, (("power", search.value, (search.witness,)),)
+            return search.value, ()
+        return search.value, (("power", search.value, (search.witness,)),)
 
     needed = 81.0 / cfg.delta**2 * cfg.k ** (1.0 + 1.0 / cfg.q) * math.log(
         math.e * cfg.n / cfg.k
@@ -329,36 +325,3 @@ def column_sum_tail(m: int, k1: int, k2: int, trials: int, seed: int) -> TailTab
         for i, th in enumerate(_TAIL_GRID)
     )
     return TailTable(m, k1, k2, trials, seed, rows)
-
-
-# ---------------------------------------------------------------------------
-# Tail bounds in their provable regimes
-# ---------------------------------------------------------------------------
-
-
-def fro_failure_bound(m: int, n: int, k: int, theta_hat: float) -> float:
-    """Union bound 2 exp(-m theta_hat^2/4) n^(2k) on missing flat orthogonality.
-
-    Valid as a theorem for Gaussian frames when theta_hat <= 1/2.
-    """
-    return 2.0 * math.exp(-m * theta_hat**2 / 4.0 + 2 * k * math.log(n))
-
-
-def delta1_tail_bound(m: int, n: int, d: float) -> float:
-    """Union bound 2 n exp(-m d^2 / 16) on the column-norm deviation tail.
-
-    Follows from the chi-square concentration of squared column norms
-    for d <= 4; the looser linear-exponent form printed alongside it is
-    not a theorem at small d and is deliberately not used here.
-    """
-    if not 0 < d <= 4:
-        raise InvalidParameterError("the bound applies for 0 < d <= 4")
-    return 2.0 * n * math.exp(-m * d * d / 16.0)
-
-
-def observed_tail(values, threshold: float) -> float:
-    """Fraction of recorded values strictly above a threshold."""
-    vals = list(values)
-    if not vals:
-        raise InvalidParameterError("no values recorded")
-    return sum(1 for v in vals if v > threshold) / len(vals)

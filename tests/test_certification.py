@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ripcert import (
-    appendix_constants,
     bernoulli_matrix,
     certify_frame,
     delta1,
@@ -320,11 +319,6 @@ class TestBoundChains:
     def test_simple_mode_value(self):
         assert math.isclose(fro_to_ro_bound(3, 1.0), 75 * math.log(3), rel_tol=1e-15)
         assert math.isclose(fro_to_ro_bound(3, 0.5), 37.5 * math.log(3), rel_tol=1e-15)
-
-    def test_appendix_constants_match_quoted_decimals(self):
-        consts = appendix_constants()
-        assert round(consts.c0, 2) == 5.77
-        assert round(consts.c1, 2) == 11.85
 
     def test_t_selection(self):
         assert select_t(4) <= 2

@@ -536,6 +536,15 @@ class TestGraphCommand:
         assert capsys.readouterr().err.startswith("error: --mixing must be >= 0, got -5")
         assert not (tmp_path / "rep.txt").exists()
 
+    def test_mixing_on_a_graph_without_vertices_is_usage_error(self, tmp_path, capsys):
+        gfile = tmp_path / "g0.graph"
+        gfile.write_text("ripgraph 1\nvertices 0\n")
+        rep = tmp_path / "rep.txt"
+        code = main(["graph", "--graph-in", str(gfile), "--mixing", "3", "-o", str(rep)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --mixing needs a graph with")
+        assert not rep.exists()
+
     def test_more_than_one_input_is_usage_error(self, tmp_path, paley5_file, capsys):
         gfile = tmp_path / "g.graph"
         write_graph(gfile, SimpleGraph.from_edges(3, [(0, 1)]))
@@ -669,6 +678,19 @@ class TestMcCommand:
         )
         assert code == 0
         assert "meets-measurement-bound:" in rep.read_text()
+
+    @pytest.mark.parametrize("kind", ["fro", "power"])
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_delta_is_usage_error(self, tmp_path, capsys, kind, delta):
+        rep = tmp_path / "rep.txt"
+        q = ["--q", "1"] if kind == "power" else []
+        code = main(
+            ["mc", kind, "--m", "8", "--n", "10", "--k", "2", *q, "--delta", delta,
+             "--trials", "3", "--seed", "1", "-o", str(rep)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: delta must be finite and positive")
+        assert not rep.exists()
 
     @pytest.mark.parametrize(
         "argv, workers",

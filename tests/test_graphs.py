@@ -6,7 +6,6 @@ import pytest
 
 from ripcert import (
     clique_number,
-    clique_ric_identity,
     expander_mixing_check,
     flip_canonical,
     fro_constant_search,
@@ -18,6 +17,7 @@ from ripcert import (
     paley_etf,
     paley_graph,
     predicted_srg,
+    ric_exact_search,
     seidel_from_gram,
     seidel_trace_expansion,
     srg_check,
@@ -389,44 +389,44 @@ class TestPaleyCliqueNumber:
         assert_clique(g, result.clique)
 
 
+def descendant_of(frame):
+    anchor = frame.n - 1
+    flipped = flip_canonical(frame, anchor)
+    seidel, mu = seidel_from_gram(flipped)
+    return flipped, mu, join_decompose(graph_from_seidel(seidel), anchor)
+
+
+def assert_clique_identity(flipped, mu, descendant, ks=None):
+    """delta_K and the anchor-plus-clique sub-Gram norm equal (K-1)*mu.
+
+    ``descendant`` is the graph left after removing the anchor, the last
+    column of ``flipped``, so its vertex v stands for column v. ``ks``
+    defaults to every K from 2 to omega+1.
+    """
+    anchor = flipped.n - 1
+    clique = clique_number(descendant)
+    assert clique.exact
+    for k in ks or range(2, clique.size + 2):
+        cols = [*clique.clique[: k - 1], anchor]
+        hollow = flipped.gram[np.ix_(cols, cols)] - np.eye(k)
+        clique_value = np.abs(np.linalg.eigvalsh(hollow)).max()
+        assert math.isclose(ric_exact_search(flipped, k).value, (k - 1) * mu, abs_tol=1e-9)
+        assert math.isclose(clique_value, (k - 1) * mu, abs_tol=1e-9)
+
+
 class TestCliqueRicIdentity:
     def test_k2_on_any_real_etf(self, steiner_6x16):
-        anchor = steiner_6x16.n - 1
-        flipped = flip_canonical(steiner_6x16, anchor)
-        seidel, _ = seidel_from_gram(flipped)
-        descendant = join_decompose(graph_from_seidel(seidel), anchor)
-        report = clique_ric_identity(flipped, descendant, 2, anchor)
-        assert report.ok
-        assert math.isclose(report.exact.value, steiner_6x16.coherence, abs_tol=1e-9)
+        flipped, mu, descendant = descendant_of(steiner_6x16)
+        assert math.isclose(mu, steiner_6x16.coherence, abs_tol=1e-12)
+        assert_clique_identity(flipped, mu, descendant, ks=(2,))
 
     def test_full_range_on_every_constructed_real_etf(self, steiner_6x16, paley5_real):
-        frames = [steiner_6x16, paley5_real, realify_paley(17)]
-        for frame in frames:
-            anchor = frame.n - 1
-            flipped = flip_canonical(frame, anchor)
-            seidel, mu = seidel_from_gram(flipped)
-            descendant = join_decompose(graph_from_seidel(seidel), anchor)
-            omega = clique_number(descendant).size
-            for k in range(2, omega + 2):
-                report = clique_ric_identity(flipped, descendant, k, anchor)
-                assert report.ok, (frame.label, k)
+        for frame in (steiner_6x16, paley5_real, realify_paley(17)):
+            assert_clique_identity(*descendant_of(frame))
 
     def test_paley13_all_k(self, paley13_pipeline):
         flipped, _, mu, _, descendant = paley13_pipeline
-        omega = clique_number(descendant).size
-        for k in range(2, omega + 2):
-            report = clique_ric_identity(flipped, descendant, k, flipped.n - 1)
-            assert report.ok
-            assert math.isclose(report.exact.value, (k - 1) * mu, abs_tol=1e-9)
-            assert math.isclose(report.clique_value, (k - 1) * mu, abs_tol=1e-9)
-
-    def test_k_beyond_omega_rejected(self, paley13_pipeline):
-        flipped, _, _, _, descendant = paley13_pipeline
-        omega = clique_number(descendant).size
-        from ripcert.errors import PreconditionError
-
-        with pytest.raises(PreconditionError):
-            clique_ric_identity(flipped, descendant, omega + 2, flipped.n - 1)
+        assert_clique_identity(flipped, mu, descendant)
 
 
 class TestExpanderMixing:
@@ -503,6 +503,10 @@ class TestSeidelTraceExpansion:
         for kset in [(0, 2, 5, 9), (1, 3, 7, 13), (0, 1, 2)]:
             for q in (1, 2):
                 assert seidel_trace_expansion(paley13_real, kset, q).ok
+
+    def test_generator_kset_is_read_once(self, paley13_real):
+        from_generator = seidel_trace_expansion(paley13_real, (c for c in (0, 1, 2)), 2)
+        assert from_generator == seidel_trace_expansion(paley13_real, [0, 1, 2], 2)
 
     def test_budget(self):
         # 2 k^3 log2(2q) multiply-adds: 2 * 95^3 * 3 > 5,000,000, charged
