@@ -185,7 +185,7 @@ class SparkResult:
         return self.spark if self.spark is not None else self.cap + 1
 
 
-def _first_max(chunks, kernel, witness, workers, stop=math.inf):
+def _first_max(chunks, kernel, witness, stop=math.inf):
     """Lexicographically first maximum of a vectorised kernel over enumerated chunks.
 
     ``kernel`` maps a chunk to one value per row and ``witness(chunk, row)``
@@ -203,7 +203,7 @@ def _first_max(chunks, kernel, witness, workers, stop=math.inf):
         return len(values), float(values[row]), row, witness(chunk, row)
 
     best, seen = (-1.0, (), -1), 0
-    for size, value, row, found in ordered_map(evaluate, chunks, worker_count(workers)):
+    for size, value, row, found in ordered_map(evaluate, chunks, worker_count()):
         if value > best[0]:
             best = (value, found, seen + row)
             if value >= stop:
@@ -321,9 +321,7 @@ def _top_eigenvalue(a: np.ndarray) -> np.ndarray:
     return np.maximum(np.linalg.eigvalsh(a)[:, -1], 0.0)
 
 
-def ric_exact_search(
-    frame: Frame, k: int, budget: int = DEFAULT_BUDGET, workers: int | None = None
-) -> SubsetSearch:
+def ric_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> SubsetSearch:
     """Exact isometry constant: max spectral norm of hollow sub-Grams.
 
     Enumerates every k-column subset; this is the oracle every other
@@ -340,7 +338,7 @@ def ric_exact_search(
     def kernel(chunk: np.ndarray) -> np.ndarray:
         return _screened(_hollow_subgrams(g, chunk), _spectral_radius, (1.0, -1.0))
 
-    value, witness, _ = _first_max(iter_subset_chunks(n, k), kernel, _row, workers)
+    value, witness, _ = _first_max(iter_subset_chunks(n, k), kernel, _row)
     return SubsetSearch(value, witness, total)
 
 
@@ -386,13 +384,7 @@ def _trace_power_roots(a: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def ric_power_search(
-    frame: Frame,
-    k: int,
-    q: int,
-    budget: int = DEFAULT_BUDGET,
-    workers: int | None = None,
-) -> SubsetSearch:
+def ric_power_search(frame: Frame, k: int, q: int, budget: int = DEFAULT_BUDGET) -> SubsetSearch:
     """Trace power estimate: max over subsets of Tr[(sub-Gram - I)^(2q)]^(1/2q).
 
     Non-increasing in q and converging to the exact isometry constant
@@ -410,13 +402,11 @@ def ric_power_search(
     def kernel(chunk: np.ndarray) -> np.ndarray:
         return _trace_power_roots(_hollow_subgrams(g, chunk), 2 * q)
 
-    value, witness, _ = _first_max(iter_subset_chunks(n, k), kernel, _row, workers)
+    value, witness, _ = _first_max(iter_subset_chunks(n, k), kernel, _row)
     return SubsetSearch(value, witness, total)
 
 
-def roc_exact_search(
-    frame: Frame, k: int, budget: int = DEFAULT_BUDGET, workers: int | None = None
-) -> PairSearch:
+def roc_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> PairSearch:
     """Exact orthogonality constant over disjoint equal-size supports.
 
     Maximizes the spectral norm of the cross-Gram over all unordered
@@ -439,13 +429,11 @@ def roc_exact_search(
         lam = _screened(cross.conj().swapaxes(1, 2) @ cross, _top_eigenvalue, (1.0,))
         return np.sqrt(lam, out=np.full_like(lam, -1.0), where=lam >= 0.0)
 
-    value, (wi, wj), _ = _first_max(iter_disjoint_pair_chunks(n, k), kernel, _pair_row, workers)
+    value, (wi, wj), _ = _first_max(iter_disjoint_pair_chunks(n, k), kernel, _pair_row)
     return PairSearch(value, wi, wj, total)
 
 
-def fro_constant_search(
-    frame: Frame, k: int, budget: int = DEFAULT_BUDGET, workers: int | None = None
-) -> PairSearch:
+def fro_constant_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> PairSearch:
     """Smallest flat-orthogonality constant, by enumerating all subset pairs.
 
     Maximizes |<sum of columns in I, sum of columns in J>| / sqrt(|I||J|)
@@ -487,7 +475,7 @@ def fro_constant_search(
         i, j = divmod(flat, count)
         return subs[block[0] + i], subs[j]
 
-    value, (wi, wj), _ = _first_max(blocks, kernel, witness, workers)
+    value, (wi, wj), _ = _first_max(blocks, kernel, witness)
     return PairSearch(value, wi, wj, total)
 
 
@@ -523,17 +511,11 @@ def _spark_clear_ratio(frame: Frame, size: int, tol: float) -> float:
     return (t * t + e_g) / (1.0 - e_g)
 
 
-def spark_search(
-    frame: Frame,
-    cap: int,
-    tol: float = SPARK_TOL,
-    budget: int = DEFAULT_BUDGET,
-    workers: int | None = None,
-) -> SparkResult:
+def spark_search(frame: Frame, cap: int, budget: int = DEFAULT_BUDGET) -> SparkResult:
     """Smallest linearly dependent column subset, searched size by size.
 
     A subset counts as dependent when its smallest singular value is at
-    most ``tol`` times its largest. Subsets whose sub-Gram eigenvalues
+    most ``SPARK_TOL`` times its largest. Subsets whose sub-Gram eigenvalues
     clear them by a margin above rounding error skip the SVD; only the
     rest are decided by it. Returns the exact spark if a
     dependent subset of size <= cap exists, otherwise the statement
@@ -542,15 +524,13 @@ def spark_search(
     n = frame.n
     if not 1 <= cap <= n:
         raise InvalidParameterError(f"need 1 <= cap <= {n}, got {cap}")
-    if tol <= 0:
-        raise InvalidParameterError("tol must be positive")
     total = sum(subset_count(n, s) for s in range(1, cap + 1))
     require_budget(total, budget, f"spark search up to size {cap}")
     mat = frame.matrix
     g = frame.gram
     tested = 0
     for size in range(1, cap + 1):
-        clear = _spark_clear_ratio(frame, size, tol)
+        clear = _spark_clear_ratio(frame, size, SPARK_TOL)
 
         def dependent(chunk: np.ndarray) -> np.ndarray:
             if size > mat.shape[0]:
@@ -560,12 +540,10 @@ def spark_search(
             cols = np.transpose(mat[:, chunk[rows]], (1, 0, 2))
             sv = np.linalg.svd(cols, compute_uv=False)
             hits = np.zeros(len(chunk), dtype=bool)
-            hits[rows[sv[:, -1] <= tol * sv[:, 0]]] = True
+            hits[rows[sv[:, -1] <= SPARK_TOL * sv[:, 0]]] = True
             return hits
 
-        hit, witness, position = _first_max(
-            iter_subset_chunks(n, size), dependent, _row, workers, stop=1.0
-        )
+        hit, witness, position = _first_max(iter_subset_chunks(n, size), dependent, _row, stop=1.0)
         if hit == 1.0:
             return SparkResult(size, cap, witness, tested + position + 1)
         tested += subset_count(n, size)
@@ -635,7 +613,7 @@ class IteratedRoBound:
     closed_form: float
 
 
-def iterated_ro_bound(thetas, delta_1: float, k: int | None = None) -> IteratedRoBound:
+def iterated_ro_bound(thetas, delta_1: float, k: int) -> IteratedRoBound:
     """Isometry bound from a halving chain of orthogonality constants.
 
     ``thetas`` lists the orthogonality constant at k, ceil(k/2), ...,
@@ -656,7 +634,7 @@ def iterated_ro_bound(thetas, delta_1: float, k: int | None = None) -> IteratedR
             )
     if delta_1 < 0:
         raise InvalidParameterError("delta_1 must be nonnegative")
-    if k is not None and len(values) != len(halving_chain(k)):
+    if len(values) != len(halving_chain(k)):
         raise ChainError(
             f"k={k} needs a chain of length {len(halving_chain(k))}, got {len(values)}"
         )
@@ -713,7 +691,7 @@ class CertificationReport:
                     )
             if rec.powers:
                 for (q1, v1), (q2, v2) in zip(rec.powers, rec.powers[1:]):
-                    if q2 > q1 and v2 > v1 + CHECK_SLACK:
+                    if v2 > v1 + CHECK_SLACK:
                         out.append(
                             f"K={rec.k}: power estimate increased from q={q1} to q={q2}"
                         )
@@ -772,14 +750,15 @@ def certify_frame(
 ) -> CertificationReport:
     """Run the requested certifications on one frame and collect a report.
 
-    ``power_specs`` is an iterable of (k, qs) pairs. With ``bounds``
+    ``power_specs`` is an iterable of (k, qs) pairs; the qs given for one k
+    are merged and estimated once each, in increasing order. With ``bounds``
     set, the flat-to-plain and orthogonality-to-isometry chains are
     evaluated from whatever constants were computed, including the
     halving-chain bound when the orthogonality constant is requested.
     """
-    power_map: dict[int, tuple[int, ...]] = {}
+    power_map: dict[int, set[int]] = {}
     for k, qs in power_specs:
-        power_map[int(k)] = tuple(int(q) for q in qs)
+        power_map.setdefault(int(k), set()).update(int(q) for q in qs)
     ks = sorted(set(exact_ks) | set(roc_ks) | set(fro_ks) | set(power_map))
     d1 = delta1(frame)
     try:
@@ -798,7 +777,7 @@ def certify_frame(
         gersh = gershgorin_bound(frame, k) if gershgorin else None
         ric = ric_exact_search(frame, k, budget) if k in exact_ks else None
         powers = tuple(
-            (q, ric_power_search(frame, k, q, budget).value) for q in power_map.get(k, ())
+            (q, ric_power_search(frame, k, q, budget).value) for q in sorted(power_map.get(k, ()))
         )
         roc = roc_exact_search(frame, k, budget) if k in roc_ks else None
         if roc is not None:

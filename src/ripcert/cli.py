@@ -309,6 +309,9 @@ def _write_certification(writer: ReportWriter, report) -> None:
 def _cmd_certify(args) -> int:
     frame = read_matrix(args.input)
     power_specs = [(_int(k), _int_list(qlist)) for k, qlist in (args.power or [])]
+    for k, qs in power_specs:
+        if not qs:
+            raise _UsageError(f"--power {k} needs at least one q")
     exact_ks = args.exact_ric or []
     roc_ks = args.roc or []
     fro_ks = args.fro or []

@@ -334,11 +334,13 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def clique_number(g: SimpleGraph, budget: int = DEFAULT_CLIQUE_BUDGET) -> CliqueResult:
+def clique_number(g: SimpleGraph) -> CliqueResult:
     """Exact maximum clique via branch and bound with greedy coloring.
 
     Vertices are ordered by descending degree with index tie-break, so
     the search (and any budget-limited partial result) is deterministic.
+    A search of more than ``DEFAULT_CLIQUE_BUDGET`` nodes stops there and
+    returns its best clique marked inexact.
     """
     n = g.n
     if n == 0:
@@ -376,7 +378,7 @@ def clique_number(g: SimpleGraph, budget: int = DEFAULT_CLIQUE_BUDGET) -> Clique
     def expand(current: list[int], candidates: int) -> None:
         nonlocal best_size, best_clique, nodes
         nodes += 1
-        if nodes > budget:
+        if nodes > DEFAULT_CLIQUE_BUDGET:
             raise _BudgetExhausted
         ordered = color_sort(candidates)
         remaining = candidates

@@ -148,7 +148,7 @@ def run_fro_trials(cfg: TrialConfig) -> TrialOutcome:
     d1_thr = DEFAULT_ALPHA * cfg.delta
 
     def measure(frame):
-        search = fro_constant_search(frame, cfg.k, workers=1)
+        search = fro_constant_search(frame, cfg.k)
         d1, d1_col = delta1_witness(frame)
         failed = []
         if search.value > theta_thr:
@@ -173,16 +173,17 @@ def run_power_trials(cfg: TrialConfig) -> TrialOutcome:
     """
     if cfg.q is None or cfg.q < 1:
         raise InvalidParameterError("power trials need q >= 1")
+    # delta**2 underflows for tiny delta; an infinite threshold is unmet
+    needed = 81.0 / cfg.delta / cfg.delta * cfg.k ** (1.0 + 1.0 / cfg.q) * math.log(
+        math.e * cfg.n / cfg.k
+    )
 
     def measure(frame):
-        search = ric_power_search(frame, cfg.k, cfg.q, workers=1)
+        search = ric_power_search(frame, cfg.k, cfg.q)
         if search.value <= cfg.delta:
             return search.value, ()
         return search.value, (("power", search.value, (search.witness,)),)
 
-    needed = 81.0 / cfg.delta**2 * cfg.k ** (1.0 + 1.0 / cfg.q) * math.log(
-        math.e * cfg.n / cfg.k
-    )
     return TrialOutcome(
         cfg.trials,
         *_run_trials(cfg, measure),

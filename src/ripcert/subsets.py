@@ -7,9 +7,10 @@ returns the same value and the same witness (its lexicographically first
 maximiser among equal floats) wherever the chunk boundaries fall, and for
 any worker count. ``ordered_map`` runs the workers: a subset search maps
 its chunks through it, and a Monte Carlo experiment maps its trials
-through one pool, each trial's search then running on one worker. The
-worker count comes from the RIPCERT_WORKERS environment variable unless
-a caller passes one explicitly; the default is 1.
+through one pool. ``worker_count`` decides how many: the RIPCERT_WORKERS
+environment variable (default 1), or 1 on a thread of an ``ordered_map``
+pool, so a search inside a trial runs on its trial's thread and pools
+never nest.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator, TypeVar
@@ -36,17 +38,26 @@ DEFAULT_BUDGET = 5_000_000
 T = TypeVar("T")
 R = TypeVar("R")
 
+#: ``marked`` is set on the threads of every ``ordered_map`` pool
+_pool_thread = threading.local()
 
-def worker_count(explicit: int | None = None) -> int:
-    if explicit is None:
-        raw = os.environ.get(WORKERS_ENV, "1")
-        try:
-            explicit = int(raw)
-        except ValueError:
-            raise InvalidParameterError(f"{WORKERS_ENV}={raw!r} is not an integer") from None
-    if explicit < 1:
-        raise InvalidParameterError(f"worker count must be >= 1, got {explicit}")
-    return explicit
+
+def _mark_pool_thread() -> None:
+    _pool_thread.marked = True
+
+
+def worker_count() -> int:
+    """Threads for an ``ordered_map``: 1 on a pool thread, else RIPCERT_WORKERS."""
+    if getattr(_pool_thread, "marked", False):
+        return 1
+    raw = os.environ.get(WORKERS_ENV, "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise InvalidParameterError(f"{WORKERS_ENV}={raw!r} is not an integer") from None
+    if workers < 1:
+        raise InvalidParameterError(f"worker count must be >= 1, got {workers}")
+    return workers
 
 
 def require_budget(needed: int, budget: int, what: str, unit: str = "subset evaluations") -> None:
@@ -86,28 +97,28 @@ def _row_starts(table: np.ndarray, n: int) -> list[int]:
     return np.searchsorted(table[:, 0], np.arange(n + 1)).tolist()
 
 
-def _pack(segments: Iterable[tuple], width: int, chunk: int) -> Iterator[np.ndarray]:
-    """Rows ``head + tail`` for every (head, tails) segment, in (<= chunk, width) arrays."""
-    out = np.empty((chunk, width), dtype=np.intp)
+def _pack(segments: Iterable[tuple], width: int) -> Iterator[np.ndarray]:
+    """Rows ``head + tail`` for every (head, tails) segment, in (<= CHUNK, width) arrays."""
+    out = np.empty((CHUNK, width), dtype=np.intp)
     fill = 0
     for head, tails in segments:
         h = len(head)
         done = 0
         while done < len(tails):
-            take = min(len(tails) - done, chunk - fill)
+            take = min(len(tails) - done, CHUNK - fill)
             out[fill : fill + take, :h] = head
             out[fill : fill + take, h:] = tails[done : done + take]
             fill += take
             done += take
-            if fill == chunk:
+            if fill == CHUNK:
                 yield out
-                out = np.empty((chunk, width), dtype=np.intp)
+                out = np.empty((CHUNK, width), dtype=np.intp)
                 fill = 0
     if fill:
         yield out[:fill]
 
 
-def iter_subset_chunks(n: int, k: int, chunk: int = CHUNK) -> Iterator[np.ndarray]:
+def iter_subset_chunks(n: int, k: int) -> Iterator[np.ndarray]:
     """Lexicographic k-subsets of range(n) in (B, k) index arrays.
 
     Each (k-r)-prefix, in lexicographic order, is followed by every
@@ -124,12 +135,10 @@ def iter_subset_chunks(n: int, k: int, chunk: int = CHUNK) -> Iterator[np.ndarra
         for head in itertools.combinations(range(n), k - r):
             yield head, table[starts[head[-1] + 1] :] if head else table
 
-    yield from _pack(segments(), k, chunk)
+    yield from _pack(segments(), k)
 
 
-def iter_disjoint_pair_chunks(
-    n: int, k: int, chunk: int = CHUNK
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def iter_disjoint_pair_chunks(n: int, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Unordered pairs of disjoint k-subsets, each pair listed once.
 
     The subset containing the overall smallest element is first, so the
@@ -149,7 +158,7 @@ def iter_disjoint_pair_chunks(
             lo = starts[first[0] + 1]
             yield first, table[lo:][~member[first, lo:].any(axis=0)]
 
-    for rows in _pack(segments(), 2 * k, chunk):
+    for rows in _pack(segments(), 2 * k):
         yield rows[:, :k], rows[:, k:]
 
 
@@ -158,13 +167,14 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Itera
 
     With workers > 1 at most ``4 * workers`` tasks are in flight, and
     results are yielded strictly in submission order, so any downstream
-    reduction sees the same sequence as a serial run.
+    reduction sees the same sequence as a serial run. The pool's threads
+    are marked, so ``worker_count`` is 1 on them.
     """
     if workers <= 1:
         for item in items:
             yield fn(item)
         return
-    pool = ThreadPoolExecutor(max_workers=workers)
+    pool = ThreadPoolExecutor(max_workers=workers, initializer=_mark_pool_thread)
     try:
         pending: deque = deque()
         for item in items:

@@ -1,11 +1,12 @@
 """The package's API surface carries no dead names.
 
-Two static checks over ``src/ripcert/*.py``, read with the standard
-library's ``ast``: every imported name is used by its module, and every
-public top-level function or class is referenced by some package code.
-A public function that only tests call is dead weight in the package;
-one that is a deliberate oracle or contract goes on the allowlist below
-with its reason.
+Three static checks over ``src/ripcert/*.py``, read with the standard
+library's ``ast``: every imported name is used by its module, every
+public top-level function or class is referenced by some package code,
+and every defaulted parameter of a public top-level function is passed
+by some package call. A public function, or a parameter, that only tests
+use is dead weight in the package; one that is a deliberate oracle or
+contract goes on an allowlist below with its reason.
 """
 
 import ast
@@ -17,6 +18,11 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "ripcert"
 UNREFERENCED_ALLOWED = {
     "legendre_symbol": "the tests' Euler-criterion oracle for the Paley Gram signs",
     "report_body": "defines the report body that the determinism checks compare",
+}
+
+#: defaulted parameters kept without a package call that passes them, each with its reason
+UNPASSED_ALLOWED = {
+    "main.argv": "the console entry point runs main() on sys.argv; tests pass argv in-process",
 }
 
 
@@ -72,3 +78,45 @@ def test_every_public_name_has_a_package_caller():
     # an allowlist entry whose name is gone would hide nothing and should go too
     assert set(UNREFERENCED_ALLOWED) <= {defn for _, defn in defined}
 
+
+
+def defaulted_parameters(fn):
+    """(position or None, name) of each parameter of ``fn`` that has a default."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    out = [(i, arg.arg) for i, arg in enumerate(positional) if i >= first]
+    kwonly = zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+    return out + [(None, arg.arg) for arg, default in kwonly if default is not None]
+
+
+def passes(call, name, position, param):
+    func = call.func
+    if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != name:
+        return False
+    if any(keyword.arg == param for keyword in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_defaulted_parameter_is_passed_by_a_package_call():
+    modules = parsed_modules()
+    calls = [
+        node
+        for name, tree in modules.items()
+        if name != "__init__.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    ]
+    public = [
+        node
+        for tree in modules.values()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    unpassed = {
+        f"{fn.name}.{param}"
+        for fn in public
+        for position, param in defaulted_parameters(fn)
+        if not any(passes(call, fn.name, position, param) for call in calls)
+    }
+    assert unpassed == set(UNPASSED_ALLOWED)

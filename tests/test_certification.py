@@ -348,7 +348,7 @@ class TestBoundChains:
 
 class TestIteratedRoBound:
     def test_zero_chain(self):
-        result = iterated_ro_bound([0.0, 0.0, 0.0], 0.0)
+        result = iterated_ro_bound([0.0, 0.0, 0.0], 0.0, k=4)
         assert result.sum_bound == 0.0 and result.closed_form == 0.0
 
     def test_halving_chains(self):
@@ -373,9 +373,9 @@ class TestIteratedRoBound:
 
     def test_bad_chains_rejected(self):
         with pytest.raises(ChainError):
-            iterated_ro_bound([], 0.0)
+            iterated_ro_bound([], 0.0, k=1)
         with pytest.raises(ChainError):
-            iterated_ro_bound([0.1, 0.5], 0.0)  # increasing
+            iterated_ro_bound([0.1, 0.5], 0.0, k=2)  # increasing
         with pytest.raises(ChainError):
             iterated_ro_bound([0.5, 0.4], 0.0, k=4)  # wrong length
 
@@ -421,7 +421,7 @@ class TestSpark:
         assert spark_search(frame, cap) == svd_only_spark(frame, cap, SPARK_TOL)
 
     @pytest.mark.parametrize("side", [1e-6, -1e-6])
-    def test_planted_dependence_at_the_tolerance(self, side):
+    def test_planted_dependence_at_the_tolerance(self, side, monkeypatch):
         # column 5 is 0.6 * column 1 - 0.8 * column 3 plus a 1e-9 perturbation;
         # tol sits just above or just below that triple's singular value
         # ratio, where only the SVD can decide
@@ -432,7 +432,8 @@ class TestSpark:
         ratio = sv[-1] / sv[0]
         assert ratio**2 < _spark_clear_ratio(frame, 3, ratio)
         tol = ratio * (1.0 + side)
-        result = spark_search(frame, 4, tol=tol)
+        monkeypatch.setattr(certification, "SPARK_TOL", tol)
+        result = spark_search(frame, 4)
         assert result == svd_only_spark(frame, 4, tol)
         assert (result.spark == 3) == (side > 0)
         if side > 0:
@@ -460,6 +461,16 @@ class TestCertifyFrame:
         assert "fro-to-ro-simple" in names and "iterated-ro-sum-2k" in names
         assert report.spark.spark == 4
 
+    def test_power_increase_detected_between_any_consecutive_qs(self, paley5_real):
+        import dataclasses
+
+        report = certify_frame(paley5_real, power_specs=((2, (1, 2, 3)),))
+        rec = report.per_k[0]
+        (q1, v1), (q2, _), last = rec.powers
+        bad_rec = dataclasses.replace(rec, powers=((q1, v1), (q2, v1 + 0.1), last))
+        bad = dataclasses.replace(report, per_k=(bad_rec,))
+        assert "K=2: power estimate increased from q=1 to q=2" in bad.invariant_violations()
+
     def test_violations_detected_on_tampered_report(self, paley5_real):
         import dataclasses
 
@@ -475,10 +486,11 @@ class TestCertifyFrame:
 class TestWorkerDeterminism:
     def test_results_identical_across_worker_counts(self, paley13_real, monkeypatch):
         frame = paley13_real
+        monkeypatch.setenv("RIPCERT_WORKERS", "1")
         serial = (
-            ric_exact_search(frame, 4, workers=1),
-            roc_exact_search(frame, 2, workers=1),
-            fro_constant_search(frame, 2, workers=1),
+            ric_exact_search(frame, 4),
+            roc_exact_search(frame, 2),
+            fro_constant_search(frame, 2),
         )
         monkeypatch.setenv("RIPCERT_WORKERS", "4")
         parallel = (
@@ -537,18 +549,19 @@ class TestChunkIndependence:
 
     @staticmethod
     def _set_chunk(monkeypatch, chunk, sizes):
-        from ripcert import certification, subsets
+        from ripcert import subsets
 
-        def limited(iterator):
+        def recorded(iterator):
             def chunks(*args):
-                for rows in iterator(*args, chunk=chunk):
+                for rows in iterator(*args):
                     sizes.append(len(rows[0] if isinstance(rows, tuple) else rows))
                     yield rows
 
             return chunks
 
+        monkeypatch.setattr(subsets, "CHUNK", chunk)
         for name in ("iter_subset_chunks", "iter_disjoint_pair_chunks"):
-            monkeypatch.setattr(certification, name, limited(getattr(subsets, name)))
+            monkeypatch.setattr(certification, name, recorded(getattr(subsets, name)))
         monkeypatch.setattr(certification, "_FRO_BLOCK", chunk)
 
     @pytest.mark.parametrize("search", sorted(SEARCHES))
@@ -560,12 +573,14 @@ class TestChunkIndependence:
     ):
         frame = named_frame(request, frame_name)
         fn, args = SEARCHES[search]
-        reference = fn(frame, *args, workers=1)
+        monkeypatch.setenv("RIPCERT_WORKERS", "1")
+        reference = fn(frame, *args)
         for chunk in (1, 5, 4096):
             sizes = []
             self._set_chunk(monkeypatch, chunk, sizes)
-            for workers in (1, 3):
-                assert fn(frame, *args, workers=workers) == reference, (chunk, workers)
+            for workers in ("1", "3"):
+                monkeypatch.setenv("RIPCERT_WORKERS", workers)
+                assert fn(frame, *args) == reference, (chunk, workers)
             if search != "fro":
                 assert sizes and max(sizes) <= chunk
 
@@ -600,13 +615,13 @@ class TestScreen:
         seen = []
         real = certification._first_max
 
-        def recording(chunks, kernel, witness, workers, stop=math.inf):
+        def recording(chunks, kernel, witness, stop=math.inf):
             def recorded(chunk):
                 values = kernel(chunk)
                 seen.append((chunk, values))
                 return values
 
-            return real(chunks, recorded, witness, workers, stop)
+            return real(chunks, recorded, witness, stop)
 
         monkeypatch.setattr(certification, "_first_max", recording)
         monkeypatch.setattr(certification, "_SCREEN_TOP", top)

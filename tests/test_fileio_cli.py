@@ -382,6 +382,32 @@ class TestCertifyCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: expected an integer, got 'x'")
 
+    @pytest.mark.parametrize(
+        "power", [["--power", "2", "1", "--power", "2", "3"], ["--power", "2", "3,1,3"]]
+    )
+    def test_power_lists_merge_sorted_and_unique(self, tmp_path, paley5_file, power):
+        def power_lines(name, flags):
+            rep = tmp_path / name
+            assert main(["certify", str(paley5_file), *flags, "-o", str(rep)]) == 0
+            return [line for line in rep.read_text().splitlines() if line.startswith("power-q")]
+
+        merged = power_lines("merged.txt", power)
+        assert [line.partition(":")[0] for line in merged] == ["power-q1", "power-q3"]
+        assert merged == power_lines("sorted.txt", ["--power", "2", "1,3"])
+
+    def test_empty_power_list_is_usage_error(self, tmp_path, paley5_file, capsys):
+        rep = tmp_path / "r.txt"
+        assert main(["certify", str(paley5_file), "--power", "2", ",", "-o", str(rep)]) == 1
+        assert capsys.readouterr().err == "error: --power 2 needs at least one q\n"
+        assert not rep.exists()
+
+    def test_non_integer_worker_count_exits_one(self, tmp_path, paley5_file, monkeypatch, capsys):
+        monkeypatch.setenv("RIPCERT_WORKERS", "x")
+        rep = tmp_path / "r.txt"
+        assert main(["certify", str(paley5_file), "--exact-ric", "2", "-o", str(rep)]) == 1
+        assert capsys.readouterr().err == "error: RIPCERT_WORKERS='x' is not an integer\n"
+        assert not rep.exists()
+
 
 class TestGraphCommand:
     def test_paley_graph_clique(self, tmp_path):
@@ -678,6 +704,16 @@ class TestMcCommand:
         )
         assert code == 0
         assert "meets-measurement-bound:" in rep.read_text()
+
+    def test_power_with_a_tiny_delta_does_not_meet_the_bound(self, tmp_path):
+        # delta**2 underflows to 0 here; the threshold is infinite, not a ZeroDivisionError
+        rep = tmp_path / "p.txt"
+        code = main(
+            ["mc", "power", "--m", "8", "--n", "10", "--k", "2", "--q", "1",
+             "--delta", "1e-200", "--trials", "2", "--seed", "1", "-o", str(rep)]
+        )
+        assert code == 0
+        assert "meets-measurement-bound: false" in rep.read_text()
 
     @pytest.mark.parametrize("kind", ["fro", "power"])
     @pytest.mark.parametrize("delta", ["nan", "inf"])

@@ -24,6 +24,7 @@ from ripcert import (
     steiner_etf,
     verify_etf,
 )
+from ripcert import graphs
 from ripcert.constructions import Frame, hadamard
 from ripcert.errors import (
     AmbiguousSignError,
@@ -343,10 +344,12 @@ class TestCliqueNumber:
         assert result.exact
         assert result.size < math.sqrt(p)
 
-    def test_budget_exhaustion_flags_inexact(self):
-        result = clique_number(paley_graph(29), budget=3)
+    def test_budget_exhaustion_flags_inexact(self, monkeypatch):
+        exact = clique_number(paley_graph(29))
+        monkeypatch.setattr(graphs, "DEFAULT_CLIQUE_BUDGET", 3)
+        result = clique_number(paley_graph(29))
         assert not result.exact
-        assert result.size <= clique_number(paley_graph(29)).size
+        assert result.size <= exact.size
 
     def test_paley101_golden(self):
         # size, witness and search-node count pinned from the per-vertex bitmask build
@@ -373,7 +376,7 @@ class TestPaleyCliqueNumber:
 
     def test_budget_exhaustion_keeps_a_clique(self, monkeypatch):
         # a one-node inner search stops early; its witness must still map back
-        monkeypatch.setattr("ripcert.graphs.clique_number", lambda g: clique_number(g, 1))
+        monkeypatch.setattr(graphs, "DEFAULT_CLIQUE_BUDGET", 1)
         g = paley_graph(229)
         result = paley_clique_number(g)
         assert not result.exact

@@ -4,12 +4,14 @@ import time
 
 import pytest
 
+from ripcert import subsets
 from ripcert.errors import InvalidParameterError
 from ripcert.subsets import (
     iter_disjoint_pair_chunks,
     iter_subset_chunks,
     ordered_map,
     require_budget,
+    worker_count,
 )
 
 
@@ -22,16 +24,16 @@ def reference_pairs(n, k):
             yield first, second
 
 
-def subset_rows(n, k, chunk):
-    for block in iter_subset_chunks(n, k, chunk):
-        assert 0 < len(block) <= chunk
+def subset_rows(n, k):
+    for block in iter_subset_chunks(n, k):
+        assert 0 < len(block) <= subsets.CHUNK
         assert block.shape[1] == k
         yield from (tuple(int(x) for x in row) for row in block)
 
 
-def pair_rows(n, k, chunk):
-    for first, second in iter_disjoint_pair_chunks(n, k, chunk):
-        assert 0 < len(first) <= chunk
+def pair_rows(n, k):
+    for first, second in iter_disjoint_pair_chunks(n, k):
+        assert 0 < len(first) <= subsets.CHUNK
         assert first.shape == second.shape == (len(first), k)
         for a, b in zip(first, second):
             yield tuple(int(x) for x in a), tuple(int(x) for x in b)
@@ -43,23 +45,26 @@ def same_sequence(got, expected):
 
 class TestEnumerationOrder:
     @pytest.mark.parametrize("chunk", [1, 5, 4096])
-    def test_subsets_match_itertools(self, chunk):
+    def test_subsets_match_itertools(self, chunk, monkeypatch):
+        monkeypatch.setattr(subsets, "CHUNK", chunk)
         for n in range(1, 13):
             for k in range(0, n + 2):
                 expected = itertools.combinations(range(n), k)
-                assert same_sequence(subset_rows(n, k, chunk), expected), (n, k)
+                assert same_sequence(subset_rows(n, k), expected), (n, k)
 
     @pytest.mark.parametrize("chunk", [1, 5, 4096])
-    def test_disjoint_pairs_match_itertools(self, chunk):
+    def test_disjoint_pairs_match_itertools(self, chunk, monkeypatch):
+        monkeypatch.setattr(subsets, "CHUNK", chunk)
         for n in range(1, 13):
             for k in range(1, n // 2 + 2):
-                assert same_sequence(pair_rows(n, k, chunk), reference_pairs(n, k)), (n, k)
+                assert same_sequence(pair_rows(n, k), reference_pairs(n, k)), (n, k)
 
-    def test_more_than_64_columns(self):
+    def test_more_than_64_columns(self, monkeypatch):
+        monkeypatch.setattr(subsets, "CHUNK", 4096)
         for k in (1, 2, 3):
             expected = itertools.combinations(range(70), k)
-            assert same_sequence(subset_rows(70, k, 4096), expected)
-        assert same_sequence(pair_rows(70, 1, 4096), reference_pairs(70, 1))
+            assert same_sequence(subset_rows(70, k), expected)
+        assert same_sequence(pair_rows(70, 1), reference_pairs(70, 1))
 
 
 class TestOrderedMap:
@@ -74,12 +79,36 @@ class TestOrderedMap:
                 time.sleep(0.05)
             return i
 
-        for result in ordered_map(fn, range(100), workers=2):
+        for result in ordered_map(fn, range(100), 2):
             assert result == 0
             break
         # item 0 plus at most the two items running when the consumer
         # stopped; the rest of the 8 queued items must not run
         assert len(calls) <= 3
+
+
+class TestWorkerCount:
+    def test_read_from_the_environment(self, monkeypatch):
+        monkeypatch.delenv("RIPCERT_WORKERS", raising=False)
+        assert worker_count() == 1
+        monkeypatch.setenv("RIPCERT_WORKERS", "3")
+        assert worker_count() == 3
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [("0", "worker count must be >= 1, got 0"), ("x", "RIPCERT_WORKERS='x' is not an integer")],
+    )
+    def test_bad_values_are_refused(self, monkeypatch, raw, message):
+        monkeypatch.setenv("RIPCERT_WORKERS", raw)
+        with pytest.raises(InvalidParameterError) as info:
+            worker_count()
+        assert str(info.value) == message
+
+    def test_one_on_a_pool_thread(self, monkeypatch):
+        # a search started inside a pooled task must not start a pool of its own
+        monkeypatch.setenv("RIPCERT_WORKERS", "2")
+        assert list(ordered_map(lambda _: worker_count(), range(8), 2)) == [1] * 8
+        assert worker_count() == 2
 
 
 class TestBudget:
