@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -169,12 +169,17 @@ class PairSearch:
 
 @dataclass(frozen=True)
 class SparkResult:
-    """Smallest dependent column-subset size, or a lower bound at the cap."""
+    """Smallest dependent column-subset size, or a lower bound at the cap.
+
+    ``disc_sizes`` says how the answer was reached, not what it is: sizes
+    1..disc_sizes were decided by Gershgorin discs without enumeration.
+    """
 
     spark: int | None
     cap: int
     witness: tuple[int, ...] | None
     tested: int
+    disc_sizes: int = field(default=0, compare=False)
 
     @property
     def exact(self) -> bool:
@@ -439,7 +444,8 @@ def fro_constant_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> P
     Maximizes |<sum of columns in I, sum of columns in J>| / sqrt(|I||J|)
     over disjoint nonempty subsets with sizes up to k; each unordered
     pair is evaluated once. Rows of ``_FRO_BLOCK`` subsets are evaluated
-    against every subset at once, flattened row-major.
+    at once against every subset from the block's first one on, flattened
+    row-major; earlier subsets were paired with them by an earlier block.
     """
     n = frame.n
     if k < 1:
@@ -451,8 +457,7 @@ def fro_constant_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> P
     g = frame.gram
     # every subset of each size 1..min(k, n-1), sizes ascending, each size lexicographic
     tables = [_subset_table(n, size) for size in range(1, min(k, n - 1) + 1)]
-    subs = [tuple(row) for table in tables for row in table.tolist()]
-    count = len(subs)
+    count = sum(len(table) for table in tables)
     indicator = np.zeros((count, n))
     filled = 0
     for table in tables:
@@ -464,16 +469,16 @@ def fro_constant_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> P
 
     def kernel(block: tuple[int, int]) -> np.ndarray:
         lo, hi = block
-        vals = np.abs(sums[lo:hi] @ indicator.T)
-        vals /= np.sqrt(np.outer(sizes[lo:hi], sizes))
-        overlap = indicator[lo:hi] @ indicator.T
-        cols = np.arange(count)[None, :]
-        usable = (overlap < 0.5) & (cols > np.arange(lo, hi)[:, None])
+        vals = np.abs(sums[lo:hi] @ indicator[lo:].T)
+        vals /= np.sqrt(np.outer(sizes[lo:hi], sizes[lo:]))
+        overlap = indicator[lo:hi] @ indicator[lo:].T
+        usable = (overlap < 0.5) & (np.arange(count - lo) > np.arange(hi - lo)[:, None])
         return np.where(usable, vals, -1.0).ravel()
 
     def witness(block: tuple[int, int], flat: int):
-        i, j = divmod(flat, count)
-        return subs[block[0] + i], subs[j]
+        lo = block[0]
+        i, j = divmod(flat, count - lo)
+        return tuple(tuple(np.flatnonzero(indicator[lo + r]).tolist()) for r in (i, j))
 
     value, (wi, wj), _ = _first_max(blocks, kernel, witness)
     return PairSearch(value, wi, wj, total)
@@ -511,15 +516,59 @@ def _spark_clear_ratio(frame: Frame, size: int, tol: float) -> float:
     return (t * t + e_g) / (1.0 - e_g)
 
 
+def _disc_sizes(frame: Frame, cap: int) -> int:
+    """Largest d <= cap such that, for every size s <= d, Gershgorin discs
+    prove that the SVD test of ``spark_search`` finds every s-subset independent.
+
+    For size s let R_i be the sum of the s-1 largest off-diagonal |g_ij| of
+    row i of the computed Gram G. Every s-subset S then has, by Gershgorin's
+    theorem on the Hermitian G_S, all its eigenvalues in [L, U] with
+    L = min_i (g_ii - R_i) and U = max_i (g_ii + R_i):
+
+    - by the error model of ``_spark_clear_ratio``, the exact eigenvalues of
+      the columns' Gram are within e_g lambda_max of those of G_S (e_g also
+      covers an ``eigvalsh`` error, which is not made here). L and U bound
+      those of G_S on the same side as the computed extreme eigenvalues in
+      that argument, so L > rho U, rho = ``_spark_clear_ratio``, means that
+      the SVD sees sigma_min > tol * sigma_max on every s-subset;
+    - with u = eps, each |g_ij|, the (s-1)-term sums and g_ii -+ R_i are
+      computed to within gamma_{s+3} (g_ii + R_i) <= gamma_{s+3} U, so
+      L > rho U holds once the computed bounds meet
+      L (1 - delta) > (rho + delta) U with delta = 4 (s+3) u, which also
+      covers the roundings of that test.
+
+    R_i and rho grow with s, so the test only gets weaker: the first size
+    that fails ends the certificate, and it and every larger size are
+    enumerated. ``cap`` must not exceed the row count m.
+    """
+    g = frame.gram
+    diag = g.diagonal().real
+    off = np.abs(g)
+    np.fill_diagonal(off, 0.0)  # sorts last, so never displaces an off-diagonal entry
+    # radii[i, s - 1] = R_i at size s
+    radii = np.zeros((frame.n, cap))
+    radii[:, 1:] = np.cumsum(np.sort(off, axis=1)[:, ::-1][:, : cap - 1], axis=1)
+    u = np.finfo(float).eps
+    for size in range(1, cap + 1):
+        low = float((diag - radii[:, size - 1]).min())
+        high = float((diag + radii[:, size - 1]).max())
+        delta = 4 * (size + 3) * u
+        rho = _spark_clear_ratio(frame, size, SPARK_TOL)
+        if not low * (1.0 - delta) > (rho + delta) * high:
+            return size - 1
+    return cap
+
+
 def spark_search(frame: Frame, cap: int, budget: int = DEFAULT_BUDGET) -> SparkResult:
     """Smallest linearly dependent column subset, searched size by size.
 
     A subset counts as dependent when its smallest singular value is at
-    most ``SPARK_TOL`` times its largest. Subsets whose sub-Gram eigenvalues
-    clear them by a margin above rounding error skip the SVD; only the
-    rest are decided by it. Returns the exact spark if a
-    dependent subset of size <= cap exists, otherwise the statement
-    spark > cap.
+    most ``SPARK_TOL`` times its largest. Sizes that ``_disc_sizes``
+    certifies are counted as tested without enumeration. Above them,
+    subsets whose sub-Gram eigenvalues clear the test by a margin above
+    rounding error skip the SVD; only the rest are decided by it. Returns
+    the exact spark if a dependent subset of size <= cap exists, otherwise
+    the statement spark > cap.
     """
     n = frame.n
     if not 1 <= cap <= n:
@@ -528,13 +577,14 @@ def spark_search(frame: Frame, cap: int, budget: int = DEFAULT_BUDGET) -> SparkR
     require_budget(total, budget, f"spark search up to size {cap}")
     mat = frame.matrix
     g = frame.gram
-    tested = 0
-    for size in range(1, cap + 1):
+    discs = _disc_sizes(frame, min(cap, frame.m))
+    tested = sum(subset_count(n, s) for s in range(1, discs + 1))
+    for size in range(discs + 1, cap + 1):
+        if size > frame.m:  # more columns than rows: the first subset is dependent
+            return SparkResult(size, cap, tuple(range(size)), tested + 1, discs)
         clear = _spark_clear_ratio(frame, size, SPARK_TOL)
 
         def dependent(chunk: np.ndarray) -> np.ndarray:
-            if size > mat.shape[0]:
-                return np.ones(len(chunk), dtype=bool)  # more columns than rows
             lam = np.linalg.eigvalsh(g[chunk[:, :, None], chunk[:, None, :]])
             rows = np.flatnonzero(lam[:, 0] <= clear * lam[:, -1])
             cols = np.transpose(mat[:, chunk[rows]], (1, 0, 2))
@@ -545,9 +595,9 @@ def spark_search(frame: Frame, cap: int, budget: int = DEFAULT_BUDGET) -> SparkR
 
         hit, witness, position = _first_max(iter_subset_chunks(n, size), dependent, _row, stop=1.0)
         if hit == 1.0:
-            return SparkResult(size, cap, witness, tested + position + 1)
+            return SparkResult(size, cap, witness, tested + position + 1, discs)
         tested += subset_count(n, size)
-    return SparkResult(None, cap, None, tested)
+    return SparkResult(None, cap, None, tested, discs)
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,12 @@ def _write_certification(writer: ReportWriter, report) -> None:
         if report.spark.witness is not None:
             writer.kv("witness", report.spark.witness)
         writer.kv("tested", report.spark.tested)
+        discs = report.spark.disc_sizes
+        decided = sum(math.comb(report.n, s) for s in range(1, discs + 1))
+        sizes = {0: "no spark size", 1: "spark size 1"}.get(discs, f"spark sizes 1-{discs}")
+        writer.comment(
+            f"{sizes} decided by Gershgorin discs, {report.spark.tested - decided} enumerated"
+        )
 
 
 def _cmd_certify(args) -> int:

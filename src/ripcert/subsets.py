@@ -80,7 +80,7 @@ def mixed_pair_count(n: int, k: int) -> int:
     """Unordered pairs of disjoint nonempty subsets with sizes up to k."""
     total = 0
     for a in range(1, min(k, n) + 1):
-        for b in range(1, k + 1):
+        for b in range(1, min(k, n - a) + 1):  # C(n - a, b) = 0 beyond
             total += math.comb(n, a) * math.comb(n - a, b)
     return total // 2
 

@@ -14,6 +14,9 @@ from ripcert import (
     gershgorin_bound,
     halving_chain,
     iterated_ro_bound,
+    negate_columns,
+    paley_etf,
+    realify,
     ric_exact_search,
     ric_power_search,
     ro_to_rip_bound,
@@ -290,29 +293,58 @@ class TestFroConstant:
     def test_matches_bruteforce(self, m, n, k, seed):
         frame = gaussian_matrix(m, n, seed)
         g = frame.gram
-        subs = [
-            c for size in range(1, k + 1) for c in itertools.combinations(range(n), size)
-        ]
-        best = 0.0
-        pairs = 0
-        for first in subs:
-            for second in subs:
-                if set(first) & set(second):
-                    continue
-                value = abs(
-                    sum(g[i, j] for i in first for j in second)
-                ) / math.sqrt(len(first) * len(second))
-                best = max(best, value)
-                pairs += 1
+        best, pairs, first_max = fro_bruteforce(frame, k)
         search = fro_constant_search(frame, k)
         assert math.isclose(search.value, best, rel_tol=1e-10)
-        assert search.count == pairs // 2
+        assert search.count == pairs
+        assert (search.witness_i, search.witness_j) == first_max
         # the reported witness reproduces the reported value
         wi, wj = search.witness_i, search.witness_j
         recomputed = abs(sum(g[i, j] for i in wi for j in wj)) / math.sqrt(
             len(wi) * len(wj)
         )
         assert math.isclose(recomputed, search.value, rel_tol=1e-12)
+
+    # many exactly tied values: the witness is the first of them in enumeration order
+    @pytest.mark.parametrize(
+        "frame, k, witness",
+        [
+            (bernoulli_matrix(5, 10, 3), 3, None),
+            (orthonormal_frame(5), 3, ((0,), (1,))),
+        ],
+        ids=["bernoulli", "identity"],
+    )
+    def test_witness_is_first_maximiser_on_ties(self, frame, k, witness, monkeypatch):
+        best, pairs, first_max = fro_bruteforce(frame, k)
+        assert witness in (None, first_max)
+        for block in (1, 7, 256):  # the block boundaries do not move the witness
+            monkeypatch.setattr(certification, "_FRO_BLOCK", block)
+            search = fro_constant_search(frame, k)
+            assert (search.value, search.count) == (best, pairs)
+            assert (search.witness_i, search.witness_j) == first_max
+
+
+def fro_bruteforce(frame, k):
+    """(value, pair count, first maximiser) over pairs (I, J), J after I in subset order.
+
+    Values are summed in the search's order, column sums of I first, so
+    tied values round alike; subsets are ordered by size, then lexicographically.
+    """
+    g = frame.gram
+    n = frame.n
+    subs = [c for size in range(1, k + 1) for c in itertools.combinations(range(n), size)]
+    best, pairs, first_max = -1.0, 0, None
+    for a, first in enumerate(subs):
+        for second in subs[a + 1 :]:
+            if set(first) & set(second):
+                continue
+            value = abs(sum(sum(g[i, j] for i in first) for j in second)) / math.sqrt(
+                len(first) * len(second)
+            )
+            if value > best:
+                best, first_max = value, (first, second)
+            pairs += 1
+    return best, pairs, first_max
 
 
 class TestBoundChains:
@@ -420,6 +452,36 @@ class TestSpark:
         frame = request.getfixturevalue(name)
         assert spark_search(frame, cap) == svd_only_spark(frame, cap, SPARK_TOL)
 
+    @pytest.mark.parametrize(
+        "name, cap, discs",
+        [
+            ("identity", 5, 5),  # every size certified
+            ("paley13_real", 8, 4),  # some sizes certified
+            ("paley13", 8, 4),
+            ("gaussian", 6, 1),  # only size 1 certified
+            ("tiny_column", 4, 0),  # no size certified
+            ("scaled_identity", 5, 5),
+            ("scaled_paley13_real", 8, 3),
+        ],
+    )
+    def test_disc_certificate_matches_svd_only_search(self, name, cap, discs, request):
+        frame = spark_frame(request, name)
+        result = spark_search(frame, cap)
+        assert result == svd_only_spark(frame, cap, SPARK_TOL)
+        assert result.disc_sizes == discs
+
+    def test_bench_frame_certified_through_size_six(self):
+        # realified Paley 29 with columns negated, as the benchmark builds it
+        frame = negate_columns(realify(paley_etf(29)), [1, 4, 7, 20])
+        assert 1 - 5 * frame.coherence > 0 > 1 - 6 * frame.coherence
+        assert certification._disc_sizes(frame, 7) == 6
+        result = spark_search(frame, 6)
+        assert (result.spark, result.tested, result.disc_sizes) == (
+            None,
+            sum(math.comb(30, s) for s in range(1, 7)),
+            6,
+        )
+
     @pytest.mark.parametrize("side", [1e-6, -1e-6])
     def test_planted_dependence_at_the_tolerance(self, side, monkeypatch):
         # column 5 is 0.6 * column 1 - 0.8 * column 3 plus a 1e-9 perturbation;
@@ -436,8 +498,24 @@ class TestSpark:
         result = spark_search(frame, 4)
         assert result == svd_only_spark(frame, 4, tol)
         assert (result.spark == 3) == (side > 0)
+        assert result.disc_sizes == 1  # size 3 is enumerated
         if side > 0:
             assert result.witness == (1, 3, 5)
+
+
+def spark_frame(request, name):
+    if name == "identity":
+        return orthonormal_frame(5)
+    if name == "tiny_column":  # Frame refuses an exactly zero column
+        data = np.array(gaussian_matrix(5, 8, 4).matrix)
+        data[:, 3] *= 1e-12
+        return Frame(data, label="tiny column")
+    if name == "scaled_identity":
+        return Frame(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]), label="scaled identity")
+    if name == "scaled_paley13_real":  # column norms from 0.8 to 1.25
+        frame = request.getfixturevalue("paley13_real")
+        return Frame(frame.matrix * np.linspace(0.8, 1.25, frame.n), label="scaled")
+    return named_frame(request, name)
 
 
 class TestCertifyFrame:

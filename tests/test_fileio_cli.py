@@ -328,6 +328,29 @@ class TestCertifyCommand:
         assert main(["certify", str(steiner_file), "--spark", "4", "-o", str(rep)]) == 0
         assert "spark: 4" in rep.read_text()
 
+    def test_spark_reports_the_sizes_decided_by_discs(self, tmp_path, steiner_file):
+        rep = tmp_path / "rep.txt"
+        assert main(["certify", str(steiner_file), "--spark", "4", "-o", str(rep)]) == 0
+        lines = rep.read_text().splitlines()
+        # sizes 1-3 are certified; the first 4-subset is the witness
+        assert "tested: 697" in lines
+        assert "# spark sizes 1-3 decided by Gershgorin discs, 1 enumerated" in lines
+
+    def test_huge_fro_k_is_clipped_to_the_column_count(self, tmp_path):
+        mat = tmp_path / "g.mat"
+        write_matrix(mat, gaussian_matrix(4, 6, 1))
+
+        def fro_lines(name, k):
+            rep = tmp_path / name
+            start = time.perf_counter()
+            assert main(["certify", str(mat), "--fro", k, "-o", str(rep)]) == 0
+            assert time.perf_counter() - start < 1.0
+            return [line for line in rep.read_text().splitlines() if line.startswith("fro-")]
+
+        huge = fro_lines("huge.txt", "1000000000")
+        assert "fro-count: 301" in huge
+        assert huge == fro_lines("seven.txt", "7")
+
     def test_power_sequence_is_reported(self, tmp_path, paley5_file):
         rep = tmp_path / "rep.txt"
         code = main(
