@@ -24,11 +24,11 @@ from .certification import (
 )
 from .constructions import _SEED_MASK, Frame, _generator, bernoulli_matrix, gaussian_matrix
 from .errors import InvalidParameterError
-from .subsets import DEFAULT_BUDGET, ordered_map, require_budget, worker_count
+from .subsets import ordered_map, worker_count
 
 #: fraction of the isometry target budgeted to column-norm deviations
 DEFAULT_ALPHA = 0.01
-#: trials are simulated in fixed-size blocks so results never depend on workers
+#: tail trials are drawn in fixed-size blocks, so memory stays bounded at any trial count
 _TRIAL_BLOCK = 20_000
 #: theta_hat values of the column-sum tail table
 _TAIL_GRID = tuple(i / 10 for i in range(11))
@@ -248,14 +248,13 @@ class TailRow:
     def symmetric_ok(self) -> bool:
         """|p+ - p-| within ``sidak_z(family)`` standard errors.
 
-        The two tail counts of one multinomial sample are negatively
-        correlated: Var(p+ - p-) = (p+ + p- - (p+ - p-)^2) / trials.
+        The standard error is the one under the null hypothesis p+ = p-:
+        Var(p+ - p-) = (p+ + p-) / trials, so z = |c+ - c-| / sqrt(c+ + c-)
+        in counts. It is never 0 where the counts differ, and z <= sqrt(trials),
+        so no row of 13 or fewer trials is flagged at 11 rows.
         """
-        p_pos = self.pos_count / self.trials
-        p_neg = self.neg_count / self.trials
-        diff = p_pos - p_neg
-        se = math.sqrt((p_pos + p_neg - diff * diff) / self.trials)
-        return abs(diff) <= sidak_z(self.family) * se + 1e-12
+        diff = abs(self.pos_count - self.neg_count)
+        return diff <= sidak_z(self.family) * math.sqrt(self.pos_count + self.neg_count) + 1e-12
 
 
 @dataclass(frozen=True)
@@ -281,33 +280,29 @@ class TailTable:
 def column_sum_tail(m: int, k1: int, k2: int, trials: int, seed: int) -> TailTable:
     """Simulate sums of m independent Gaussian products and tabulate tails.
 
-    Each trial draws X_i ~ N(0, k1/m) and Y_i ~ N(0, k2/m) and sums the
-    products. For every theta_hat in 0, 0.1, ..., 1 the two-sided tail
-    frequency at threshold theta_hat * sqrt(k1 k2) is compared with the
-    exponential bound 2 exp(-m theta_hat^2 / 4). The bound is a theorem
-    for theta_hat <= 1/2 and holds empirically well beyond. A block of
-    ``min(trials, _TRIAL_BLOCK)`` x m draws is refused above
-    ``DEFAULT_BUDGET`` entries before the first draw.
+    Each trial is the sum of X_i Y_i over m terms, X_i ~ N(0, k1/m) and
+    Y_i ~ N(0, k2/m). Given x the sum is N(0, (k2/m) |x|^2), and
+    |x|^2 = (k1/m) chi^2_m, so it is drawn exactly as
+    sqrt(k1 k2) / m * sqrt(chi^2_m) * Z with Z ~ N(0, 1): two scalars per
+    trial whatever m. For every theta_hat in 0, 0.1, ..., 1 the two-sided
+    tail frequency at threshold theta_hat * sqrt(k1 k2) is compared with
+    the exponential bound 2 exp(-m theta_hat^2 / 4). The bound is a
+    theorem for theta_hat <= 1/2 and holds empirically well beyond.
     """
     if m < 1 or k1 < 1 or k2 < 1:
         raise InvalidParameterError("need m, k1, k2 >= 1")
     if trials < 1:
         raise InvalidParameterError("need trials >= 1")
-    block = min(trials, _TRIAL_BLOCK)
-    require_budget(block * m, DEFAULT_BUDGET, f"a {block}x{m} tail block", "matrix entries")
     thresholds = np.array([th * math.sqrt(k1 * k2) for th in _TAIL_GRID])
     counts = np.zeros(len(_TAIL_GRID), dtype=np.int64)
     pos = np.zeros(len(_TAIL_GRID), dtype=np.int64)
     neg = np.zeros(len(_TAIL_GRID), dtype=np.int64)
     rng = _generator(seed)
+    scale = math.sqrt(k1 * k2) / m
     done = 0
     while done < trials:
         block = min(_TRIAL_BLOCK, trials - done)
-        x = rng.normal(0.0, math.sqrt(k1 / m), size=(block, m))
-        y = rng.normal(0.0, math.sqrt(k2 / m), size=(block, m))
-        sums = np.einsum("ij,ij->i", x, y)
-        # free this block before drawing the next, so two blocks are never alive
-        del x, y
+        sums = scale * np.sqrt(rng.chisquare(m, block)) * rng.standard_normal(block)
         counts += (np.abs(sums)[:, None] >= thresholds[None, :]).sum(axis=0)
         pos += (sums[:, None] >= thresholds[None, :]).sum(axis=0)
         neg += (sums[:, None] <= -thresholds[None, :]).sum(axis=0)

@@ -668,7 +668,7 @@ GOLDEN_MC_CERTIFY_REPORTS = [
      "7905cd7c607d2079841bc788cb45332811ce0ce1bccb3c049d75c06ceff8c8df"),
     (["mc", "tail", "--m", "16", "--k1", "2", "--k2", "2", "--trials", "20000",
       "--seed", "5", "-o", "d.txt"],
-     "ff3de00301b52ec865a4805f498cb97e5599524464fddcf1847f9d07757a9b50"),
+     "488d15f4a534c34298c625d0abd5ded2be9c219705cbe6703bceced67c7248dd"),
     (["certify", "p13.mat", "--gershgorin", "--exact-ric", "3", "--power", "3", "2",
       "--roc", "2", "--fro", "2", "--spark", "4", "--bounds", "-o", "e.txt"],
      "ed48ac0c72b7e3d71cd69e0e5c21e8e361cc384df08c24dfb949ad11f998130f"),
@@ -696,19 +696,29 @@ class TestMcCommand:
         assert code == 0
         assert "violations: 0" in rep.read_text()
 
-    @pytest.mark.parametrize("m, needed", [("251", 5020000), ("1000000", 20000000000)])
-    def test_tail_block_over_budget_exits_three_without_a_file(self, tmp_path, capsys, m, needed):
+    def test_tail_at_a_large_m_draws_two_scalars_per_trial(self, tmp_path):
+        # the exact law draws no m-wide block, so m = 10**6 runs in well under a second
         rep = tmp_path / "rep.txt"
         start = time.perf_counter()
-        code = main(["mc", "tail", "--m", m, "--k1", "2", "--k2", "2", "--trials", "20000",
-                     "--seed", "1", "-o", str(rep)])
+        code = main(["mc", "tail", "--m", "251,1000000", "--k1", "2", "--k2", "2",
+                     "--trials", "20000", "--seed", "1", "-o", str(rep)])
         assert time.perf_counter() - start < 1.0
-        assert code == 3
-        assert capsys.readouterr().err == (
-            f"error: a 20000x{m} tail block requires {needed} matrix entries, "
-            "exceeding the budget of 5000000\n"
-        )
-        assert not rep.exists()
+        assert code == 0
+        text = rep.read_text()
+        assert "\nviolations: 0\n" in text
+        rows = text.split("\n[m=1000000]\n")[1].split("\n[")[0].splitlines()
+        far = [row for row in rows if row.startswith("theta-") and not row.startswith("theta-0.0:")]
+        assert len(far) == 10
+        assert all(" count=0 " in row for row in far), far
+
+    def test_one_trial_raises_no_asymmetry_alarm(self, tmp_path, capsys):
+        # with one trial every sample falls on one side of every threshold
+        for seed in range(1, 5):
+            main(["mc", "tail", "--m", "16,64", "--k1", "2", "--k2", "2", "--trials", "1",
+                  "--seed", str(seed), "-o", str(tmp_path / "rep.txt")])
+            captured = capsys.readouterr()
+            assert "tail asymmetry" not in captured.err, seed
+            assert "tail asymmetry" not in (tmp_path / "rep.txt").read_text(), seed
 
     def test_fro_sweep_report(self, tmp_path):
         rep = tmp_path / "rep.txt"

@@ -215,6 +215,32 @@ class TestColumnSumTail:
         assert table.rows[5].threshold == 0.5 * math.sqrt(6)
 
 
+def product_sum_tail_counts(m, k1, k2, trials, seed, thresholds):
+    """Two-sided tail counts of the literal simulation: 2m normals per trial."""
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(len(thresholds), dtype=np.int64)
+    for done in range(0, trials, 20_000):
+        block = min(20_000, trials - done)
+        x = rng.normal(0.0, math.sqrt(k1 / m), size=(block, m))
+        y = rng.normal(0.0, math.sqrt(k2 / m), size=(block, m))
+        sums = np.einsum("ij,ij->i", x, y)
+        counts += (np.abs(sums)[:, None] >= np.asarray(thresholds)[None, :]).sum(axis=0)
+    return counts
+
+
+@pytest.mark.parametrize("m", [1, 2, 16, 64])
+def test_exact_law_matches_the_product_sum(m):
+    # sqrt(k1 k2) / m * sqrt(chi^2_m) * Z against sums of m products of normals;
+    # a pure Gaussian of the same variance fails this at m = 1, 2 and 16
+    trials = 100_000
+    table = column_sum_tail(m, 3, 2, trials, 1)
+    ref = product_sum_tail_counts(m, 3, 2, trials, 2, [r.threshold for r in table.rows])
+    for row, count in zip(table.rows, ref):
+        p, q = row.count / trials, count / trials
+        bound = 5.0 * math.sqrt((p * (1 - p) + q * (1 - q)) / trials) + 1.0 / trials
+        assert abs(p - q) <= bound, (row.theta_hat, row.count, int(count))
+
+
 class TestTailSymmetry:
     def test_sidak_threshold(self):
         assert sidak_z(1) == pytest.approx(3.0, abs=1e-12)
@@ -229,11 +255,20 @@ class TestTailSymmetry:
 
     def test_covariance_enters_the_standard_error(self):
         # near theta = 0 the two tails are strongly anticorrelated: 100,500 vs
-        # 99,500 of 200,000 is z = 2.24 with Var(p+ - p-) = (p+ + p- - (p+ - p-)^2) / T,
-        # but z = 3.16 if the tails are treated as independent
+        # 99,500 of 200,000 is z = 2.24 with Var(p+ - p-) = (p+ + p-) / T under
+        # p+ = p-, but z = 3.16 if the tails are treated as independent
         row = TailRow(0.0, 0.0, 200_000, 200_000, 2.0, 100_500, 99_500, family=1)
         assert row.symmetric_ok
         assert not replace(row, pos_count=100_800, neg_count=99_200).symmetric_ok
+
+    def test_small_trial_counts_are_never_flagged(self):
+        # z = |c+ - c-| / sqrt(c+ + c-) <= sqrt(T), below sidak_z(11) = 3.67 for T <= 13
+        for trials in range(1, 14):
+            for pos in range(trials + 1):
+                for neg in range(trials + 1 - pos):
+                    row = TailRow(0.5, 1.0, pos + neg, trials, 1.0, pos, neg, family=11)
+                    assert row.symmetric_ok, (trials, pos, neg)
+        assert not TailRow(0.5, 1.0, 14, 14, 1.0, 14, 0, family=11).symmetric_ok
 
     def test_planted_asymmetry_is_flagged(self):
         row = TailRow(0.5, 1.0, 1000, 200_000, 1.0, 600, 400, family=11)
