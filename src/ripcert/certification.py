@@ -237,6 +237,20 @@ def _frobenius(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("bij,bij->b", a, a.conj()).real)
 
 
+def _squares(a: np.ndarray) -> np.ndarray:
+    """Per row sum of |a_ri|^2 over the last axis, real and imaginary parts summed apart."""
+    sq = np.einsum("bi,bi->b", a.real, a.real)
+    if np.iscomplexobj(a):
+        sq += np.einsum("bi,bi->b", a.imag, a.imag)
+    return sq
+
+
+def _ceiling(squares: np.ndarray, k: int) -> np.ndarray:
+    """``squares`` raised by the rounding margin that ``_screened`` proves."""
+    margin = 1.0 + 2 * (k + 16) ** 2 * np.finfo(float).eps
+    return margin * (squares + 5 * k * k * np.finfo(float).smallest_subnormal)
+
+
 def _cholesky_runs(m: np.ndarray, shift: np.ndarray, sign: float) -> np.ndarray:
     """Rows b on which floating-point Cholesky of shift[b] I - sign M_b runs to completion.
 
@@ -260,26 +274,62 @@ def _cholesky_runs(m: np.ndarray, shift: np.ndarray, sign: float) -> np.ndarray:
     return runs
 
 
-def _screened(m: np.ndarray, solve, signs) -> np.ndarray:
+def _screened(rows: np.ndarray, ceiling: np.ndarray, form, solve, signs) -> np.ndarray:
     """``solve`` on the rows of a batch that can hold its first maximum, -1 elsewhere.
 
-    ``solve(a)`` gives per row the largest eigenvalue ``eigvalsh`` computes
-    for s a over s in ``signs``, clipped below at 0. The ``_SCREEN_TOP`` rows
-    of largest Frobenius norm are solved first and their best value b is the
-    bar; a row proved to fall strictly below b keeps -1 and every other row
-    is solved. ``eigvalsh`` runs LAPACK matrix by matrix, so a row's float
-    does not depend on the rows solved with it, and the batch's first
-    maximum, its row and its float, are those of ``solve`` on the whole batch.
+    ``form(rows)`` gives the k x k matrices M that ``solve`` reads, and
+    ``solve(M)`` per row the largest eigenvalue ``eigvalsh`` computes for
+    s M over s in ``signs``, clipped below at 0. ``ceiling`` bounds, per
+    row, that value and the Frobenius norm F of the Hermitian matrix H of
+    M's lower triangle and real diagonal, which ``eigvalsh`` reads. The
+    ``_SCREEN_TOP`` rows of largest ceiling are solved first; with b their
+    best value, u = eps (twice the unit roundoff) and bar = b (1 - 8u):
 
-    The proof, per row M (k x k) with computed Frobenius norm F, u = eps
-    (twice the unit roundoff) and H the Hermitian matrix of M's lower
-    triangle and real diagonal, which ``eigvalsh`` reads:
+    1. Frobenius stage: every row with ceiling < bar is settled at -1.
+    2. Cholesky stage: ``form`` runs on the rows left (on the batch itself
+       when none was settled); a row Cholesky proves to fall below the bar
+       is settled at -1.
+    3. Every other row is solved.
 
-    - ``eigvalsh`` is backward stable, so each computed eigenvalue of s H is
+    ``form`` and ``eigvalsh`` run matrix by matrix, so a row's float does
+    not depend on the rows solved with it, and the batch's first maximum,
+    its row and its float, are those of ``solve`` on the whole batch. A
+    value v < bar is strictly below b, and still strictly below after a
+    correctly rounded square root: fl(bar) <= b (1 - 7u), so
+    fl(sqrt(v)) < sqrt(b) (1 - 3.5u) (1 + u/2) < fl(sqrt(b)).
+
+    The ceilings, with gamma_n = n u / (1 - n u), eta the smallest
+    subnormal and s^ the ``_squares`` of the entries of C (ROC: C the
+    cross-Gram, M = fl(C* C), the value lambda) or of H (RIC: M the hollow
+    sub-Gram, counting H's strict lower triangle twice, the value the
+    spectral radius rho):
+
+    - s^ sums at most 2k^2 squares, each rounded once and then in at most
+      k^2 + 1 additions, so s^ >= s (1 - gamma_{k^2+2}) - 2 k^2 eta for the
+      exact sum s, where each square below the normal range loses at most
+      eta/2.
+    - ``eigvalsh`` is backward stable: each computed eigenvalue of s H is
       within 16 k u F of the exact one (the model of ``_spark_clear_ratio``).
-      If lambda_max(s H) < t = b (1 - 8u) - 16 k u F for every sign, the
-      row's value is below b (1 - 8u) up to the rounding of t: strictly below
-      b, and still strictly below after a correctly rounded square root.
+    - RIC: H is what s^ sums, F = sqrt(s) and rho <= F (1 + 16ku).
+    - ROC: the product has |M - C*C| <= gamma_{2k+4} |C|*|C| + 2k eta
+      entrywise (a length-k complex inner product is off by at most
+      sqrt(2) gamma_{k+2}), and C*C is Hermitian with a real diagonal, so
+      ||H - C*C||_F <= sqrt(2) ||M - C*C||_F <= sqrt(2) gamma_{2k+4} s
+      + 3 k^2 eta. As lambda_max(C*C) <= ||C*C||_F <= ||C||_F^2 = s, both
+      lambda_max(H) and F are at most s (1 + sqrt(2) gamma_{2k+4}) + 3k^2 eta,
+      and lambda <= (1 + 16ku) times that.
+    - So the value (ROC) or rho^2 and F^2 (RIC) are at most A (s^ + 5 k^2 eta),
+      A = (1 + 16ku) max(1 + sqrt(2) gamma_{2k+4}, 1 + 16ku) / (1 - gamma_{k^2+2})
+      <= 1 + 1.5 (k + 16)^2 u while (k + 16)^2 u <= 1/8. ``_ceiling``
+      multiplies s^ + 5 k^2 eta by 1 + 2 (k + 16)^2 u, which stays above A
+      through that product's rounding, the rounding of the margin and, for
+      RIC, of the square root taken of it: ceiling = ``_ceiling(s^, k)``
+      for ROC and its square root for RIC.
+
+    The Cholesky stage, per row left with t = bar - 16 k u ceiling:
+
+    - If lambda_max(s H) < t for every sign, the row's value is below bar
+      up to the rounding of t.
     - lambda_max(s H) < t is certified as in S. M. Rump, "Verification of
       positive definiteness", BIT 46 (2006): Cholesky runs to completion on
       X = fl((t - c) I - s H). Its computed factor has R*R = X + E with
@@ -290,20 +340,21 @@ def _screened(m: np.ndarray, solve, signs) -> np.ndarray:
       tr X <= (1 + u)^2 (k (t + c) + sum |m_ii|). Taking gamma = gamma_{4(k+1)}
       covers complex arithmetic (sqrt(2) gamma_2 per product) and the
       rounding of c; gradual underflow adds absolute errors, bounded by a
-      term 4k (2k + 2 + max x_ii) eta at least as large as Rump's, eta the
-      smallest subnormal. Hence
+      term 4k (2k + 2 + max x_ii) eta at least as large as Rump's. Hence
       c = (a + 4u) (k t + sum |m_ii|) + 4k (2k + 2 + t + max |m_ii|) eta.
     - Rows with t <= 0 are solved.
     """
-    if len(m) <= _SCREEN_TOP:  # every row is a top row
-        return solve(m)
+    if len(rows) <= _SCREEN_TOP:  # every row is a top row
+        return solve(form(rows))
     u = np.finfo(float).eps
-    k = m.shape[1]
-    fro = _frobenius(m)
-    top = np.argsort(fro)[-_SCREEN_TOP:]
-    out = np.full(len(m), -1.0)
-    out[top] = solve(m[top])
-    t = out[top].max() * (1.0 - 8 * u) - 16 * k * u * fro
+    k = rows.shape[1]
+    top = np.argpartition(ceiling, -_SCREEN_TOP)[-_SCREEN_TOP:]
+    out = np.full(len(rows), -1.0)
+    out[top] = solve(form(rows[top]))
+    bar = out[top].max() * (1.0 - 8 * u)
+    keep = np.flatnonzero(~(ceiling < bar))  # a nan ceiling is kept
+    m = form(rows if len(keep) == len(rows) else rows[keep])
+    t = bar - 16 * k * u * ceiling[keep]
     diag = np.abs(np.diagonal(m, axis1=1, axis2=2).real)
     gamma = 4 * (k + 1) * u / (1 - 4 * (k + 1) * u)
     eta = np.finfo(float).smallest_subnormal
@@ -312,10 +363,16 @@ def _screened(m: np.ndarray, solve, signs) -> np.ndarray:
     shift, settled = t - c, t > 0.0
     for sign in signs:
         settled &= _cholesky_runs(m, shift, sign)
-    settled[top] = True
+    solved = np.zeros(len(rows), dtype=bool)
+    solved[top] = True
+    settled |= solved[keep]
     rest = np.flatnonzero(~settled)
-    out[rest] = solve(m[rest])
+    out[keep[rest]] = solve(m[rest])
     return out
+
+
+def _cross_product(c: np.ndarray) -> np.ndarray:
+    return c.conj().swapaxes(1, 2) @ c
 
 
 def _spectral_radius(a: np.ndarray) -> np.ndarray:
@@ -330,8 +387,11 @@ def ric_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> Subs
     """Exact isometry constant: max spectral norm of hollow sub-Grams.
 
     Enumerates every k-column subset; this is the oracle every other
-    estimate is compared against. Each chunk runs ``eigvalsh`` only on the
-    sub-Grams that ``_screened`` cannot prove to fall below its best.
+    estimate is compared against. ``_screened`` settles each chunk in three
+    stages: a sub-Gram whose Frobenius norm, with its rounding margin, is
+    below the best of the chunk's top rows is settled first; of the rest,
+    one that a Cholesky factorisation proves to fall below it is settled
+    next; ``eigvalsh`` runs only on the sub-Grams left.
     """
     n = frame.n
     if not 1 <= k <= n:
@@ -340,8 +400,14 @@ def ric_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> Subs
     require_budget(total, budget, f"exact isometry constant at K={k}")
     g = frame.gram
 
+    i, j = np.tril_indices(k, -1)
+
     def kernel(chunk: np.ndarray) -> np.ndarray:
-        return _screened(_hollow_subgrams(g, chunk), _spectral_radius, (1.0, -1.0))
+        m = _hollow_subgrams(g, chunk)
+        squares = 2.0 * _squares(m[:, i, j])
+        squares += _squares(np.diagonal(m, axis1=1, axis2=2).real)
+        ceiling = np.sqrt(_ceiling(squares, k))
+        return _screened(m, ceiling, lambda rows: rows, _spectral_radius, (1.0, -1.0))
 
     value, witness, _ = _first_max(iter_subset_chunks(n, k), kernel, _row)
     return SubsetSearch(value, witness, total)
@@ -417,8 +483,12 @@ def roc_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> Pair
     Maximizes the spectral norm of the cross-Gram over all unordered
     pairs of disjoint k-subsets. Restricting to full-size supports loses
     nothing because the norm is monotone under adding columns (checked
-    as a tested property on small frames). Each chunk runs ``eigvalsh``
-    only on the pairs that ``_screened`` cannot prove to fall below its best.
+    as a tested property on small frames). ``_screened`` settles each chunk
+    in three stages: a pair whose squared Frobenius norm ||C||_F^2, with its
+    rounding margin, is below the best of the chunk's top rows is settled
+    without forming C*C; of the rest, C*C is formed and a pair that a
+    Cholesky factorisation proves to fall below it is settled next;
+    ``eigvalsh`` runs only on the pairs left.
     """
     n = frame.n
     if not 1 <= k <= n // 2:
@@ -430,8 +500,9 @@ def roc_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> Pair
     def kernel(pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         first, second = pair
         cross = g[first[:, :, None], second[:, None, :]]
+        ceiling = _ceiling(_squares(cross.reshape(len(cross), -1)), k)
         # sigma_max(C) = sqrt(lambda_max(C*C)): a k x k eigvalsh is cheaper than an SVD
-        lam = _screened(cross.conj().swapaxes(1, 2) @ cross, _top_eigenvalue, (1.0,))
+        lam = _screened(cross, ceiling, _cross_product, _top_eigenvalue, (1.0,))
         return np.sqrt(lam, out=np.full_like(lam, -1.0), where=lam >= 0.0)
 
     value, (wi, wj), _ = _first_max(iter_disjoint_pair_chunks(n, k), kernel, _pair_row)

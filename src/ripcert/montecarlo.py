@@ -6,7 +6,7 @@ trials measure how often the certification criteria hold at desk scale,
 always under explicit seeding so every outcome is reproducible bit for
 bit. Empirical tail frequencies are compared against their exponential
 bounds only where those bounds are actually theorems; the comparisons
-carry binomial standard errors.
+are binomial tests.
 """
 
 from __future__ import annotations
@@ -236,13 +236,25 @@ class TailRow:
         return self.count / self.trials
 
     @property
-    def stderr(self) -> float:
-        p = self.empirical
-        return math.sqrt(p * (1.0 - p) / self.trials)
-
-    @property
     def ok(self) -> bool:
-        return self.empirical <= self.bound + 3.0 * self.stderr
+        """False when the count is too large for a tail probability at the bound.
+
+        With p = count / trials above the bound b < 1, Chernoff's bound
+        P(Bin(trials, b) >= count) <= exp(-trials KL(p || b)) is taken as the
+        p-value, and the row is flagged when it is below the one-sided
+        three-standard-error level erfc(3 / sqrt 2) / 2. Unlike a standard
+        error, the test does not vanish at p = 0 or 1, so one trial beyond
+        a threshold is not flagged at a bound above that level.
+        """
+        p, b = self.empirical, self.bound
+        if p <= b or b >= 1.0:
+            return True
+        if b <= 0.0:
+            return False
+        kl = p * math.log(p / b)
+        if p < 1.0:
+            kl += (1.0 - p) * math.log((1.0 - p) / (1.0 - b))
+        return math.exp(-self.trials * kl) >= math.erfc(3.0 / math.sqrt(2.0)) / 2.0
 
     @property
     def symmetric_ok(self) -> bool:

@@ -678,6 +678,9 @@ class TestScreen:
     """Rows the exact RIC and ROC kernels leave at -1 are strictly below their chunk's best."""
 
     SCREENED = {"ric": (ric_exact_search, 4, _full_ric), "roc": (roc_exact_search, 2, _full_roc)}
+    #: whether the Frobenius stage settles rows: it does on a generic frame, and on a
+    #: real ETF, whose sub-Grams all share one Frobenius norm, it settles none
+    FROBENIUS_SETTLES = {"gaussian": True, "paley13_real": False}
 
     @pytest.mark.parametrize("top", [1, 8])
     @pytest.mark.parametrize("search", sorted(SCREENED))
@@ -690,8 +693,9 @@ class TestScreen:
     ):
         frame = named_frame(request, frame_name)
         fn, k, full = self.SCREENED[search]
-        seen = []
+        seen, frobenius = [], []
         real = certification._first_max
+        real_screen = certification._screened
 
         def recording(chunks, kernel, witness, stop=math.inf):
             def recorded(chunk):
@@ -701,7 +705,22 @@ class TestScreen:
 
             return real(chunks, recorded, witness, stop)
 
+        def counting(rows, ceiling, form, solve, signs):
+            formed = []
+
+            def counted(x):
+                formed.append(x)
+                return form(x)
+
+            out = real_screen(rows, ceiling, counted, solve, signs)
+            if len(formed) == 2:  # the top rows, then the rows the Frobenius stage left
+                frobenius.append(len(rows) - len(formed[1]))
+                if len(formed[1]) == len(rows):  # nothing settled: no row-subset copy
+                    assert formed[1] is rows
+            return out
+
         monkeypatch.setattr(certification, "_first_max", recording)
+        monkeypatch.setattr(certification, "_screened", counting)
         monkeypatch.setattr(certification, "_SCREEN_TOP", top)
         TestChunkIndependence._set_chunk(monkeypatch, 64, [])
         fn(frame, k)
@@ -717,6 +736,95 @@ class TestScreen:
             assert values.max() == reference.max()
             assert np.argmax(values) == np.argmax(reference)
         assert settled > 0
+        assert frobenius
+        if frame_name in self.FROBENIUS_SETTLES:
+            assert (sum(frobenius) > 0) == self.FROBENIUS_SETTLES[frame_name]
+
+    def test_a_row_at_the_bar_is_solved(self, monkeypatch):
+        # the Frobenius stage settles only rows whose ceiling is strictly below
+        # bar = b (1 - 8u): row 0 sits exactly at the bar and ties the top row 1
+        monkeypatch.setattr(certification, "_SCREEN_TOP", 1)
+        u = np.finfo(float).eps
+        rows = np.array([1.0, 1.0, 0.25, 0.25])[:, None, None]
+        ceiling = np.array([1.0 - 8 * u, 2.0, 0.5, 0.5])
+        out = certification._screened(
+            rows, ceiling, lambda r: r, certification._top_eigenvalue, (1.0,)
+        )
+        assert out.tolist() == [1.0, 1.0, -1.0, -1.0]
+
+
+def rank_one_plant(search, k, rng, scale):
+    """A frame whose first ROC pair has the rank-one cross-Gram C = scale x y^T
+    (|x| = |y| = 1) or whose first RIC subset has the hollow sub-Gram of
+    I + scale^2 v v^T; two orthonormal columns in rows of their own follow."""
+    if search == "roc":
+        x, y = rng.standard_normal(k), rng.standard_normal(k)
+        c = scale * np.outer(x / np.linalg.norm(x), y / np.linalg.norm(y))
+        block = np.hstack([np.eye(k), c])
+    else:
+        block = np.vstack([np.eye(k), scale * rng.standard_normal((1, k))])
+    mat = np.zeros((block.shape[0] + 2, block.shape[1] + 2))
+    mat[: block.shape[0], : block.shape[1]] = block
+    mat[-2:, -2:] = np.eye(2)
+    return unchecked_frame(mat)  # a tiny column's computed norm can underflow to 0
+
+
+class TestFrobeniusNearTie:
+    """On a rank-one row sigma_max = ||C||_F (ROC) and rho = ||H||_F (RIC) in exact
+    arithmetic, so the computed value can exceed the computed norm by rounding;
+    only the ceiling's margin keeps such a row from being settled. At scale 1
+    the plant is the maximiser. The tiny scales put every square below the
+    normal range, where the margin's absolute term does the work."""
+
+    SCALES = {("roc", False): 1.0, ("ric", False): 1.0, ("roc", True): 1e-160, ("ric", True): 1e-81}
+
+    @pytest.mark.parametrize("tiny", [False, True])
+    @pytest.mark.parametrize("search", ["ric", "roc"])
+    def test_ceilings_bound_rank_one_rows(self, monkeypatch, search, tiny):
+        fn, _, full = TestScreen.SCREENED[search]
+        scale = self.SCALES[search, tiny]
+        rng = np.random.default_rng(16)
+        records, margin = [], [True]
+        real_screen, real_ceiling = certification._screened, certification._ceiling
+
+        def recording(rows, ceiling, form, solve, signs):
+            records.append((ceiling, solve(form(rows))))
+            return real_screen(rows, ceiling, form, solve, signs)
+
+        def ceiling(squares, k):
+            return real_ceiling(squares, k) if margin[0] else squares
+
+        monkeypatch.setattr(certification, "_screened", recording)
+        monkeypatch.setattr(certification, "_ceiling", ceiling)
+        above_raw = 0
+        for k in (1, 2, 3, 4):
+            for _ in range(30):
+                frame = rank_one_plant(search, k, rng, scale)
+                monkeypatch.setattr(certification, "_SCREEN_TOP", 10**9)  # solve every row
+                reference = fn(frame, k)
+                monkeypatch.setattr(certification, "_SCREEN_TOP", 1)
+                margin[0] = True
+                records.clear()
+                assert fn(frame, k) == reference
+                ((bounds, values),) = records
+                # every row's ceiling bounds its computed value, the tie included
+                assert np.all(bounds >= values)
+                planted = np.arange(k)[None]
+                if scale == 1.0 and search == "roc":
+                    pair = (tuple(range(k)), tuple(range(k, 2 * k)))
+                    assert (reference.witness_i, reference.witness_j) == pair
+                    assert reference.value == full(frame.gram, (planted, planted + k))[0]
+                elif scale == 1.0:
+                    assert reference.witness == tuple(range(k))
+                    assert reference.value == full(frame.gram, planted)[0]
+                # the same rows with the ceiling's margin taken off
+                margin[0] = False
+                records.clear()
+                fn(frame, k)
+                ((raw, values),) = records
+                above_raw += int(np.sum(values > raw))
+        # some rows compute above their unmargined Frobenius norm
+        assert above_raw > 0
 
 
 #: repr(value) and witnesses of the exact searches on gaussian_matrix(11, 22, seed);

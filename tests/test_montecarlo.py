@@ -292,3 +292,31 @@ class TestTailSymmetry:
         text = out.read_text()
         assert "symmetric=False" in text
         assert "m=16: tail asymmetry beyond 3.67 standard errors" in text
+
+
+class TestTailBound:
+    """``TailRow.ok`` flags a count only when a binomial at the bound makes it unlikely."""
+
+    LEVEL = math.erfc(3.0 / math.sqrt(2.0)) / 2.0
+
+    def test_one_trial_beyond_a_threshold(self):
+        # one trial, one hit: the Chernoff p-value exp(-KL(1 || b)) is b itself
+        row = TailRow(0.5, 1.0, 1, 1, 2.0 * self.LEVEL, 1, 0)
+        assert row.ok
+        assert not replace(row, bound=self.LEVEL / 2.0).ok
+        assert replace(row, count=0, pos_count=0).ok
+        assert not replace(row, bound=0.0).ok
+
+    @pytest.mark.parametrize("m", [16, 64])
+    def test_one_trial_runs_raise_no_alarm(self, m):
+        # the 3-standard-error rule flagged 12 of these 398 runs: its standard
+        # error is 0 at p = 1
+        for seed in range(1, 200):
+            assert column_sum_tail(m, 2, 2, 1, seed).all_ok, seed
+
+    def test_a_significant_excess_is_flagged(self):
+        # 0.2% against a 0.1% bound over 200,000 trials is 14 standard errors of the bound
+        row = TailRow(0.5, 1.0, 400, 200_000, 0.001, 200, 200)
+        assert not row.ok
+        assert replace(row, count=200).ok  # at the bound
+        assert replace(row, bound=1.0).ok  # a bound of 1 holds for any count
