@@ -363,9 +363,7 @@ def _screened(rows: np.ndarray, ceiling: np.ndarray, form, solve, signs) -> np.n
     shift, settled = t - c, t > 0.0
     for sign in signs:
         settled &= _cholesky_runs(m, shift, sign)
-    solved = np.zeros(len(rows), dtype=bool)
-    solved[top] = True
-    settled |= solved[keep]
+    settled |= np.isin(keep, top)  # already solved
     rest = np.flatnonzero(~settled)
     out[keep[rest]] = solve(m[rest])
     return out
