@@ -843,3 +843,23 @@ def test_golden_exact_searches(seed):
     assert (repr(roc.value), roc.witness_i, roc.witness_j, roc.count) == (roc_value, wi, wj, 746130)
     ric = ric_exact_search(frame, 6)
     assert (repr(ric.value), ric.witness, ric.count) == (ric_value, witness, 74613)
+
+
+#: repr(value) and witnesses of the exact RIC (K=5) and ROC (K=2) searches on
+#: realified Paley 29, as given and with the columns of the bench's seed-1 mask
+#: negated; tied maximisers make these witnesses the ones the screen must not move
+GOLDEN_ETF = ("0.7427813527082129", (5, 9, 17, 23, 25),
+              "0.37139067635410916", (6, 18), (14, 28))
+
+
+@pytest.mark.parametrize("negated", [False, True])
+def test_golden_etf_searches(negated):
+    ric_value, witness, roc_value, wi, wj = GOLDEN_ETF
+    frame = realify(paley_etf(29))
+    if negated:
+        mask = np.random.default_rng(1).integers(0, 2, frame.n)
+        frame = negate_columns(frame, np.flatnonzero(mask).tolist())
+    ric = ric_exact_search(frame, 5)
+    assert (repr(ric.value), ric.witness, ric.count) == (ric_value, witness, 142506)
+    roc = roc_exact_search(frame, 2)
+    assert (repr(roc.value), roc.witness_i, roc.witness_j, roc.count) == (roc_value, wi, wj, 82215)
