@@ -43,8 +43,8 @@ SPARK_TOL = 1e-9
 CHECK_SLACK = 1e-9
 #: subsets per row block of the flat-orthogonality search
 _FRO_BLOCK = 256
-#: rows per chunk solved first, by largest Frobenius norm, to set the bar the
-#: rest of an exact RIC or ROC chunk is screened against
+#: rows per chunk solved first, by largest ceiling, to set the bar the rest of
+#: an exact RIC or ROC chunk is screened against
 _SCREEN_TOP = 8
 
 LN2 = math.log(2.0)
@@ -225,10 +225,14 @@ def _pair_row(pair: tuple[np.ndarray, np.ndarray], i: int):
     return _row(pair[0], i), _row(pair[1], i)
 
 
+def _gather(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The blocks a[rows[b]][:, cols[b]] of a square ``a``, gathered by one flat take."""
+    return a.ravel().take(rows[:, :, None] * len(a) + cols[:, None, :])
+
+
 def _hollow_subgrams(g: np.ndarray, chunk: np.ndarray) -> np.ndarray:
-    sub = g[chunk[:, :, None], chunk[:, None, :]].copy()
-    k = chunk.shape[1]
-    idx = np.arange(k)
+    sub = _gather(g, chunk, chunk)
+    idx = np.arange(chunk.shape[1])
     sub[:, idx, idx] -= 1.0
     return sub
 
@@ -251,45 +255,50 @@ def _ceiling(squares: np.ndarray, k: int) -> np.ndarray:
     return margin * (squares + 5 * k * k * np.finfo(float).smallest_subnormal)
 
 
-def _cholesky_runs(m: np.ndarray, shift: np.ndarray, sign: float) -> np.ndarray:
-    """Rows b on which floating-point Cholesky of shift[b] I - sign M_b runs to completion.
-
-    Reads M's lower triangle and real diagonal, the Hermitian matrix
-    ``eigvalsh`` sees; the shifted matrix is formed entry by entry, not stored.
-    """
-    k = m.shape[1]
-    runs = np.ones(len(m), dtype=bool)
-    low = {}
-    for j in range(k):
-        pivot = shift - sign * m[:, j, j].real
-        for p in range(j):
-            pivot = pivot - (low[j, p] * low[j, p].conj()).real
-        runs &= pivot > 0.0
-        root = np.sqrt(np.where(runs, pivot, 1.0))
-        for i in range(j + 1, k):
-            entry = -sign * m[:, i, j]
-            for p in range(j):
-                entry = entry - low[i, p] * low[j, p].conj()
-            low[i, j] = entry / root
-    return runs
+def _equiangular(g: np.ndarray):
+    """(mu, e, d, signs) of a float64 Gram equiangular within ``DEFAULT_TOL``, else None:
+    mu = max |g_ij| and e = mu - min |g_ij| over i != j, d = max |g_ii - 1|, and the
+    sign matrix of g with a zero diagonal. e, d <= DEFAULT_TOL < min |g_ij| keeps every
+    sign nonzero and makes e and d exact (Sterbenz)."""
+    if np.iscomplexobj(g) or len(g) < 2:
+        return None
+    off = np.abs(g[~np.eye(len(g), dtype=bool)])
+    low, mu = off.min(), off.max()
+    e, d = mu - low, np.abs(g.diagonal() - 1.0).max()
+    if not (e <= DEFAULT_TOL < low and d <= DEFAULT_TOL):
+        return None
+    signs = np.sign(g).astype(np.int8)
+    np.fill_diagonal(signs, 0)
+    return mu, e, d, signs
 
 
-def _screened(rows: np.ndarray, ceiling: np.ndarray, form, solve, signs) -> np.ndarray:
+def _sign_norms(signs: np.ndarray) -> np.ndarray:
+    """sqrt(lambda^ + 16 k^3 u), in two roundings, per k x k int8 block of -1, 0 and 1:
+    a bound on its norm, lambda^ being the top eigenvalue ``eigvalsh`` computes of S^T S
+    for the block S switched, rows by its first column and then columns by its new first
+    row (0 read as +1), which keeps the norm. S^T S is an exact integer matrix of
+    Frobenius norm <= k^2, so the model of ``_screened`` applies. Each distinct S of the
+    batch, keyed by its packed sign bits, is solved once."""
+    k = signs.shape[1]
+    signs = signs * (signs[:, :, :1] | 1)  # x | 1 is x with 0 read as +1
+    signs *= signs[:, :1, :] | 1
+    bits = np.packbits((signs < 0).reshape(len(signs), -1), axis=1)
+    keys = bits.view(f"V{bits.shape[1]}").ravel()  # one bytes key per row
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    classes = signs[first].astype(float)
+    lam = np.linalg.eigvalsh(classes.swapaxes(1, 2) @ classes)[:, -1]
+    return np.sqrt(lam + 16 * k**3 * np.finfo(float).eps)[inverse]
+
+
+def _screened(rows: np.ndarray, ceiling: np.ndarray, form, solve) -> np.ndarray:
     """``solve`` on the rows of a batch that can hold its first maximum, -1 elsewhere.
 
     ``form(rows)`` gives the k x k matrices M that ``solve`` reads, and
-    ``solve(M)`` per row the largest eigenvalue ``eigvalsh`` computes for
-    s M over s in ``signs``, clipped below at 0. ``ceiling`` bounds, per
-    row, that value and the Frobenius norm F of the Hermitian matrix H of
-    M's lower triangle and real diagonal, which ``eigvalsh`` reads. The
-    ``_SCREEN_TOP`` rows of largest ceiling are solved first; with b their
-    best value, u = eps (twice the unit roundoff) and bar = b (1 - 8u):
-
-    1. Frobenius stage: every row with ceiling < bar is settled at -1.
-    2. Cholesky stage: ``form`` runs on the rows left (on the batch itself
-       when none was settled); a row Cholesky proves to fall below the bar
-       is settled at -1.
-    3. Every other row is solved.
+    ``solve(M)`` per row the value ``eigvalsh`` computes from M, clipped
+    below at 0, which ``ceiling`` bounds. The ``_SCREEN_TOP`` rows of
+    largest ceiling are solved first; with b their best value, u = eps
+    (twice the unit roundoff) and bar = b (1 - 8u), every other row with
+    ceiling < bar is settled at -1 and the rest (or the batch) are solved.
 
     ``form`` and ``eigvalsh`` run matrix by matrix, so a row's float does
     not depend on the rows solved with it, and the batch's first maximum,
@@ -298,17 +307,18 @@ def _screened(rows: np.ndarray, ceiling: np.ndarray, form, solve, signs) -> np.n
     correctly rounded square root: fl(bar) <= b (1 - 7u), so
     fl(sqrt(v)) < sqrt(b) (1 - 3.5u) (1 + u/2) < fl(sqrt(b)).
 
-    The ceilings, with gamma_n = n u / (1 - n u), eta the smallest
-    subnormal and s^ the ``_squares`` of the entries of C (ROC: C the
-    cross-Gram, M = fl(C* C), the value lambda) or of H (RIC: M the hollow
-    sub-Gram, counting H's strict lower triangle twice, the value the
-    spectral radius rho):
+    The Frobenius ceilings, with gamma_n = n u / (1 - n u), eta the smallest
+    subnormal, F the Frobenius norm of the Hermitian H of M's lower triangle
+    and real diagonal, which ``eigvalsh`` reads, and s^ the ``_squares`` of
+    the entries of C (ROC: C the cross-Gram, M = fl(C* C), the value lambda)
+    or of H (RIC: M the hollow sub-Gram, counting H's strict lower triangle
+    twice, the value the spectral radius rho):
 
     - s^ sums at most 2k^2 squares, each rounded once and then in at most
       k^2 + 1 additions, so s^ >= s (1 - gamma_{k^2+2}) - 2 k^2 eta for the
       exact sum s, where each square below the normal range loses at most
       eta/2.
-    - ``eigvalsh`` is backward stable: each computed eigenvalue of s H is
+    - ``eigvalsh`` is backward stable: each computed eigenvalue of H is
       within 16 k u F of the exact one (the model of ``_spark_clear_ratio``).
     - RIC: H is what s^ sums, F = sqrt(s) and rho <= F (1 + 16ku).
     - ROC: the product has |M - C*C| <= gamma_{2k+4} |C|*|C| + 2k eta
@@ -326,46 +336,25 @@ def _screened(rows: np.ndarray, ceiling: np.ndarray, form, solve, signs) -> np.n
       RIC, of the square root taken of it: ceiling = ``_ceiling(s^, k)``
       for ROC and its square root for RIC.
 
-    The Cholesky stage, per row left with t = bar - 16 k u ceiling:
-
-    - If lambda_max(s H) < t for every sign, the row's value is below bar
-      up to the rounding of t.
-    - lambda_max(s H) < t is certified as in S. M. Rump, "Verification of
-      positive definiteness", BIT 46 (2006): Cholesky runs to completion on
-      X = fl((t - c) I - s H). Its computed factor has R*R = X + E with
-      |E_ij| <= a sqrt(x_ii x_jj), a = gamma/(1 - gamma), gamma = gamma_{k+1}
-      for real data (Demmel), so lambda_min(X) >= -a tr X. Rounding X's
-      diagonal moves it by at most u tr X and t - c by u (t + c), so
-      lambda_max(s H) < t once c (1 - u) > u t + (a + u) tr X, where
-      tr X <= (1 + u)^2 (k (t + c) + sum |m_ii|). Taking gamma = gamma_{4(k+1)}
-      covers complex arithmetic (sqrt(2) gamma_2 per product) and the
-      rounding of c; gradual underflow adds absolute errors, bounded by a
-      term 4k (2k + 2 + max x_ii) eta at least as large as Rump's. Hence
-      c = (a + 4u) (k t + sum |m_ii|) + 4k (2k + 2 + t + max |m_ii|) eta.
-    - Rows with t <= 0 are solved.
+    The class ceilings, on a Gram that ``_equiangular`` accepts, with S the
+    row's sign block, sigma(S) <= ``_sign_norms`` and |E_ij| <= e off the
+    diagonal and <= d on it: RIC: H = mu S + E, so rho <= mu sigma(S)
+    + (k - 1) e + d + 16ku F, F <= k (mu + d). ROC: C = mu S + E, so
+    sigma_max(C) <= q = mu sigma(S) + k e, and with s <= k^2 mu^2 the ROC
+    terms above give lambda <= q^2 + 2 (k + 16)^2 u k^2 mu^2 + 4 k^2 eta.
+    Each is evaluated in at most 8 roundings of nonnegative terms and
+    multiplied by 1 + 8u: (1 - u/2)^9 (1 + 8u) > 1.
     """
     if len(rows) <= _SCREEN_TOP:  # every row is a top row
         return solve(form(rows))
-    u = np.finfo(float).eps
-    k = rows.shape[1]
     top = np.argpartition(ceiling, -_SCREEN_TOP)[-_SCREEN_TOP:]
     out = np.full(len(rows), -1.0)
     out[top] = solve(form(rows[top]))
-    bar = out[top].max() * (1.0 - 8 * u)
+    bar = out[top].max() * (1.0 - 8 * np.finfo(float).eps)
     keep = np.flatnonzero(~(ceiling < bar))  # a nan ceiling is kept
-    m = form(rows if len(keep) == len(rows) else rows[keep])
-    t = bar - 16 * k * u * ceiling[keep]
-    diag = np.abs(np.diagonal(m, axis1=1, axis2=2).real)
-    gamma = 4 * (k + 1) * u / (1 - 4 * (k + 1) * u)
-    eta = np.finfo(float).smallest_subnormal
-    c = (gamma / (1 - gamma) + 4 * u) * (k * t + diag.sum(axis=1))
-    c += 4 * k * (2 * k + 2 + t + diag.max(axis=1)) * eta
-    shift, settled = t - c, t > 0.0
-    for sign in signs:
-        settled &= _cholesky_runs(m, shift, sign)
-    settled |= np.isin(keep, top)  # already solved
-    rest = np.flatnonzero(~settled)
-    out[keep[rest]] = solve(m[rest])
+    if len(keep) == len(rows):
+        return solve(form(rows))
+    out[keep] = solve(form(rows[keep]))
     return out
 
 
@@ -385,11 +374,10 @@ def ric_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> Subs
     """Exact isometry constant: max spectral norm of hollow sub-Grams.
 
     Enumerates every k-column subset; this is the oracle every other
-    estimate is compared against. ``_screened`` settles each chunk in three
-    stages: a sub-Gram whose Frobenius norm, with its rounding margin, is
-    below the best of the chunk's top rows is settled first; of the rest,
-    one that a Cholesky factorisation proves to fall below it is settled
-    next; ``eigvalsh`` runs only on the sub-Grams left.
+    estimate is compared against. ``_screened`` settles each sub-Gram whose
+    ceiling, its Frobenius norm or, on a real equiangular Gram, its Seidel
+    sign class's norm, with a rounding margin, is below the best of its
+    chunk's top rows.
     """
     n = frame.n
     if not 1 <= k <= n:
@@ -397,7 +385,8 @@ def ric_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> Subs
     total = subset_count(n, k)
     require_budget(total, budget, f"exact isometry constant at K={k}")
     g = frame.gram
-
+    equiangular = _equiangular(g)
+    u = np.finfo(float).eps
     i, j = np.tril_indices(k, -1)
 
     def kernel(chunk: np.ndarray) -> np.ndarray:
@@ -405,7 +394,11 @@ def ric_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> Subs
         squares = 2.0 * _squares(m[:, i, j])
         squares += _squares(np.diagonal(m, axis1=1, axis2=2).real)
         ceiling = np.sqrt(_ceiling(squares, k))
-        return _screened(m, ceiling, lambda rows: rows, _spectral_radius, (1.0, -1.0))
+        if equiangular is not None:
+            mu, e, d, signs = equiangular
+            rho = mu * _sign_norms(_gather(signs, chunk, chunk)) + (k - 1) * e + d
+            ceiling = np.minimum(ceiling, (rho + 16 * k * k * u * (mu + d)) * (1 + 8 * u))
+        return _screened(m, ceiling, lambda rows: rows, _spectral_radius)
 
     value, witness, _ = _first_max(iter_subset_chunks(n, k), kernel, _row)
     return SubsetSearch(value, witness, total)
@@ -481,12 +474,10 @@ def roc_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> Pair
     Maximizes the spectral norm of the cross-Gram over all unordered
     pairs of disjoint k-subsets. Restricting to full-size supports loses
     nothing because the norm is monotone under adding columns (checked
-    as a tested property on small frames). ``_screened`` settles each chunk
-    in three stages: a pair whose squared Frobenius norm ||C||_F^2, with its
-    rounding margin, is below the best of the chunk's top rows is settled
-    without forming C*C; of the rest, C*C is formed and a pair that a
-    Cholesky factorisation proves to fall below it is settled next;
-    ``eigvalsh`` runs only on the pairs left.
+    as a tested property on small frames). ``_screened`` settles, without
+    forming C*C, each pair whose ceiling, ||C||_F^2 or, on a real
+    equiangular Gram, its Seidel sign class's squared norm, with a rounding
+    margin, is below the best of its chunk's top rows.
     """
     n = frame.n
     if not 1 <= k <= n // 2:
@@ -494,13 +485,20 @@ def roc_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> Pair
     total = disjoint_pair_count(n, k)
     require_budget(total, budget, f"exact orthogonality constant at K={k}")
     g = frame.gram
+    equiangular = _equiangular(g)
+    u, eta = np.finfo(float).eps, np.finfo(float).smallest_subnormal
 
     def kernel(pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         first, second = pair
-        cross = g[first[:, :, None], second[:, None, :]]
+        cross = _gather(g, first, second)
         ceiling = _ceiling(_squares(cross.reshape(len(cross), -1)), k)
+        if equiangular is not None:
+            mu, e, _, signs = equiangular
+            q = mu * _sign_norms(_gather(signs, first, second)) + k * e
+            lam = q * q + 2 * (k + 16) ** 2 * u * (k * mu) ** 2 + 4 * k * k * eta
+            ceiling = np.minimum(ceiling, lam * (1 + 8 * u))
         # sigma_max(C) = sqrt(lambda_max(C*C)): a k x k eigvalsh is cheaper than an SVD
-        lam = _screened(cross, ceiling, _cross_product, _top_eigenvalue, (1.0,))
+        lam = _screened(cross, ceiling, _cross_product, _top_eigenvalue)
         return np.sqrt(lam, out=np.full_like(lam, -1.0), where=lam >= 0.0)
 
     value, (wi, wj), _ = _first_max(iter_disjoint_pair_chunks(n, k), kernel, _pair_row)
@@ -654,7 +652,7 @@ def spark_search(frame: Frame, cap: int, budget: int = DEFAULT_BUDGET) -> SparkR
         clear = _spark_clear_ratio(frame, size, SPARK_TOL)
 
         def dependent(chunk: np.ndarray) -> np.ndarray:
-            lam = np.linalg.eigvalsh(g[chunk[:, :, None], chunk[:, None, :]])
+            lam = np.linalg.eigvalsh(_gather(g, chunk, chunk))
             rows = np.flatnonzero(lam[:, 0] <= clear * lam[:, -1])
             cols = np.transpose(mat[:, chunk[rows]], (1, 0, 2))
             sv = np.linalg.svd(cols, compute_uv=False)

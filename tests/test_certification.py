@@ -678,22 +678,19 @@ class TestScreen:
     """Rows the exact RIC and ROC kernels leave at -1 are strictly below their chunk's best."""
 
     SCREENED = {"ric": (ric_exact_search, 4, _full_ric), "roc": (roc_exact_search, 2, _full_roc)}
-    #: whether the Frobenius stage settles rows: it does on a generic frame, and on a
-    #: real ETF, whose sub-Grams all share one Frobenius norm, it settles none
+    #: whether the Frobenius ceiling alone settles rows: it does on a generic frame, and
+    #: on a real ETF, whose sub-Grams all share one Frobenius norm, it settles none
     FROBENIUS_SETTLES = {"gaussian": True, "paley13_real": False}
+    #: frames with a real Gram equiangular within DEFAULT_TOL: only there is the
+    #: sign-class ceiling applied, and there it settles rows the Frobenius one leaves
+    CLASS_FRAMES = ("steiner_6x16", "paley13_real", "paley13")
 
-    @pytest.mark.parametrize("top", [1, 8])
-    @pytest.mark.parametrize("search", sorted(SCREENED))
-    @pytest.mark.parametrize(
-        "frame_name",
-        ["gaussian", "bernoulli", "steiner_6x16", "paley13_real", "paley13", "degenerate"],
-    )
-    def test_settled_rows_are_below_the_chunk_maximum(
-        self, request, monkeypatch, frame_name, search, top
-    ):
-        frame = named_frame(request, frame_name)
-        fn, k, full = self.SCREENED[search]
-        seen, frobenius = [], []
+    @staticmethod
+    def _settled(monkeypatch, frame, search, top):
+        """Rows settled by one screened search at chunk 64, each chunk checked
+        against the unscreened solve."""
+        fn, k, full = TestScreen.SCREENED[search]
+        seen = []
         real = certification._first_max
         real_screen = certification._screened
 
@@ -705,18 +702,16 @@ class TestScreen:
 
             return real(chunks, recorded, witness, stop)
 
-        def counting(rows, ceiling, form, solve, signs):
+        def counting(rows, ceiling, form, solve):
             formed = []
 
             def counted(x):
                 formed.append(x)
                 return form(x)
 
-            out = real_screen(rows, ceiling, counted, solve, signs)
-            if len(formed) == 2:  # the top rows, then the rows the Frobenius stage left
-                frobenius.append(len(rows) - len(formed[1]))
-                if len(formed[1]) == len(rows):  # nothing settled: no row-subset copy
-                    assert formed[1] is rows
+            out = real_screen(rows, ceiling, counted, solve)
+            if len(formed) == 2 and len(formed[1]) == len(rows):  # the top rows, then all
+                assert formed[1] is rows  # nothing settled: no row-subset copy
             return out
 
         monkeypatch.setattr(certification, "_first_max", recording)
@@ -735,21 +730,47 @@ class TestScreen:
             assert np.all(reference[skipped] < values.max())
             assert values.max() == reference.max()
             assert np.argmax(values) == np.argmax(reference)
+        return settled
+
+    @pytest.mark.parametrize("top", [1, 8])
+    @pytest.mark.parametrize("search", sorted(SCREENED))
+    @pytest.mark.parametrize(
+        "frame_name",
+        ["gaussian", "bernoulli", "steiner_6x16", "paley13_real", "paley13", "degenerate"],
+    )
+    def test_settled_rows_are_below_the_chunk_maximum(
+        self, request, monkeypatch, frame_name, search, top
+    ):
+        frame = named_frame(request, frame_name)
+        real_equiangular, real_norms = certification._equiangular, certification._sign_norms
+        monkeypatch.setattr(certification, "_equiangular", lambda g: None)
+        frobenius = self._settled(monkeypatch, frame, search, top)  # the Frobenius ceiling alone
+        monkeypatch.setattr(certification, "_equiangular", real_equiangular)
+        applied = []
+
+        def norms(signs):
+            applied.append(len(signs))
+            return real_norms(signs)
+
+        monkeypatch.setattr(certification, "_sign_norms", norms)
+        settled = self._settled(monkeypatch, frame, search, top)
         assert settled > 0
-        assert frobenius
         if frame_name in self.FROBENIUS_SETTLES:
-            assert (sum(frobenius) > 0) == self.FROBENIUS_SETTLES[frame_name]
+            assert (frobenius > 0) == self.FROBENIUS_SETTLES[frame_name]
+        assert bool(applied) == (frame_name in self.CLASS_FRAMES)
+        if applied:
+            assert settled > frobenius
+        else:
+            assert settled == frobenius
 
     def test_a_row_at_the_bar_is_solved(self, monkeypatch):
-        # the Frobenius stage settles only rows whose ceiling is strictly below
+        # the screen settles only rows whose ceiling is strictly below
         # bar = b (1 - 8u): row 0 sits exactly at the bar and ties the top row 1
         monkeypatch.setattr(certification, "_SCREEN_TOP", 1)
         u = np.finfo(float).eps
         rows = np.array([1.0, 1.0, 0.25, 0.25])[:, None, None]
         ceiling = np.array([1.0 - 8 * u, 2.0, 0.5, 0.5])
-        out = certification._screened(
-            rows, ceiling, lambda r: r, certification._top_eigenvalue, (1.0,)
-        )
+        out = certification._screened(rows, ceiling, lambda r: r, certification._top_eigenvalue)
         assert out.tolist() == [1.0, 1.0, -1.0, -1.0]
 
 
@@ -785,9 +806,9 @@ class TestFrobeniusNearTie:
         records, margin = [], [True]
         real_screen, real_ceiling = certification._screened, certification._ceiling
 
-        def recording(rows, ceiling, form, solve, signs):
+        def recording(rows, ceiling, form, solve):
             records.append((ceiling, solve(form(rows))))
-            return real_screen(rows, ceiling, form, solve, signs)
+            return real_screen(rows, ceiling, form, solve)
 
         def ceiling(squares, k):
             return real_ceiling(squares, k) if margin[0] else squares
@@ -823,6 +844,91 @@ class TestFrobeniusNearTie:
                 above_raw += int(np.sum(values > raw))
         # some rows compute above their unmargined Frobenius norm
         assert above_raw > 0
+
+
+def perturbed_paley13(scale, noise):
+    """Realified Paley 13 with every column scaled by 1 + ``scale``, which moves every
+    g_ii - 1 by about 2 ``scale``, and every entry moved by up to ``noise``."""
+    base = realify(paley_etf(13)).matrix.real
+    moves = np.random.default_rng(17).uniform(-noise, noise, base.shape)
+    return Frame(base * (1 + scale) + moves, label="perturbed")
+
+
+#: frames within DEFAULT_TOL of realified Paley 13: the columns scaled up and every
+#: entry moved (spread e ~ 1e-14), or only scaled, so that d ~ 2e-13 dominates e
+PERTURBED = {"perturbed": (5e-15, 1e-15), "scaled": (1e-13, 0.0)}
+
+
+class TestClassCeiling:
+    """On a real ETF each hollow sub-Gram is mu S_K and each cross-Gram mu S_IJ up to
+    rounding and the spread, so a row can compute above mu times the computed norm of
+    its sign block; only the class ceiling's slack keeps such a row from being settled.
+    The perturbed frames stay within DEFAULT_TOL of an ETF."""
+
+    #: (frame, K) per search; steiner_6x16 (RIC K=4, ROC K=3) and the perturbed frames
+    #: (RIC) have rows that compute above the unslacked ceiling, and on "scaled" some
+    #: compute above it by more than every slack term but d
+    CASES = {
+        "ric": [("steiner_6x16", 4), ("paley13_real", 4), ("paley13", 4), ("perturbed", 4),
+                ("scaled", 4)],
+        "roc": [("steiner_6x16", 2), ("steiner_6x16", 3), ("paley13_real", 2),
+                ("paley13", 2), ("perturbed", 2)],
+    }
+
+    @pytest.mark.parametrize("search", sorted(CASES))
+    def test_class_ceilings_bound_every_row(self, request, monkeypatch, search):
+        fn = TestScreen.SCREENED[search][0]
+        real_screen, real_norms = certification._screened, certification._sign_norms
+        above_raw = 0
+        for frame_name, k in self.CASES[search]:
+            if frame_name in PERTURBED:
+                frame = perturbed_paley13(*PERTURBED[frame_name])
+            else:
+                frame = request.getfixturevalue(frame_name)
+            g = frame.gram
+            mu = float(np.abs(g[~np.eye(frame.n, dtype=bool)]).max())
+            records, applied = [], []
+
+            def recording(rows, ceiling, form, solve):
+                records.append((rows, ceiling, solve(form(rows))))
+                return real_screen(rows, ceiling, form, solve)
+
+            def norms(signs):
+                applied.append(len(signs))
+                return real_norms(signs)
+
+            monkeypatch.setattr(certification, "_screened", recording)
+            monkeypatch.setattr(certification, "_sign_norms", norms)
+            monkeypatch.setattr(certification, "_SCREEN_TOP", 10**9)  # solve every row
+            reference = fn(frame, k)
+            monkeypatch.undo()
+            assert fn(frame, k) == reference
+            # every row got a class ceiling
+            assert sum(applied) == sum(len(rows) for rows, _, _ in records)
+            for rows, ceiling, values in records:
+                # every row's ceiling bounds its computed value, tied maximisers included
+                assert np.all(ceiling >= values), (frame_name, k)
+                # mu times the computed norm of the row's sign block: the class
+                # ceiling with its slack taken off
+                signs = np.sign(rows)
+                if search == "ric":
+                    signs[:, np.arange(k), np.arange(k)] = 0.0
+                    raw = mu * np.abs(np.linalg.eigvalsh(signs)).max(axis=1)
+                else:
+                    raw = (mu * np.linalg.norm(signs, 2, axis=(1, 2))) ** 2
+                above_raw += int(np.sum(values > raw))
+        # some rows compute above it
+        assert above_raw > 0
+
+    @pytest.mark.parametrize("search", sorted(CASES))
+    def test_no_class_ceiling_past_the_tolerance(self, monkeypatch, search):
+        fn, k, _ = TestScreen.SCREENED[search]
+        frame = perturbed_paley13(1e-10, 2e-11)
+        assert verify_etf(frame).equiangular_spread > 1e-12
+        applied = []
+        monkeypatch.setattr(certification, "_sign_norms", lambda signs: applied.append(1))
+        fn(frame, k)
+        assert not applied
 
 
 #: repr(value) and witnesses of the exact searches on gaussian_matrix(11, 22, seed);
