@@ -56,10 +56,8 @@ from .graphs import (
     SrgParams,
     TraceExpansion,
     clique_number,
+    descendant_graph,
     expander_mixing_check,
-    flip_canonical,
-    graph_from_seidel,
-    join_decompose,
     paley_clique_number,
     paley_graph,
     predicted_srg,

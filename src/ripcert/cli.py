@@ -52,10 +52,8 @@ from .fileio import (
 )
 from .graphs import (
     clique_number,
+    descendant_graph,
     expander_mixing_check,
-    flip_canonical,
-    graph_from_seidel,
-    join_decompose,
     paley_clique_number,
     paley_graph,
     predicted_srg,
@@ -427,7 +425,8 @@ def _cmd_graph(args) -> int:
         if not frame.is_real:
             frame = realify(frame)  # raises NotRealError (exit 4) for complex Grams
         anchor = args.canonicalize if args.canonicalize is not None else frame.n - 1
-        seidel, mu = seidel_from_gram(flip_canonical(frame, anchor))
+        seidel, mu = seidel_from_gram(frame)
+        seidel, g = descendant_graph(seidel, anchor)
         writer.section("frame")
         writer.kv("label", frame.label)
         writer.kv("rows", frame.m)
@@ -439,7 +438,6 @@ def _cmd_graph(args) -> int:
             for v in range(seidel.n):
                 row = "".join("0" if x == 0 else ("+" if x > 0 else "-") for x in seidel.entries[v])
                 writer.kv(str(v), row)
-        g = join_decompose(graph_from_seidel(seidel), anchor)
 
     writer.section("adjacency" if frame is None else "descendant-adjacency")
     writer.kv("vertices", g.n)

@@ -47,10 +47,6 @@ class NotRegularError(PreconditionError):
     """The graph is not regular."""
 
 
-class NotJoinError(PreconditionError):
-    """The vertex is not adjacent to every other vertex."""
-
-
 class InfeasibleInputError(RipcertError):
     """The input cannot be processed in the requested way (CLI exit 4)."""
 

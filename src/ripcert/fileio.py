@@ -34,7 +34,7 @@ def _fmt_float(x: float) -> str:
 def _fmt_entry(z: complex, complex_flag: bool) -> str:
     if not complex_flag:
         return _fmt_float(z.real)
-    sign = "+" if z.imag >= 0 else "-"
+    sign = "-" if np.signbit(z.imag) else "+"  # -0.0 keeps its sign
     return f"{_fmt_float(z.real)}{sign}{_fmt_float(abs(z.imag))}j"
 
 
@@ -188,11 +188,9 @@ class ReportWriter:
 
     @staticmethod
     def render(value) -> str:
-        if isinstance(value, bool):
+        if isinstance(value, (bool, np.bool_)):
             return "true" if value else "false"
-        if isinstance(value, float):
-            return repr(float(value))
-        if isinstance(value, (np.floating,)):
+        if isinstance(value, (float, np.floating)):
             return repr(float(value))
         if isinstance(value, (int, np.integer)):
             return str(int(value))

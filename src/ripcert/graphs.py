@@ -2,17 +2,17 @@
 
 A real unit-norm equiangular frame decomposes its Gram matrix as
 I + mu*S where S is a symmetric sign matrix with zero diagonal; reading
-the -1 entries of S as edges gives a simple graph. After flipping
-columns so one anchor column has negative inner products with all
-others, removing the anchor leaves a strongly regular graph whose
-parameters depend only on the frame dimensions. This module builds and
-checks all of that, plus quadratic-residue (Paley) graphs, exact clique
-numbers by branch and bound (for Paley graphs on the common neighbourhood
-of one edge, by arc-transitivity), the expander mixing inequality, and
-the sign-walk expansion of trace powers as an exact integer trace. The
-clique identity delta_K = (K-1)*mu for K <= omega+1 needs no function of
-its own: ``clique_number`` gives omega and ``ric_exact_search`` gives
-delta_K.
+the -1 entries of S as edges gives a simple graph. Switching S, which
+is what negating frame columns does to it, until one anchor vertex is
+joined to all others and then removing the anchor leaves a strongly
+regular graph whose parameters depend only on the frame dimensions.
+This module builds and checks all of that, plus quadratic-residue
+(Paley) graphs, exact clique numbers by branch and bound (for Paley
+graphs on the common neighbourhood of one edge, by arc-transitivity),
+the expander mixing inequality, and the sign-walk expansion of trace
+powers as an exact integer trace. The clique identity
+delta_K = (K-1)*mu for K <= omega+1 needs no function of its own:
+``clique_number`` gives omega and ``ric_exact_search`` gives delta_K.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .certification import CHECK_SLACK, verify_etf
-from .constructions import Frame, negate_columns
+from .certification import CHECK_SLACK, _equiangular, verify_etf
+from .constructions import Frame
 from .errors import (
     AmbiguousSignError,
     CongruenceError,
@@ -33,11 +33,9 @@ from .errors import (
     InvalidSelectionError,
     MatrixShapeError,
     NotEtfError,
-    NotJoinError,
     NotRealError,
     NotRegularError,
 )
-from .linalg import DEFAULT_TOL
 from .modular import is_prime, quadratic_residues
 from .subsets import DEFAULT_BUDGET, require_budget
 
@@ -178,7 +176,7 @@ def paley_graph(p: int) -> SimpleGraph:
 
 
 # ---------------------------------------------------------------------------
-# Seidel matrices and canonicalization
+# Seidel matrices and switching
 # ---------------------------------------------------------------------------
 
 
@@ -186,9 +184,8 @@ def seidel_from_gram(frame: Frame) -> tuple[SeidelMatrix, float]:
     """Sign pattern S and magnitude mu of a real equiangular frame's Gram.
 
     Requires a real Gram matrix and the tight-frame axioms at
-    ``DEFAULT_TOL``, whose equiangularity spread already bounds every
-    off-diagonal magnitude's distance from the coherence; entries
-    indistinguishable from zero are refused.
+    ``DEFAULT_TOL``; mu and S are those of ``_equiangular``, which also
+    refuses off-diagonal entries indistinguishable from zero.
     """
     if np.iscomplexobj(frame.gram):
         raise NotRealError("gram matrix is not real; realify the frame first")
@@ -200,51 +197,29 @@ def seidel_from_gram(frame: Frame) -> tuple[SeidelMatrix, float]:
             f"tightness dev {report.tight_dev:.3e}, "
             f"equiangularity spread {report.equiangular_spread:.3e}"
         )
-    mu = frame.coherence
-    if mu <= DEFAULT_TOL:
+    equiangular = _equiangular(frame.gram)
+    if equiangular is None:
         raise AmbiguousSignError("off-diagonal Gram entries vanish; signs are undefined")
-    signs = np.where(frame.gram > 0, 1, -1).astype(np.int8)
-    np.fill_diagonal(signs, 0)
-    return SeidelMatrix(signs), mu
+    mu, _, _, signs = equiangular
+    return SeidelMatrix(signs), float(mu)
 
 
-def flip_canonical(frame: Frame, anchor: int) -> Frame:
-    """Negate columns until the anchor's inner products are all negative.
+def descendant_graph(seidel: SeidelMatrix, anchor: int) -> tuple[SeidelMatrix, SimpleGraph]:
+    """Switch S to D S D, D = diag(-S_anchor) with D_anchor = 1, and the graph it leaves.
 
-    This is a flipping equivalence: Gram magnitudes, the axioms and all
-    isometry constants are unchanged.
+    Switching is what negating frame columns does to S, so it keeps every
+    Gram magnitude. The switched anchor row is all -1; the graph joins the
+    other n - 1 vertices where the switched S is -1 (vertex v stands for
+    column v, or v + 1 past the anchor) and, for an ETF, is strongly regular.
     """
-    if not 0 <= anchor < frame.n:
+    s = seidel.entries
+    if not 0 <= anchor < len(s):
         raise InvalidSelectionError(f"anchor {anchor} out of range")
-    if np.iscomplexobj(frame.gram):
-        raise NotRealError("canonical flipping needs a real Gram matrix")
-    row = frame.gram[anchor].copy()
-    row[anchor] = -1.0
-    if float(np.abs(row).min()) <= DEFAULT_TOL:
-        raise AmbiguousSignError(
-            "anchor has a vanishing inner product; canonical flipping is ambiguous"
-        )
-    positive = [j for j in range(frame.n) if j != anchor and row[j] > 0]
-    if not positive:
-        return frame
-    flipped = negate_columns(frame, positive)
-    return Frame(flipped.matrix, label=f"{frame.label} flipped@{anchor}".strip())
-
-
-def graph_from_seidel(s: SeidelMatrix) -> SimpleGraph:
-    """Graph whose edges sit exactly where the sign matrix is -1."""
-    return SimpleGraph(s.entries == -1)
-
-
-def join_decompose(g: SimpleGraph, vertex: int) -> SimpleGraph:
-    """Remove a vertex adjacent to everything, returning the induced rest."""
-    if not 0 <= vertex < g.n:
-        raise InvalidSelectionError(f"vertex {vertex} out of range")
-    row = g.adjacency[vertex].copy()
-    row[vertex] = True
-    if not row.all():
-        raise NotJoinError(f"vertex {vertex} is not adjacent to every other vertex")
-    return SimpleGraph(np.delete(np.delete(g.adjacency, vertex, 0), vertex, 1))
+    d = -s[anchor]
+    d[anchor] = 1
+    switched = d[:, None] * s * d
+    rest = np.delete(np.arange(len(s)), anchor)
+    return SeidelMatrix(switched), SimpleGraph(switched[np.ix_(rest, rest)] == -1)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +267,7 @@ def srg_check(g: SimpleGraph) -> SrgCheckResult:
 def predicted_srg(m: int, n: int) -> SrgParams:
     """Strong-regularity parameters forced by the frame dimensions alone.
 
-    A real m x n equiangular tight frame with n > m + 1 canonicalizes to
+    A real m x n equiangular tight frame with n > m + 1 switches to
     a vertex joined with an srg(n-1, L, (3L-n)/2, L/2) graph, where
     L = n/2 - 1 + (1 - n/(2m)) sqrt(m(n-1)/(n-m)). Non-integer values
     mean no real frame of that size exists; negative ones (as for 1 x 4)

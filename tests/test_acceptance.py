@@ -17,12 +17,10 @@ from ripcert import (
     clique_number,
     column_sum_tail,
     delta1,
-    flip_canonical,
+    descendant_graph,
     fro_constant_search,
     gaussian_matrix,
-    graph_from_seidel,
     hadamard,
-    join_decompose,
     paley_etf,
     paley_graph,
     predicted_srg,
@@ -95,10 +93,7 @@ def etf_collection():
 
 @pytest.fixture(scope="module")
 def paley13_descendant(paley13_real):
-    anchor = paley13_real.n - 1
-    flipped = flip_canonical(paley13_real, anchor)
-    seidel, _ = seidel_from_gram(flipped)
-    return flipped, join_decompose(graph_from_seidel(seidel), anchor), anchor
+    return descendant_graph(seidel_from_gram(paley13_real)[0], paley13_real.n - 1)[1]
 
 
 def test_golden_matrix_steiner(tmp_path):
@@ -167,8 +162,7 @@ def test_spark_values(steiner_6x16, paley5, paley13):
 
 def test_clique_ric_identity(paley13_real, paley13_descendant):
     with _Timer(60.0) as t:
-        _, descendant, _ = paley13_descendant
-        omega = clique_number(descendant)
+        omega = clique_number(paley13_descendant)
         assert omega.exact
         mu = 1 / math.sqrt(13)
         for k in range(2, omega.size + 2):
@@ -187,10 +181,8 @@ def test_srg_pipeline():
     with _Timer(10.0) as t:
         for p in (5, 13, 17):
             frame = realify(paley_etf(p))
-            anchor = frame.n - 1
-            flipped = flip_canonical(frame, anchor)
-            seidel, _ = seidel_from_gram(flipped)
-            descendant = join_decompose(graph_from_seidel(seidel), anchor)
+            seidel, _ = seidel_from_gram(frame)
+            _, descendant = descendant_graph(seidel, frame.n - 1)
             result = srg_check(descendant)
             assert result.is_srg
             assert result.params == predicted_srg(frame.m, frame.n)
@@ -253,7 +245,7 @@ def test_ro_fro_bound_chain():
 def test_fro_edge_count_identity(paley13_real):
     with _Timer(30.0) as t:
         seidel, mu = seidel_from_gram(paley13_real)
-        adj = graph_from_seidel(seidel).adjacency.astype(int)
+        adj = (seidel.entries == -1).astype(int)
         k = 3
         subs = [
             c

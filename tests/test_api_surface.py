@@ -18,6 +18,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "ripcert"
 UNREFERENCED_ALLOWED = {
     "legendre_symbol": "the tests' Euler-criterion oracle for the Paley Gram signs",
     "report_body": "defines the report body that the determinism checks compare",
+    "negate_columns": "the benchmark builds its column-negated inputs with it",
 }
 
 #: defaulted parameters kept without a package call that passes them, each with its reason

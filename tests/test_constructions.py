@@ -280,21 +280,13 @@ class TestRealify:
 
     @pytest.mark.parametrize("p", [37, 41, 53, 101, 197])
     def test_large_paley_frames_give_their_strongly_regular_graph(self, p):
-        from ripcert import (
-            flip_canonical,
-            graph_from_seidel,
-            join_decompose,
-            predicted_srg,
-            seidel_from_gram,
-            srg_check,
-        )
+        from ripcert import descendant_graph, predicted_srg, seidel_from_gram, srg_check
 
         frame = realify(paley_etf(p))
         assert (frame.m, frame.n) == ((p + 1) // 2, p + 1)
         assert verify_etf(frame).all_ok
-        anchor = frame.n - 1
-        seidel, _ = seidel_from_gram(flip_canonical(frame, anchor))
-        graph = join_decompose(graph_from_seidel(seidel), anchor)
+        seidel, _ = seidel_from_gram(frame)
+        _, graph = descendant_graph(seidel, frame.n - 1)
         assert srg_check(graph).params == predicted_srg(frame.m, frame.n)
 
 

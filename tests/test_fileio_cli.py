@@ -21,11 +21,13 @@ from ripcert import (
     realify,
     steiner_etf,
     steiner_triple,
+    verify_etf,
 )
 from ripcert.cli import main
 from ripcert.constructions import Frame, SteinerSystem
 from ripcert.errors import EnumerationBudgetError, InvalidParameterError
 from ripcert.fileio import (
+    ReportWriter,
     read_graph,
     read_matrix,
     read_steiner,
@@ -43,23 +45,29 @@ class TestMatrixFormat:
         path = tmp_path / "g.mat"
         write_matrix(path, frame)
         back = read_matrix(path)
-        assert np.array_equal(back.matrix, frame.matrix)
+        assert back.matrix.tobytes() == frame.matrix.tobytes()
         assert back.label == frame.label
 
     def test_complex_roundtrip_bit_for_bit(self, tmp_path, paley13):
         path = tmp_path / "p.mat"
         write_matrix(path, paley13)
         back = read_matrix(path)
-        assert np.array_equal(back.matrix, paley13.matrix)
+        assert back.matrix.tobytes() == paley13.matrix.tobytes()
 
     def test_negative_zero_and_tiny_values_roundtrip(self, tmp_path):
         data = np.array([[1e-308, -0.0], [1e150, 1.0]])
         frame = Frame(data, label="extremes")
         path = tmp_path / "x.mat"
         write_matrix(path, frame)
-        assert np.array_equal(
-            read_matrix(path).matrix, frame.matrix
-        )
+        assert read_matrix(path).matrix.tobytes() == frame.matrix.tobytes()
+
+    def test_negative_zero_imaginary_parts_roundtrip(self, tmp_path):
+        data = np.array([[complex(2, -0.0), 1j], [complex(-0.0, -0.0), complex(1, 0.0)]])
+        frame = Frame(data)
+        assert np.signbit(frame.matrix.imag).sum() == 2
+        path = tmp_path / "z.mat"
+        write_matrix(path, frame)
+        assert read_matrix(path).matrix.tobytes() == frame.matrix.tobytes()
 
     def test_tiny_imaginary_parts_roundtrip_bit_for_bit(self, tmp_path):
         # the DFT Hadamard of order 2 leaves imaginary parts of 1.2e-16
@@ -67,11 +75,11 @@ class TestMatrixFormat:
         assert 0 < np.abs(frame.matrix.imag).max() < 1e-12
         path = tmp_path / "s.mat"
         write_matrix(path, frame)
-        assert np.array_equal(read_matrix(path).matrix, frame.matrix)
+        assert read_matrix(path).matrix.tobytes() == frame.matrix.tobytes()
         out = tmp_path / "cli.mat"
         assert main(["construct", "steiner", "--v", "2", "--k", "2", "--hadamard", "dft",
                      "-o", str(out)]) == 0
-        assert np.array_equal(read_matrix(out).matrix, frame.matrix)
+        assert read_matrix(out).matrix.tobytes() == frame.matrix.tobytes()
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.mat"
@@ -527,6 +535,19 @@ class TestGraphCommand:
             assert code == 0
             assert "matches-predicted: true" in rep.read_text()
 
+    def test_a_frame_meets_verify_etf_once(self, tmp_path, paley5_file, monkeypatch):
+        calls = []
+
+        def counting(frame):
+            calls.append(frame)
+            return verify_etf(frame)
+
+        monkeypatch.setattr(ripcert.graphs, "verify_etf", counting)
+        rep = tmp_path / "rep.txt"
+        code = main(["graph", str(paley5_file), "--srg-check", "--seidel", "-o", str(rep)])
+        assert code == 0
+        assert len(calls) == 1
+
     def test_pentagon_pipeline_via_cli(self, tmp_path):
         rep = tmp_path / "rep.txt"
         code = main(["graph", "--paley-graph", "5", "--srg-check", "-o", str(rep)])
@@ -786,6 +807,12 @@ class TestMcCommand:
 
 
 class TestReportDeterminism:
+    @pytest.mark.parametrize(
+        "value", [True, False, np.True_, np.False_], ids=["True", "False", "np.True_", "np.False_"]
+    )
+    def test_numpy_bools_render_like_bools(self, value):
+        assert ReportWriter.render(value) == ("true" if value else "false")
+
     def test_same_seed_byte_identical_bodies(self, tmp_path):
         reps = []
         for name in ("a.txt", "b.txt"):

@@ -6,12 +6,10 @@ import pytest
 
 from ripcert import (
     clique_number,
+    descendant_graph,
     expander_mixing_check,
-    flip_canonical,
     fro_constant_search,
     gaussian_matrix,
-    graph_from_seidel,
-    join_decompose,
     negate_columns,
     paley_clique_number,
     paley_etf,
@@ -22,7 +20,6 @@ from ripcert import (
     seidel_trace_expansion,
     srg_check,
     steiner_etf,
-    verify_etf,
 )
 from ripcert import graphs
 from ripcert.constructions import Frame, hadamard
@@ -34,11 +31,10 @@ from ripcert.errors import (
     InvalidParameterError,
     InvalidSelectionError,
     NotEtfError,
-    NotJoinError,
     NotRealError,
     NotRegularError,
 )
-from ripcert.graphs import CliqueResult, SimpleGraph, SrgParams
+from ripcert.graphs import CliqueResult, SeidelMatrix, SimpleGraph, SrgParams
 from ripcert.modular import is_prime, legendre_symbol, quadratic_residues
 
 
@@ -58,12 +54,23 @@ def empty_graph(n):
 
 @pytest.fixture(scope="module")
 def paley13_pipeline(paley13_real):
-    anchor = paley13_real.n - 1
-    flipped = flip_canonical(paley13_real, anchor)
-    seidel, mu = seidel_from_gram(flipped)
-    join_graph = graph_from_seidel(seidel)
-    descendant = join_decompose(join_graph, anchor)
-    return flipped, seidel, mu, join_graph, descendant
+    seidel, mu = seidel_from_gram(paley13_real)
+    return seidel, mu, descendant_graph(seidel, paley13_real.n - 1)[1]
+
+
+def reference_descendant(frame, anchor):
+    """The switched S and graph by negating frame columns, as the route before switching."""
+    positive = [j for j in range(frame.n) if j != anchor and frame.gram[anchor, j] > 0]
+    seidel, _ = seidel_from_gram(negate_columns(frame, positive))
+    rest = np.delete(np.arange(frame.n), anchor)
+    return seidel.entries, seidel.entries[np.ix_(rest, rest)] == -1
+
+
+@pytest.fixture(scope="module")
+def steiner_triple_7x28():
+    from ripcert import steiner_triple
+
+    return steiner_etf(steiner_triple(7), hadamard(4, "sylvester"))
 
 
 class TestLegendre:
@@ -164,66 +171,60 @@ class TestSeidelFromGram:
             seidel_from_gram(Frame(np.eye(3)))
 
 
-class TestFlipCanonical:
-    def test_already_canonical_unchanged(self):
-        frame = Frame(np.array([[1.0, -1.0]]))
-        assert np.array_equal(flip_canonical(frame, 0).matrix, frame.matrix)
+class TestDescendantGraph:
+    def test_already_switched_unchanged(self):
+        seidel, _ = seidel_from_gram(Frame(np.array([[1.0, -1.0]])))
+        switched, graph = descendant_graph(seidel, 0)
+        assert np.array_equal(switched.entries, seidel.entries)
+        assert graph.n == 1
 
-    def test_anchor_row_all_negative(self, paley13_real):
-        anchor = paley13_real.n - 1
-        flipped = flip_canonical(paley13_real, anchor)
-        row = np.delete(flipped.gram[anchor].real, anchor)
-        assert np.all(row < 0)
-        assert verify_etf(flipped).all_ok
-
-    def test_preserves_gram_magnitudes(self, paley13_real):
-        flipped = flip_canonical(paley13_real, 0)
-        assert np.allclose(
-            np.abs(flipped.gram), np.abs(paley13_real.gram), atol=1e-12
-        )
+    @pytest.mark.parametrize("name", ["paley13_real", "steiner_6x16", "steiner_triple_7x28"])
+    def test_every_anchor_matches_negated_columns(self, name, request):
+        frame = request.getfixturevalue(name)
+        seidel, _ = seidel_from_gram(frame)
+        for anchor in range(frame.n):
+            switched, graph = descendant_graph(seidel, anchor)
+            entries, adjacency = reference_descendant(frame, anchor)
+            assert switched.entries.dtype == np.int8
+            assert np.array_equal(switched.entries, entries)
+            assert np.array_equal(graph.adjacency, adjacency)
+            assert np.all(np.delete(switched.entries[anchor], anchor) == -1)
 
     def test_double_negation_is_identity(self, paley5_real):
         once = negate_columns(paley5_real, [1, 3])
         twice = negate_columns(once, [1, 3])
         assert np.array_equal(twice.matrix, paley5_real.matrix)
 
-    def test_idempotent(self, paley13_real):
-        flipped = flip_canonical(paley13_real, 2)
-        again = flip_canonical(flipped, 2)
-        assert np.array_equal(flipped.matrix, again.matrix)
+    def test_switching_twice_changes_nothing(self, paley13_real):
+        seidel, _ = seidel_from_gram(paley13_real)
+        for anchor in range(paley13_real.n):
+            switched, graph = descendant_graph(seidel, anchor)
+            again, graph_again = descendant_graph(switched, anchor)
+            assert np.array_equal(again.entries, switched.entries)
+            assert np.array_equal(graph_again.adjacency, graph.adjacency)
 
+    @pytest.mark.parametrize("anchor", [-1, 14])
+    def test_out_of_range_anchor(self, paley13_pipeline, anchor):
+        seidel, _, _ = paley13_pipeline
+        with pytest.raises(InvalidSelectionError, match=f"anchor {anchor} out of range"):
+            descendant_graph(seidel, anchor)
 
-class TestRealnessGates:
-    @pytest.mark.parametrize("scale", [1.0, 1e4])
-    def test_complex_gram_is_refused(self, scale):
-        frame = Frame(paley_etf(7, require_1mod4=False).matrix * scale)
-        assert frame.gram.dtype == np.complex128
-        with pytest.raises(NotRealError, match="realify the frame first"):
-            seidel_from_gram(frame)
-        with pytest.raises(NotRealError, match="needs a real Gram matrix"):
-            flip_canonical(frame, 0)
-
-
-class TestGraphFromSeidel:
     def test_all_positive_gives_empty(self):
-        from ripcert.graphs import SeidelMatrix
-
         s = SeidelMatrix(np.ones((4, 4), dtype=np.int8) - np.eye(4, dtype=np.int8))
-        assert graph_from_seidel(s).adjacency.sum() == 0
+        assert descendant_graph(s, 0)[1].adjacency.sum() == 0
 
     def test_all_negative_gives_complete(self):
-        from ripcert.graphs import SeidelMatrix
-
         s = SeidelMatrix(np.eye(4, dtype=np.int8) - np.ones((4, 4), dtype=np.int8))
-        g = graph_from_seidel(s)
-        assert np.all(g.degrees == 3)
+        switched, g = descendant_graph(s, 0)
+        assert np.array_equal(switched.entries, s.entries)
+        assert np.all(g.degrees == 2)
 
     def test_paley13_descendant_is_paley_graph_up_to_residue_relabeling(
         self, paley13_pipeline
     ):
         # the descendant joins n ~ n' when n' - n is a nonresidue; scaling
         # vertices by a nonresidue maps it onto the residue graph exactly
-        _, _, _, _, descendant = paley13_pipeline
+        _, _, descendant = paley13_pipeline
         p = 13
         nonresidue = next(
             k for k in range(2, p) if k not in set(quadratic_residues(p))
@@ -234,6 +235,15 @@ class TestGraphFromSeidel:
             for b in range(p):
                 relabeled[perm[a], perm[b]] = descendant.adjacency[a, b]
         assert np.array_equal(relabeled, paley_graph(p).adjacency)
+
+
+class TestRealnessGates:
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    def test_complex_gram_is_refused(self, scale):
+        frame = Frame(paley_etf(7, require_1mod4=False).matrix * scale)
+        assert frame.gram.dtype == np.complex128
+        with pytest.raises(NotRealError, match="realify the frame first"):
+            seidel_from_gram(frame)
 
 
 class TestSrgCheck:
@@ -288,36 +298,17 @@ class TestPredictedSrg:
         assert "no real frame" not in message
 
 
-class TestJoinDecompose:
-    def test_star_center_leaves_empty_graph(self):
-        star = SimpleGraph.from_edges(5, [(0, i) for i in range(1, 5)])
-        rest = join_decompose(star, 0)
-        assert rest.n == 4 and rest.adjacency.sum() == 0
-
-    def test_non_universal_vertex_rejected(self):
-        star = SimpleGraph.from_edges(5, [(0, i) for i in range(1, 5)])
-        with pytest.raises(NotJoinError):
-            join_decompose(star, 1)
-
+class TestDescendantPipeline:
     def test_paley_pipeline_matches_prediction(self, paley13_pipeline):
-        _, _, _, _, descendant = paley13_pipeline
+        _, _, descendant = paley13_pipeline
         assert srg_check(descendant).params == predicted_srg(7, 14)
 
     def test_steiner_pipeline_regression(self, steiner_6x16):
-        anchor = steiner_6x16.n - 1
-        flipped = flip_canonical(steiner_6x16, anchor)
-        seidel, _ = seidel_from_gram(flipped)
-        descendant = join_decompose(graph_from_seidel(seidel), anchor)
+        _, _, descendant = descendant_of(steiner_6x16)
         assert srg_check(descendant).params == predicted_srg(6, 16)
 
-    def test_triple_system_pipeline_regression(self):
-        from ripcert import steiner_triple
-
-        frame = steiner_etf(steiner_triple(7), hadamard(4, "sylvester"))
-        anchor = frame.n - 1
-        flipped = flip_canonical(frame, anchor)
-        seidel, _ = seidel_from_gram(flipped)
-        descendant = join_decompose(graph_from_seidel(seidel), anchor)
+    def test_triple_system_pipeline_regression(self, steiner_triple_7x28):
+        _, _, descendant = descendant_of(steiner_triple_7x28)
         assert srg_check(descendant).params == predicted_srg(7, 28)
 
 
@@ -393,43 +384,42 @@ class TestPaleyCliqueNumber:
 
 
 def descendant_of(frame):
-    anchor = frame.n - 1
-    flipped = flip_canonical(frame, anchor)
-    seidel, mu = seidel_from_gram(flipped)
-    return flipped, mu, join_decompose(graph_from_seidel(seidel), anchor)
+    seidel, mu = seidel_from_gram(frame)
+    return frame, mu, descendant_graph(seidel, frame.n - 1)[1]
 
 
-def assert_clique_identity(flipped, mu, descendant, ks=None):
+def assert_clique_identity(frame, mu, descendant, ks=None):
     """delta_K and the anchor-plus-clique sub-Gram norm equal (K-1)*mu.
 
-    ``descendant`` is the graph left after removing the anchor, the last
-    column of ``flipped``, so its vertex v stands for column v. ``ks``
-    defaults to every K from 2 to omega+1.
+    ``descendant`` is the graph left after switching to and removing the
+    anchor, the last column of ``frame``, so its vertex v stands for column
+    v; switching keeps every sub-Gram norm. ``ks`` defaults to every K from
+    2 to omega+1.
     """
-    anchor = flipped.n - 1
+    anchor = frame.n - 1
     clique = clique_number(descendant)
     assert clique.exact
     for k in ks or range(2, clique.size + 2):
         cols = [*clique.clique[: k - 1], anchor]
-        hollow = flipped.gram[np.ix_(cols, cols)] - np.eye(k)
+        hollow = frame.gram[np.ix_(cols, cols)] - np.eye(k)
         clique_value = np.abs(np.linalg.eigvalsh(hollow)).max()
-        assert math.isclose(ric_exact_search(flipped, k).value, (k - 1) * mu, abs_tol=1e-9)
+        assert math.isclose(ric_exact_search(frame, k).value, (k - 1) * mu, abs_tol=1e-9)
         assert math.isclose(clique_value, (k - 1) * mu, abs_tol=1e-9)
 
 
 class TestCliqueRicIdentity:
     def test_k2_on_any_real_etf(self, steiner_6x16):
-        flipped, mu, descendant = descendant_of(steiner_6x16)
+        frame, mu, descendant = descendant_of(steiner_6x16)
         assert math.isclose(mu, steiner_6x16.coherence, abs_tol=1e-12)
-        assert_clique_identity(flipped, mu, descendant, ks=(2,))
+        assert_clique_identity(frame, mu, descendant, ks=(2,))
 
     def test_full_range_on_every_constructed_real_etf(self, steiner_6x16, paley5_real):
         for frame in (steiner_6x16, paley5_real, realify_paley(17)):
             assert_clique_identity(*descendant_of(frame))
 
-    def test_paley13_all_k(self, paley13_pipeline):
-        flipped, _, mu, _, descendant = paley13_pipeline
-        assert_clique_identity(flipped, mu, descendant)
+    def test_paley13_all_k(self, paley13_real, paley13_pipeline):
+        _, mu, descendant = paley13_pipeline
+        assert_clique_identity(paley13_real, mu, descendant)
 
 
 class TestExpanderMixing:
@@ -616,7 +606,7 @@ class TestGramRoundTrip:
 class TestFroEdgeCountIdentity:
     def test_paley13_k_up_to_three(self, paley13_real):
         seidel, mu = seidel_from_gram(paley13_real)
-        adj = graph_from_seidel(seidel).adjacency.astype(int)
+        adj = (seidel.entries == -1).astype(int)
         n = paley13_real.n
         k = 3
         subs = [
