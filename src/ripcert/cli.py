@@ -30,7 +30,6 @@ from .constructions import (
     gaussian_matrix,
     hadamard,
     paley_etf,
-    realify,
     steiner_etf,
     steiner_triple,
 )
@@ -422,8 +421,6 @@ def _cmd_graph(args) -> int:
         frame = read_matrix(args.input)
         writer.kv("input", args.input)
         writer.kv("input-sha256", sha256_file(args.input))
-        if not frame.is_real:
-            frame = realify(frame)  # raises NotRealError (exit 4) for complex Grams
         anchor = args.canonicalize if args.canonicalize is not None else frame.n - 1
         seidel, mu = seidel_from_gram(frame)
         seidel, g = descendant_graph(seidel, anchor)

@@ -118,11 +118,6 @@ class Frame:
     def n(self) -> int:
         return self.matrix.shape[1]
 
-    @property
-    def is_real(self) -> bool:
-        """Whether every entry's imaginary part is within ``DEFAULT_TOL`` of zero."""
-        return float(np.abs(self.matrix.imag).max()) <= DEFAULT_TOL
-
     @cached_property
     def gram(self) -> np.ndarray:
         """Read-only Gram matrix Phi* Phi, refused above ``_GRAM_BUDGET`` entries: float64

@@ -188,7 +188,8 @@ def seidel_from_gram(frame: Frame) -> tuple[SeidelMatrix, float]:
     refuses off-diagonal entries indistinguishable from zero.
     """
     if np.iscomplexobj(frame.gram):
-        raise NotRealError("gram matrix is not real; realify the frame first")
+        imag = float(np.abs(frame.gram.imag).max())
+        raise NotRealError(f"gram matrix has imaginary part {imag:.3e} > tol")
     report = verify_etf(frame)
     if not report.all_ok:
         raise NotEtfError(
@@ -242,7 +243,8 @@ def srg_check(g: SimpleGraph) -> SrgCheckResult:
     if not g.is_regular():
         return SrgCheckResult("not-srg", None, "graph is not regular")
     k = int(degs[0])
-    common = (adj.astype(np.int64) @ adj.astype(np.int64))
+    # float64 so BLAS runs the product; counts <= n < 2**53 are exact in any order
+    common = adj.astype(np.float64) @ adj.astype(np.float64)
     offdiag = ~np.eye(n, dtype=bool)
     adjacent = adj & offdiag
     nonadjacent = ~adj & offdiag

@@ -1,8 +1,8 @@
 """The shared tolerance and the Gram product behind every frame.
 
-Frames store their matrix as read-only complex128 ndarrays; real matrices
-are the special case whose imaginary part vanishes, which ``Frame.is_real``
-reports. This module holds only ``DEFAULT_TOL``, the one tolerance of the
+Frames store their matrix as read-only complex128 ndarrays; ``Frame.gram``
+is float64 when the Gram is real, and that dtype is the one realness test.
+This module holds only ``DEFAULT_TOL``, the one tolerance of the
 realness and tight-frame checks, and ``gram``. Spectra, norms and matrix
 powers are numpy/LAPACK calls at their point of use.
 """

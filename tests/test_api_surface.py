@@ -1,12 +1,14 @@
 """The package's API surface carries no dead names.
 
-Three static checks over ``src/ripcert/*.py``, read with the standard
+Four static checks over ``src/ripcert/*.py``, read with the standard
 library's ``ast``: every imported name is used by its module, every
 public top-level function or class is referenced by some package code,
-and every defaulted parameter of a public top-level function is passed
-by some package call. A public function, or a parameter, that only tests
-use is dead weight in the package; one that is a deliberate oracle or
-contract goes on an allowlist below with its reason.
+every public method or property of a public class is read as an
+attribute by some package code, and every defaulted parameter of a
+public top-level function is passed by some package call. A public
+function, or a parameter, that only tests use is dead weight in the
+package; one that is a deliberate oracle or contract goes on an
+allowlist below with its reason.
 """
 
 import ast
@@ -19,6 +21,7 @@ UNREFERENCED_ALLOWED = {
     "legendre_symbol": "the tests' Euler-criterion oracle for the Paley Gram signs",
     "report_body": "defines the report body that the determinism checks compare",
     "negate_columns": "the benchmark builds its column-negated inputs with it",
+    "realify": "the benchmark builds its paley29 input with it",
 }
 
 #: defaulted parameters kept without a package call that passes them, each with its reason
@@ -79,6 +82,27 @@ def test_every_public_name_has_a_package_caller():
     # an allowlist entry whose name is gone would hide nothing and should go too
     assert set(UNREFERENCED_ALLOWED) <= {defn for _, defn in defined}
 
+
+def test_every_public_member_is_read_by_package_code():
+    modules = parsed_modules()
+    read = {
+        node.attr
+        for name, tree in modules.items()
+        if name != "__init__.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{name}: {cls.name}.{member.name}"
+        for name, tree in modules.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for member in cls.body
+        if isinstance(member, ast.FunctionDef)
+        and not member.name.startswith("_")
+        and member.name not in read
+    ]
+    assert not unread
 
 
 def defaulted_parameters(fn):

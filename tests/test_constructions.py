@@ -209,13 +209,13 @@ class TestPaleyEtf:
 class TestRealify:
     def test_real_frame_keeps_gram(self, steiner_6x16):
         rotated = realify(steiner_6x16)
-        assert rotated.is_real
+        assert not rotated.matrix.imag.any()
         diff = rotated.gram - steiner_6x16.gram
         assert np.linalg.norm(diff, 2) < 1e-10
 
     def test_paley5_gram_preserved(self, paley5, paley5_real):
         assert (paley5_real.m, paley5_real.n) == (3, 6)
-        assert paley5_real.is_real
+        assert not paley5_real.matrix.imag.any()
         assert np.linalg.norm(paley5_real.gram - paley5.gram, 2) < 1e-10
 
     def test_paley13_is_etf(self, paley13_real):
@@ -232,7 +232,7 @@ class TestRealify:
         frame = Frame(paley13.matrix * 1e4)
         assert frame.gram.dtype == np.float64
         rotated = realify(frame)
-        assert rotated.is_real
+        assert not rotated.matrix.imag.any()
         assert (rotated.m, rotated.n) == (7, 14)
         gram_norm = np.linalg.norm(frame.gram, 2)
         assert np.linalg.norm(rotated.gram - frame.gram, 2) <= 1e-10 * gram_norm
@@ -249,9 +249,9 @@ class TestRealify:
 
     def test_global_phase_is_removed(self, steiner_6x16):
         phased = Frame(steiner_6x16.matrix * np.exp(0.7j))
-        assert not phased.is_real
+        assert phased.matrix.imag.any()
         rotated = realify(phased)
-        assert rotated.is_real
+        assert not rotated.matrix.imag.any()
         assert np.linalg.norm(rotated.gram - steiner_6x16.gram, 2) < 1e-10
 
     @pytest.mark.parametrize("scale", [1e-4, 1e4])
@@ -260,7 +260,7 @@ class TestRealify:
         # absolute 1e-11 gate; the gate scales with s[0]^2 and still admits it
         frame = Frame(steiner_6x16.matrix * scale)
         rotated = realify(frame)
-        assert rotated.is_real
+        assert not rotated.matrix.imag.any()
         gram_norm = np.linalg.norm(frame.gram, 2)
         assert np.linalg.norm(rotated.gram - frame.gram, 2) <= 1e-10 * max(gram_norm, 1.0)
 
@@ -353,10 +353,6 @@ class TestFrameValidation:
             Frame(np.zeros((0, 3)))
         with pytest.raises(MatrixShapeError):
             Frame(np.ones(4))
-
-    def test_is_real_predicate(self):
-        assert Frame(np.eye(2)).is_real
-        assert not Frame(np.eye(2) * (1 + 1e-6j)).is_real
 
     def test_matrix_is_readonly(self):
         frame = Frame(np.eye(2))

@@ -587,6 +587,42 @@ class TestGraphCommand:
         assert main(["construct", "paley", "--p", "7", "--allow-3mod4", "-o", str(mat)]) == 0
         assert main(["graph", str(mat), "--srg-check", "-o", str(rep)]) == 4
 
+    @pytest.mark.parametrize("p", [13, 29])
+    def test_a_frame_and_its_realified_twin_give_one_report(self, tmp_path, monkeypatch, p):
+        # the two Grams agree up to rounding, so past the input's hash only the label
+        # and mu's last digits move
+        argv = ["graph", "p.mat", "--seidel", "--predicted-srg", "--srg-check", "--clique",
+                "--mixing", "50", "--seed", "3", "-o", "rep.txt"]
+        bodies = []
+        for twin in ("as-read", "realified"):
+            folder = tmp_path / twin
+            folder.mkdir()
+            monkeypatch.chdir(folder)
+            assert main(["construct", "paley", "--p", str(p), "-o", "p.mat"]) == 0
+            if twin == "realified":
+                write_matrix("p.mat", realify(read_matrix("p.mat")))
+            assert main(argv) == 0
+            bodies.append(report_body((folder / "rep.txt").read_text()).splitlines())
+        as_read, realified = bodies
+        assert len(as_read) == len(realified)
+        moved = {a.split(": ")[0]: (a, b) for a, b in zip(as_read, realified) if a != b}
+        assert set(moved) == {"input-sha256", "label", "coherence"}
+        assert moved["label"] == (f"label: paley-etf p={p}", f"label: paley-etf p={p} realified")
+        mus = [float(line.split(": ")[1]) for line in moved["coherence"]]
+        assert math.isclose(*mus, abs_tol=1e-12)
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_a_zero_row_fails_graph_as_it_fails_verify_etf(self, tmp_path, capsys, real):
+        # the row Gram sees the zero row, so the padded frame is not tight as read
+        frame = realify(paley_etf(13)) if real else paley_etf(13)
+        padded = Frame(np.vstack([frame.matrix, np.zeros(frame.n)]))
+        assert not verify_etf(padded).all_ok
+        mat, rep = tmp_path / "padded.mat", tmp_path / "rep.txt"
+        write_matrix(mat, padded)
+        assert main(["graph", str(mat), "--srg-check", "-o", str(rep)]) == 1
+        assert capsys.readouterr().err.startswith("error: frame fails the tight-frame axioms")
+        assert not rep.exists()
+
     def test_missing_input_is_usage_error(self, tmp_path):
         assert main(["graph", "-o", str(tmp_path / "rep.txt")]) == 1
 
