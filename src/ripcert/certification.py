@@ -155,6 +155,8 @@ class SubsetSearch:
     value: float
     witness: tuple[int, ...]
     count: int
+    #: (q, trace power search) pairs that ``ric_exact_search`` took in the same pass
+    powers: tuple[tuple[int, SubsetSearch], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -191,28 +193,33 @@ class SparkResult:
 
 
 def _first_max(chunks, kernel, witness, stop=math.inf):
-    """Lexicographically first maximum of a vectorised kernel over enumerated chunks.
+    """Lexicographically first maximum of each value column of a vectorised kernel.
 
-    ``kernel`` maps a chunk to one value per row and ``witness(chunk, row)``
-    names a row; a row that provably cannot be the chunk's first maximum may
-    carry -1 instead of its value. Chunks are reduced in enumeration order
-    and only a strictly larger value replaces the best, so the result does
-    not depend on chunk boundaries or the worker count. The search stops once a value reaches
-    ``stop``. Returns (value, witness, position), position being the
+    ``kernel`` maps a chunk to one value per row, or to a 2-D array that
+    stacks one such vector per value column, and ``witness(chunk, row)``
+    names a row; a row that provably cannot be a column's first maximum in the
+    chunk may carry -1 there instead of its value. Chunks are reduced in
+    enumeration order and only a strictly larger value replaces a column's
+    best, so the result does not depend on chunk boundaries or the worker
+    count. The search stops once every column's value reaches ``stop``.
+    Returns one (value, witness, position) per column, position being the
     winner's index in the enumeration.
     """
 
     def evaluate(chunk):
-        values = kernel(chunk)
-        row = int(np.argmax(values))
-        return len(values), float(values[row]), row, witness(chunk, row)
+        values = np.atleast_2d(kernel(chunk))
+        rows = values.argmax(axis=1).tolist()
+        return values.shape[1], [(float(v[r]), r, witness(chunk, r)) for v, r in zip(values, rows)]
 
-    best, seen = (-1.0, (), -1), 0
-    for size, value, row, found in ordered_map(evaluate, chunks, worker_count()):
-        if value > best[0]:
-            best = (value, found, seen + row)
-            if value >= stop:
-                break
+    best, seen = [], 0
+    for size, found in ordered_map(evaluate, chunks, worker_count()):
+        if not best:
+            best = [(-1.0, (), -1)] * len(found)
+        for column, (value, row, name) in enumerate(found):
+            if value > best[column][0]:
+                best[column] = (value, name, seen + row)
+        if all(value >= stop for value, _, _ in best):
+            break
         seen += size
     return best
 
@@ -370,27 +377,60 @@ def _top_eigenvalue(a: np.ndarray) -> np.ndarray:
     return np.maximum(np.linalg.eigvalsh(a)[:, -1], 0.0)
 
 
-def ric_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> SubsetSearch:
+def _check_k(n: int, k: int) -> None:
+    if not 1 <= k <= n:
+        raise InvalidParameterError(f"need 1 <= k <= {n}, got k={k}")
+
+
+def _check_q(q) -> None:
+    if not isinstance(q, int) or q < 1:
+        raise InvalidParameterError(f"need integer q >= 1, got {q}")
+
+
+def _subset_pass(frame: Frame, k: int, qs, screen=None) -> list[SubsetSearch]:
+    """One pass over the k-subsets, each chunk's hollow sub-Grams gathered once.
+
+    The value columns are ``screen(chunk, sub-Grams)``, if given, then the
+    trace power estimate at each q of ``qs``, all from one squaring chain.
+    Returns one ``SubsetSearch`` per column, in that order.
+    """
+    g = frame.gram
+    ps = [2 * q for q in qs]
+
+    def kernel(chunk: np.ndarray) -> np.ndarray:
+        m = _hollow_subgrams(g, chunk)
+        if screen is None:
+            return _trace_power_roots(m, ps)
+        if not ps:
+            return screen(chunk, m)
+        return np.vstack([screen(chunk, m), _trace_power_roots(m, ps)])
+
+    total = subset_count(frame.n, k)
+    found = _first_max(iter_subset_chunks(frame.n, k), kernel, _row)
+    return [SubsetSearch(value, witness, total) for value, witness, _ in found]
+
+
+def ric_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET, qs=()) -> SubsetSearch:
     """Exact isometry constant: max spectral norm of hollow sub-Grams.
 
     Enumerates every k-column subset; this is the oracle every other
     estimate is compared against. ``_screened`` settles each sub-Gram whose
     ceiling, its Frobenius norm or, on a real equiangular Gram, its Seidel
     sign class's norm, with a rounding margin, is below the best of its
-    chunk's top rows.
+    chunk's top rows. For each q of ``qs`` the same pass also takes the
+    trace power estimate from the sub-Grams it gathers; ``powers`` holds
+    (q, search) pairs equal, bit for bit, to ``ric_power_search`` at each q.
     """
     n = frame.n
-    if not 1 <= k <= n:
-        raise InvalidParameterError(f"need 1 <= k <= {n}, got k={k}")
-    total = subset_count(n, k)
-    require_budget(total, budget, f"exact isometry constant at K={k}")
-    g = frame.gram
-    equiangular = _equiangular(g)
+    _check_k(n, k)
+    require_budget(subset_count(n, k), budget, f"exact isometry constant at K={k}")
+    for q in qs:
+        _check_q(q)
+    equiangular = _equiangular(frame.gram)
     u = np.finfo(float).eps
     i, j = np.tril_indices(k, -1)
 
-    def kernel(chunk: np.ndarray) -> np.ndarray:
-        m = _hollow_subgrams(g, chunk)
+    def screen(chunk: np.ndarray, m: np.ndarray) -> np.ndarray:
         squares = 2.0 * _squares(m[:, i, j])
         squares += _squares(np.diagonal(m, axis1=1, axis2=2).real)
         ceiling = np.sqrt(_ceiling(squares, k))
@@ -400,49 +440,52 @@ def ric_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> Subs
             ceiling = np.minimum(ceiling, (rho + 16 * k * k * u * (mu + d)) * (1 + 8 * u))
         return _screened(m, ceiling, lambda rows: rows, _spectral_radius)
 
-    value, witness, _ = _first_max(iter_subset_chunks(n, k), kernel, _row)
-    return SubsetSearch(value, witness, total)
+    ric, *powers = _subset_pass(frame, k, qs, screen)
+    return SubsetSearch(ric.value, ric.witness, ric.count, tuple(zip(qs, powers)))
 
 
-def _trace_power_roots(a: np.ndarray, p: int) -> np.ndarray:
-    """Tr[a_i^p]^(1/p) for a batch of Hermitian matrices, p even positive.
+def _trace_power_roots(a: np.ndarray, ps) -> np.ndarray:
+    """Tr[a_i^p]^(1/p) for a batch of Hermitian matrices, one line per even positive p of ``ps``.
 
     Binary exponentiation with per-step Frobenius rescaling, so even
     astronomically large p neither overflows nor underflows; the final
-    normalized trace always lies in [1, sqrt(k)].
+    normalized trace always lies in [1, sqrt(k)]. One chain of rescaled
+    squarings serves every p: each p multiplies, lowest first, the squares
+    its binary digits select, so each line is bit for bit the one a chain
+    of its own computes.
     """
     fro = _frobenius(a)
-    out = np.zeros(a.shape[0])
+    out = np.zeros((len(ps), a.shape[0]))
     live = fro > 0.0
     if not live.any():
         return out
     base = a[live] / fro[live, None, None]
     logbase = np.zeros(base.shape[0])
-    res: np.ndarray | None = None
-    logres = np.zeros(base.shape[0])
-    e = p
-    while e:
-        if e & 1:
-            if res is None:
-                res = base.copy()
-                logres = logbase.copy()
+    res: list = [None] * len(ps)
+    logres: list = [None] * len(ps)
+    bits = max(ps).bit_length()
+    for bit in range(bits):
+        for line, p in enumerate(ps):
+            if not p >> bit & 1:
+                continue
+            if res[line] is None:
+                res[line], logres[line] = base, logbase
             else:
-                res = res @ base
-                logres = logres + logbase
-                rn = _frobenius(res)
-                res = res / rn[:, None, None]
-                logres = logres + np.log(rn)
-        e >>= 1
-        if e:
+                prod = res[line] @ base
+                rn = _frobenius(prod)
+                prod /= rn[:, None, None]
+                res[line], logres[line] = prod, logres[line] + logbase + np.log(rn)
+        if bit + 1 < bits:
             base = base @ base
             bn = _frobenius(base)
-            base = base / bn[:, None, None]
+            base /= bn[:, None, None]
             logbase = 2.0 * logbase + np.log(bn)
-    t = np.clip(np.einsum("bii->b", res).real, 0.0, None)
-    vals = np.zeros(res.shape[0])
-    pos = t > 0.0
-    vals[pos] = np.exp((np.log(t[pos]) + logres[pos]) / p)
-    out[live] = vals * fro[live]
+    for line, p in enumerate(ps):
+        t = np.clip(np.einsum("bii->b", res[line]).real, 0.0, None)
+        vals = np.zeros(len(t))
+        pos = t > 0.0
+        vals[pos] = np.exp((np.log(t[pos]) + logres[line][pos]) / p)
+        out[line, live] = vals * fro[live]
     return out
 
 
@@ -452,20 +495,11 @@ def ric_power_search(frame: Frame, k: int, q: int, budget: int = DEFAULT_BUDGET)
     Non-increasing in q and converging to the exact isometry constant
     from above.
     """
-    n = frame.n
-    if not 1 <= k <= n:
-        raise InvalidParameterError(f"need 1 <= k <= {n}, got k={k}")
-    if not isinstance(q, int) or q < 1:
-        raise InvalidParameterError(f"need integer q >= 1, got {q}")
-    total = subset_count(n, k)
-    require_budget(total, budget, f"trace power estimate at K={k}")
-    g = frame.gram
-
-    def kernel(chunk: np.ndarray) -> np.ndarray:
-        return _trace_power_roots(_hollow_subgrams(g, chunk), 2 * q)
-
-    value, witness, _ = _first_max(iter_subset_chunks(n, k), kernel, _row)
-    return SubsetSearch(value, witness, total)
+    _check_k(frame.n, k)
+    _check_q(q)
+    require_budget(subset_count(frame.n, k), budget, f"trace power estimate at K={k}")
+    [search] = _subset_pass(frame, k, (q,))
+    return search
 
 
 def roc_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> PairSearch:
@@ -501,7 +535,7 @@ def roc_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> Pair
         lam = _screened(cross, ceiling, _cross_product, _top_eigenvalue)
         return np.sqrt(lam, out=np.full_like(lam, -1.0), where=lam >= 0.0)
 
-    value, (wi, wj), _ = _first_max(iter_disjoint_pair_chunks(n, k), kernel, _pair_row)
+    [(value, (wi, wj), _)] = _first_max(iter_disjoint_pair_chunks(n, k), kernel, _pair_row)
     return PairSearch(value, wi, wj, total)
 
 
@@ -513,6 +547,9 @@ def fro_constant_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> P
     pair is evaluated once. Rows of ``_FRO_BLOCK`` subsets are evaluated
     at once against every subset from the block's first one on, flattened
     row-major; earlier subsets were paired with them by an earlier block.
+    Subsets are sorted by size, so a block divides by sqrt(|I||J|) one
+    rectangle of sizes at a time, and overlaps are found by ANDing
+    64-column bitmasks of the subsets.
     """
     n = frame.n
     if k < 1:
@@ -522,32 +559,46 @@ def fro_constant_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> P
     total = mixed_pair_count(n, k)
     require_budget(total, budget, f"flat orthogonality constant at K={k}")
     g = frame.gram
-    # every subset of each size 1..min(k, n-1), sizes ascending, each size lexicographic
+    # every subset of each size 1..min(k, n-1), sizes ascending, each size lexicographic;
+    # runs[s] = (first row, end row, size)
     tables = [_subset_table(n, size) for size in range(1, min(k, n - 1) + 1)]
-    count = sum(len(table) for table in tables)
+    ends = np.cumsum([len(table) for table in tables]).tolist()
+    runs = [(end - len(table), end, table.shape[1]) for end, table in zip(ends, tables)]
+    count = ends[-1]
     indicator = np.zeros((count, n))
-    filled = 0
-    for table in tables:
-        indicator[np.arange(filled, filled + len(table))[:, None], table] = 1.0
-        filled += len(table)
-    sizes = indicator.sum(axis=1)
+    for (start, end, _), table in zip(runs, tables):
+        indicator[np.arange(start, end)[:, None], table] = 1.0
     sums = indicator @ g  # row s holds <column sums of s against every column>
+    # masks[w, s]: bits of subset s's columns 64w .. 64w + 63
+    packed = np.packbits(indicator > 0.0, axis=1, bitorder="little")
+    packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
+    masks = packed.view("<u8").T.copy()
     blocks = [(lo, min(lo + _FRO_BLOCK, count)) for lo in range(0, count, _FRO_BLOCK)]
 
     def kernel(block: tuple[int, int]) -> np.ndarray:
         lo, hi = block
-        vals = np.abs(sums[lo:hi] @ indicator[lo:].T)
-        vals /= np.sqrt(np.outer(sizes[lo:hi], sizes[lo:]))
-        overlap = indicator[lo:hi] @ indicator[lo:].T
-        usable = (overlap < 0.5) & (np.arange(count - lo) > np.arange(hi - lo)[:, None])
-        return np.where(usable, vals, -1.0).ravel()
+        vals = sums[lo:hi] @ indicator[lo:].T
+        vals = np.abs(vals, out=None if np.iscomplexobj(vals) else vals)
+        for r0, r1, a in runs:
+            if r0 < hi and r1 > lo:
+                rows = slice(max(r0, lo) - lo, min(r1, hi) - lo)
+                for c0, c1, b in runs:
+                    if c1 > lo:
+                        vals[rows, max(c0, lo) - lo : c1 - lo] /= math.sqrt(a * b)
+        # a pair is unusable if it overlaps or is not after the row's own subset
+        unusable = np.zeros(vals.shape, dtype=bool)
+        for word in masks:
+            unusable |= (word[lo:hi, None] & word[lo:]) != 0
+        unusable[:, : hi - lo] |= np.tri(hi - lo, dtype=bool)
+        np.putmask(vals, unusable, -1.0)
+        return vals.ravel()
 
     def witness(block: tuple[int, int], flat: int):
         lo = block[0]
         i, j = divmod(flat, count - lo)
         return tuple(tuple(np.flatnonzero(indicator[lo + r]).tolist()) for r in (i, j))
 
-    value, (wi, wj), _ = _first_max(blocks, kernel, witness)
+    [(value, (wi, wj), _)] = _first_max(blocks, kernel, witness)
     return PairSearch(value, wi, wj, total)
 
 
@@ -660,7 +711,9 @@ def spark_search(frame: Frame, cap: int, budget: int = DEFAULT_BUDGET) -> SparkR
             hits[rows[sv[:, -1] <= SPARK_TOL * sv[:, 0]]] = True
             return hits
 
-        hit, witness, position = _first_max(iter_subset_chunks(n, size), dependent, _row, stop=1.0)
+        [(hit, witness, position)] = _first_max(
+            iter_subset_chunks(n, size), dependent, _row, stop=1.0
+        )
         if hit == 1.0:
             return SparkResult(size, cap, witness, tested + position + 1, discs)
         tested += subset_count(n, size)
@@ -755,7 +808,10 @@ def iterated_ro_bound(thetas, delta_1: float, k: int) -> IteratedRoBound:
         raise ChainError(
             f"k={k} needs a chain of length {len(halving_chain(k))}, got {len(values)}"
         )
-    return IteratedRoBound(sum(values) + delta_1, len(values) * values[0] + delta_1)
+    total = 0.0
+    for value in values:  # left to right: from Python 3.12 on, sum() compensates float sums
+        total += value
+    return IteratedRoBound(total + delta_1, len(values) * values[0] + delta_1)
 
 
 # ---------------------------------------------------------------------------
@@ -868,7 +924,8 @@ def certify_frame(
     """Run the requested certifications on one frame and collect a report.
 
     ``power_specs`` is an iterable of (k, qs) pairs; the qs given for one k
-    are merged and estimated once each, in increasing order. With ``bounds``
+    are merged and estimated once each, in increasing order, in the exact
+    search's pass when that k has one. With ``bounds``
     set, the flat-to-plain and orthogonality-to-isometry chains are
     evaluated from whatever constants were computed, including the
     halving-chain bound when the orthogonality constant is requested.
@@ -892,10 +949,13 @@ def certify_frame(
     for k in ks:
         start = time.perf_counter()
         gersh = gershgorin_bound(frame, k) if gershgorin else None
-        ric = ric_exact_search(frame, k, budget) if k in exact_ks else None
-        powers = tuple(
-            (q, ric_power_search(frame, k, q, budget).value) for q in sorted(power_map.get(k, ()))
-        )
+        qs = sorted(power_map.get(k, ()))
+        if k in exact_ks:
+            ric = ric_exact_search(frame, k, budget, qs=qs)
+            powers = tuple((q, search.value) for q, search in ric.powers)
+        else:
+            ric = None
+            powers = tuple((q, ric_power_search(frame, k, q, budget).value) for q in qs)
         roc = roc_exact_search(frame, k, budget) if k in roc_ks else None
         if roc is not None:
             theta_cache[k] = roc.value

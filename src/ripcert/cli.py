@@ -423,7 +423,7 @@ def _cmd_graph(args) -> int:
         writer.kv("input-sha256", sha256_file(args.input))
         anchor = args.canonicalize if args.canonicalize is not None else frame.n - 1
         seidel, mu = seidel_from_gram(frame)
-        seidel, g = descendant_graph(seidel, anchor)
+        switched, g = descendant_graph(seidel, anchor)
         writer.section("frame")
         writer.kv("label", frame.label)
         writer.kv("rows", frame.m)
@@ -432,8 +432,8 @@ def _cmd_graph(args) -> int:
         writer.kv("anchor", anchor)
         if args.seidel:
             writer.section("seidel")
-            for v in range(seidel.n):
-                row = "".join("0" if x == 0 else ("+" if x > 0 else "-") for x in seidel.entries[v])
+            for v, signs in enumerate(switched.entries):
+                row = "".join("0" if x == 0 else ("+" if x > 0 else "-") for x in signs)
                 writer.kv(str(v), row)
 
     writer.section("adjacency" if frame is None else "descendant-adjacency")
@@ -476,7 +476,7 @@ def _cmd_graph(args) -> int:
     if args.trace_expansion:
         kset = _int_list(args.trace_expansion[0])
         q = _int(args.trace_expansion[1])
-        result = seidel_trace_expansion(frame, kset, q)
+        result = seidel_trace_expansion(frame, kset, q, seidel=(seidel, mu))
         writer.section("trace-expansion")
         writer.kv("kset", tuple(kset))
         writer.kv("q", q)

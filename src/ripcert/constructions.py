@@ -128,7 +128,9 @@ class Frame:
         if not np.isfinite(g).all():  # finite entries can still overflow
             raise InvalidParameterError("matrix entries must be finite")
         norms = np.sqrt(g.diagonal().real)
-        if (np.abs(g.imag) <= DEFAULT_TOL * np.outer(norms, norms)).all():
+        # in blocks of rows, so that no n x n temporary joins the complex Gram
+        blocks = ((g.imag[lo : lo + 64], norms[lo : lo + 64]) for lo in range(0, n, 64))
+        if all((np.abs(imag) <= DEFAULT_TOL * np.outer(rows, norms)).all() for imag, rows in blocks):
             g = np.array(g.real)
             g.setflags(write=False)
         return g

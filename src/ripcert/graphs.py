@@ -466,7 +466,7 @@ class TraceExpansion:
         return agree
 
 
-def seidel_trace_expansion(frame: Frame, kset, q: int) -> TraceExpansion:
+def seidel_trace_expansion(frame: Frame, kset, q: int, seidel=None) -> TraceExpansion:
     """Evaluate Tr[(sub-Gram - I)^(2q)] two independent ways.
 
     Directly by matrix powers, and as mu^(2q) times the sum over closed
@@ -479,7 +479,8 @@ def seidel_trace_expansion(frame: Frame, kset, q: int) -> TraceExpansion:
     ``DEFAULT_BUDGET``. Subsets whose walk-sum bound k (k-1)^(2q) reaches
     2^1024, past the float range, are refused. For q = 2 the walk sum
     splits into the backtracking term k(k-1)^2 plus a residual, both
-    returned.
+    returned. ``seidel`` is the (S, mu) pair of ``seidel_from_gram(frame)``
+    when the caller has it already; otherwise it is computed here.
     """
     if not isinstance(q, int) or q < 1:
         raise InvalidParameterError(f"need integer q >= 1, got {q}")
@@ -500,7 +501,7 @@ def seidel_trace_expansion(frame: Frame, kset, q: int) -> TraceExpansion:
         2 * k**3 * (2 * q).bit_length(), DEFAULT_BUDGET, "sign-walk expansion",
         "integer multiply-adds",
     )
-    seidel, mu = seidel_from_gram(frame)
+    seidel, mu = seidel if seidel is not None else seidel_from_gram(frame)
     s_sub = seidel.entries[np.ix_(cols, cols)].astype(np.int64)
     hollow = frame.gram[np.ix_(cols, cols)] - np.eye(k)
     direct = float(np.trace(np.linalg.matrix_power(hollow.astype(np.complex128), 2 * q)).real)

@@ -23,6 +23,7 @@ def gram(arr: np.ndarray) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         g = arr.conj().T @ arr
-        g = 0.5 * (g + g.conj().T)
+        g += g.conj().T
+        g *= 0.5
     g.setflags(write=False)
     return g

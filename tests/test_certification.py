@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -26,7 +27,7 @@ from ripcert import (
     verify_etf,
     welch_bound,
 )
-from ripcert import certification
+from ripcert import certification, subsets
 from ripcert.certification import SPARK_TOL, SparkResult, _hollow_subgrams, _spark_clear_ratio
 from ripcert.constructions import Frame
 from ripcert.errors import (
@@ -172,6 +173,40 @@ class TestRicExact:
         assert math.isclose(result.value, 1 / math.sqrt(2), rel_tol=1e-12)
 
 
+def chain_roots(a, p):
+    """Tr[a_i^p]^(1/p) per matrix of a batch, by binary powering rescaled to unit
+    Frobenius norm at every step: the float sequence of the search's chain for one p."""
+
+    def fro(x):
+        return np.sqrt(np.einsum("bij,bij->b", x, x.conj()).real)
+
+    norm = fro(a)
+    live = norm > 0.0
+    base, logbase = a[live] / norm[live, None, None], np.zeros(int(live.sum()))
+    res = logres = None
+    e = p
+    while e:
+        if e & 1:
+            if res is None:
+                res, logres = base, logbase
+            else:
+                res = res @ base
+                rn = fro(res)
+                res, logres = res / rn[:, None, None], logres + logbase + np.log(rn)
+        e >>= 1
+        if e:
+            base = base @ base
+            bn = fro(base)
+            base, logbase = base / bn[:, None, None], 2.0 * logbase + np.log(bn)
+    t = np.clip(np.einsum("bii->b", res).real, 0.0, None)
+    vals = np.zeros(len(t))
+    pos = t > 0.0
+    vals[pos] = np.exp((np.log(t[pos]) + logres[pos]) / p)
+    out = np.zeros(len(a))
+    out[live] = vals * norm[live]
+    return out
+
+
 class TestRicPower:
     def test_etf_q1_closed_form(self, steiner_6x16, paley13_real):
         for frame in (steiner_6x16, paley13_real):
@@ -202,6 +237,53 @@ class TestRicPower:
     def test_k1_unit_norm_is_zero(self, paley13_real):
         for q in (1, 3):
             assert ric_power_search(paley13_real, 1, q).value < 1e-12
+
+    #: the shared chain squares up to the largest q; 3 and 5 multiply squares together
+    SHARED_QS = (1, 2, 3, 5, 8)
+
+    @pytest.mark.parametrize("frame_name", ["gaussian", "bernoulli", "paley13_real", "paley13"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_shared_chain_matches_single_q_searches(self, request, frame_name, k):
+        frame = named_frame(request, frame_name)
+        search = ric_exact_search(frame, k, qs=self.SHARED_QS)
+        assert search == dataclasses.replace(ric_exact_search(frame, k), powers=search.powers)
+        assert [q for q, _ in search.powers] == list(self.SHARED_QS)
+        every = np.array(list(itertools.combinations(range(frame.n), k)))
+        hollow = _hollow_subgrams(frame.gram, every)
+        for q, power in search.powers:
+            single = ric_power_search(frame, k, q)
+            # bit for bit: the float's hex, the witness and the count
+            assert (power.value.hex(), power.witness, power.count, power.powers) == (
+                single.value.hex(), single.witness, single.count, ()
+            ), q
+            # and the first maximum of a chain of q's own over all subsets at once
+            values = chain_roots(hollow, 2 * q)
+            row = int(np.argmax(values))
+            assert (power.value.hex(), power.witness) == (
+                float(values[row]).hex(), tuple(every[row].tolist())
+            ), q
+
+    def test_one_pass_gathers_each_chunk_once(self, paley13_real, monkeypatch):
+        gathered, real = [], certification._hollow_subgrams
+
+        def counting(g, chunk):
+            gathered.append(chunk.copy())
+            return real(g, chunk)
+
+        monkeypatch.setattr(certification, "_hollow_subgrams", counting)
+        report = certify_frame(paley13_real, exact_ks=[4], power_specs=[(4, [8, 2])])
+        assert [q for q, _ in report.record(4).powers] == [2, 8]
+        chunks = list(subsets.iter_subset_chunks(paley13_real.n, 4))
+        assert len(gathered) == len(chunks)
+        assert all(np.array_equal(a, b) for a, b in zip(gathered, chunks))
+
+    def test_q_errors_after_the_budget(self, paley13_real):
+        with pytest.raises(EnumerationBudgetError, match="exact isometry constant at K=4"):
+            ric_exact_search(paley13_real, 4, budget=10, qs=(0,))
+        with pytest.raises(InvalidParameterError, match="need integer q >= 1, got 0"):
+            ric_exact_search(paley13_real, 4, qs=(2, 0))
+        with pytest.raises(InvalidParameterError, match="need integer q >= 1, got 0"):
+            ric_power_search(paley13_real, 4, 0, budget=10)
 
     def test_matches_plain_trace_route(self):
         # the scaled exponentiation must agree with direct matrix powers
@@ -274,6 +356,12 @@ class TestRocExact:
         assert math.isclose(attained, result.value, rel_tol=1e-12)
 
 
+def long_last_column(frame):
+    mat = np.array(frame.matrix)
+    mat[:, -1] *= 10.0
+    return Frame(mat, label=frame.label)
+
+
 class TestFroConstant:
     def test_orthonormal_zero(self):
         assert fro_constant_search(orthonormal_frame(5), 2).value == 0.0
@@ -323,24 +411,55 @@ class TestFroConstant:
             assert (search.value, search.count) == (best, pairs)
             assert (search.witness_i, search.witness_j) == first_max
 
+    # n = 65 needs two 64-column words per subset bitmask, and a long column 64 makes
+    # every pair that shares it score high; n = 8 at K = 3 has size runs of 8, 28 and
+    # 56 rows, so blocks of 7 rows straddle two of its run edges
+    @pytest.mark.parametrize(
+        "frame, k",
+        [(long_last_column(gaussian_matrix(3, 65, 1)), 2),
+         (long_last_column(bernoulli_matrix(4, 65, 2)), 2),
+         (gaussian_matrix(4, 8, 5), 3), (bernoulli_matrix(4, 8, 6), 3)],
+        ids=["gaussian-65", "bernoulli-65", "gaussian-8", "bernoulli-8"],
+    )
+    def test_block_kernel_matches_bruteforce(self, frame, k, monkeypatch):
+        best, pairs, first_max = fro_bruteforce(frame, k)
+        for block in (1, 7, 256):
+            monkeypatch.setattr(certification, "_FRO_BLOCK", block)
+            search = fro_constant_search(frame, k)
+            assert (search.value, search.count) == (best, pairs), block
+            assert (search.witness_i, search.witness_j) == first_max, block
+        # a run of one subset size starts inside a block of 7 rows
+        edges = itertools.accumulate(math.comb(frame.n, size) for size in range(1, k))
+        assert any(edge % 7 for edge in edges)
+
 
 def fro_bruteforce(frame, k):
     """(value, pair count, first maximiser) over pairs (I, J), J after I in subset order.
 
-    Values are summed in the search's order, column sums of I first, so
-    tied values round alike; subsets are ordered by size, then lexicographically.
+    Values are summed in the search's order, column sums of I first, one
+    addition at a time, so tied values round alike; subsets are ordered by
+    size, then lexicographically.
     """
-    g = frame.gram
+    g = frame.gram.tolist()
     n = frame.n
     subs = [c for size in range(1, k + 1) for c in itertools.combinations(range(n), size)]
+    masks = [sum(1 << i for i in sub) for sub in subs]
     best, pairs, first_max = -1.0, 0, None
     for a, first in enumerate(subs):
-        for second in subs[a + 1 :]:
-            if set(first) & set(second):
+        sums = []  # column sums of I
+        for j in range(n):
+            total = 0.0
+            for i in first:
+                total += g[i][j]
+            sums.append(total)
+        for b in range(a + 1, len(subs)):
+            if masks[a] & masks[b]:
                 continue
-            value = abs(sum(sum(g[i, j] for i in first) for j in second)) / math.sqrt(
-                len(first) * len(second)
-            )
+            second = subs[b]
+            total = 0.0
+            for j in second:
+                total += sums[j]
+            value = abs(total) / math.sqrt(len(first) * len(second))
             if value > best:
                 best, first_max = value, (first, second)
             pairs += 1
@@ -394,6 +513,12 @@ class TestIteratedRoBound:
         result = iterated_ro_bound([theta] * len(halving_chain(4)), d1, k=4)
         assert math.isclose(result.sum_bound, 3 * theta + d1, rel_tol=1e-15)
         assert math.isclose(result.closed_form, 3 * theta + d1, rel_tol=1e-15)
+
+    def test_sum_is_taken_left_to_right(self):
+        # a compensated sum (math.fsum, or sum() from Python 3.12 on) gives 1 + 2^-52;
+        # adding left to right keeps report bodies the same on every Python
+        assert math.fsum([1.0, 1e-16, 1e-16]) > 1.0
+        assert iterated_ro_bound([1.0, 1e-16, 1e-16], 0.0, k=3).sum_bound == 1.0
 
     def test_sum_never_exceeds_closed_form(self):
         frame = gaussian_matrix(8, 12, 2)
@@ -616,6 +741,7 @@ def named_frame(request, name):
 SEARCHES = {
     "ric": (ric_exact_search, (3,)),
     "power": (ric_power_search, (3, 2)),
+    "ric-powers": (lambda frame, k: ric_exact_search(frame, k, qs=(2, 3, 8)), (3,)),
     "roc": (roc_exact_search, (2,)),
     "fro": (fro_constant_search, (2,)),
     "spark": (spark_search, (6,)),
@@ -627,8 +753,6 @@ class TestChunkIndependence:
 
     @staticmethod
     def _set_chunk(monkeypatch, chunk, sizes):
-        from ripcert import subsets
-
         def recorded(iterator):
             def chunks(*args):
                 for rows in iterator(*args):
@@ -677,7 +801,12 @@ def _full_roc(g, pair):
 class TestScreen:
     """Rows the exact RIC and ROC kernels leave at -1 are strictly below their chunk's best."""
 
-    SCREENED = {"ric": (ric_exact_search, 4, _full_ric), "roc": (roc_exact_search, 2, _full_roc)}
+    SCREENED = {
+        "ric": (ric_exact_search, 4, _full_ric),
+        # the screened column of a kernel that also takes trace powers
+        "ric-powers": (lambda frame, k: ric_exact_search(frame, k, qs=(1, 3)), 4, _full_ric),
+        "roc": (roc_exact_search, 2, _full_roc),
+    }
     #: whether the Frobenius ceiling alone settles rows: it does on a generic frame, and
     #: on a real ETF, whose sub-Grams all share one Frobenius norm, it settles none
     FROBENIUS_SETTLES = {"gaussian": True, "paley13_real": False}
@@ -688,7 +817,9 @@ class TestScreen:
     @staticmethod
     def _settled(monkeypatch, frame, search, top):
         """Rows settled by one screened search at chunk 64, each chunk checked
-        against the unscreened solve."""
+        against the unscreened solve. The "ric-powers" kernel returns the
+        screened line of values and then one line per q; the screened line is
+        the one checked."""
         fn, k, full = TestScreen.SCREENED[search]
         seen = []
         real = certification._first_max
@@ -697,7 +828,9 @@ class TestScreen:
         def recording(chunks, kernel, witness, stop=math.inf):
             def recorded(chunk):
                 values = kernel(chunk)
-                seen.append((chunk, values))
+                lines = np.atleast_2d(values)
+                assert len(lines) == (3 if search == "ric-powers" else 1)
+                seen.append((chunk, lines[0]))
                 return values
 
             return real(chunks, recorded, witness, stop)

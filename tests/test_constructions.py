@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ripcert import (
     welch_bound,
 )
 from ripcert.constructions import _GRAM_BUDGET, Frame, SteinerSystem
+from ripcert.linalg import DEFAULT_TOL
 from ripcert.errors import (
     CongruenceError,
     EnumerationBudgetError,
@@ -398,6 +400,40 @@ class TestFrameValidation:
         frame = Frame(data)
         assert frame.gram.dtype == np.complex128
         assert math.isclose(frame.coherence, 1 / math.sqrt(2), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_gram_peaks_below_four_and_a_half_kept_grams(self, real):
+        # 410 columns: realified Paley 409 keeps a float64 Gram, a complex Gaussian frame
+        # a complex128 one
+        if real:
+            frame = Frame(realify(paley_etf(409)).matrix)
+        else:
+            rng = np.random.default_rng(409)
+            frame = Frame(rng.standard_normal((205, 410)) + 1j * rng.standard_normal((205, 410)))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            g = frame.gram
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert g.dtype == (np.float64 if real else np.complex128)
+        assert peak <= 4.5 * g.nbytes
+
+    def test_gram_bytes_are_those_of_the_plain_formula(self, steiner_6x16, paley13):
+        tiny = Frame(paley_etf(7, require_1mod4=False).matrix * 1e-7)
+        frames = [steiner_6x16, paley13, realify(paley13), gaussian_matrix(5, 12, 4),
+                  bernoulli_matrix(6, 9, 2), tiny]
+        for frame in frames:
+            a = frame.matrix
+            g = a.conj().T @ a
+            g = 0.5 * (g + g.conj().T)
+            norms = np.sqrt(g.diagonal().real)
+            if (np.abs(g.imag) <= DEFAULT_TOL * np.outer(norms, norms)).all():
+                g = g.real
+            assert Frame(a).gram.dtype == g.dtype
+            assert Frame(a).gram.tobytes() == g.tobytes()
 
     def test_zero_column_rejected(self):
         data = np.eye(3)

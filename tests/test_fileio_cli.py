@@ -536,17 +536,29 @@ class TestGraphCommand:
             assert "matches-predicted: true" in rep.read_text()
 
     def test_a_frame_meets_verify_etf_once(self, tmp_path, paley5_file, monkeypatch):
-        calls = []
+        calls, equiangular = [], []
+        real_equiangular = ripcert.graphs._equiangular
 
         def counting(frame):
             calls.append(frame)
             return verify_etf(frame)
 
+        def counting_equiangular(g):
+            equiangular.append(g)
+            return real_equiangular(g)
+
         monkeypatch.setattr(ripcert.graphs, "verify_etf", counting)
-        rep = tmp_path / "rep.txt"
-        code = main(["graph", str(paley5_file), "--srg-check", "--seidel", "-o", str(rep)])
-        assert code == 0
-        assert len(calls) == 1
+        monkeypatch.setattr(ripcert.graphs, "_equiangular", counting_equiangular)
+        for extra in ([], ["--trace-expansion", "0,1,2", "2"]):
+            calls.clear()
+            equiangular.clear()
+            rep = tmp_path / "rep.txt"
+            code = main(
+                ["graph", str(paley5_file), "--srg-check", "--seidel", *extra, "-o", str(rep)]
+            )
+            assert code == 0
+            assert (len(calls), len(equiangular)) == (1, 1), extra
+        assert "[trace-expansion]" in rep.read_text()
 
     def test_pentagon_pipeline_via_cli(self, tmp_path):
         rep = tmp_path / "rep.txt"
