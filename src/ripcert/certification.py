@@ -43,8 +43,8 @@ SPARK_TOL = 1e-9
 CHECK_SLACK = 1e-9
 #: subsets per row block of the flat-orthogonality search
 _FRO_BLOCK = 256
-#: rows per chunk solved first, by largest ceiling, to set the bar the rest of
-#: an exact RIC or ROC chunk is screened against
+#: rows solved first, by largest ceiling, to set the bar the rest of an exact
+#: RIC or ROC chunk, or of a flat-orthogonality search, is screened against
 _SCREEN_TOP = 8
 
 LN2 = math.log(2.0)
@@ -167,6 +167,8 @@ class PairSearch:
     witness_i: tuple[int, ...]
     witness_j: tuple[int, ...]
     count: int
+    #: rows of the flat-orthogonality search that its sorted ceilings settled unevaluated
+    settled: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -495,11 +497,17 @@ def ric_power_search(frame: Frame, k: int, q: int, budget: int = DEFAULT_BUDGET)
     Non-increasing in q and converging to the exact isometry constant
     from above.
     """
-    _check_k(frame.n, k)
-    _check_q(q)
-    require_budget(subset_count(frame.n, k), budget, f"trace power estimate at K={k}")
-    [search] = _subset_pass(frame, k, (q,))
+    [search] = _power_searches(frame, k, (q,), budget)
     return search
+
+
+def _power_searches(frame: Frame, k: int, qs, budget: int) -> list[SubsetSearch]:
+    """``ric_power_search`` at each q of ``qs``, all from one pass over the k-subsets."""
+    _check_k(frame.n, k)
+    for q in qs:
+        _check_q(q)
+    require_budget(subset_count(frame.n, k), budget, f"trace power estimate at K={k}")
+    return _subset_pass(frame, k, qs)
 
 
 def roc_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> PairSearch:
@@ -539,17 +547,77 @@ def roc_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> Pair
     return PairSearch(value, wi, wj, total)
 
 
+def _fro_ceilings(sums: np.ndarray, indicator: np.ndarray, runs) -> tuple[np.ndarray, np.ndarray]:
+    """(ceiling, margin) per row of the flat-orthogonality search: ``ceiling`` bounds
+    every value the block kernel computes in the row, and two computations of one
+    of its values that sum in different orders differ by at most ``margin``.
+
+    Row r holds the subset I (|I| = a) and the computed sums c_j = ``sums[r, j]``;
+    c'_j is c_j off I and 0 on I. With u the unit roundoff (eps = 2u), eta the
+    smallest subnormal, gamma_m = m u / (1 - m u) and K the largest subset size:
+
+    - The kernel's value of a pair (I, J), |J| = b, is v = fl(a^ / q), q =
+      fl(sqrt(ab)) and a^ the modulus of the sum s^ that BLAS forms of the
+      c_j over J (the other products are exact zeros), in any order: |s^ - s|
+      <= gamma_{b-1} sum_J |c_j| for the exact sum s. A real modulus is exact;
+      a complex one is taken within 2u |.| + eta.
+    - Real Gram: s lies between the sums of the b smallest and of the b
+      largest c'_j, so |s| <= max(top_b, -bottom_b). One sort of the row and
+      two running sums give M^_b, their computed maximum, within gamma_{b-1}
+      sum_j |c'_j|; fl(+) is monotone, so M^_b >= 0. Complex Gram: |s| <=
+      sum_J |c_j|, and M^_b is the running sum of the b largest computed |c'_j|.
+    - So a^ - M^_b <= 2 gamma_K A (real) or (2 gamma_K + 4.2u) A + (K + 2) eta
+      (complex, as M^_b <= 1.01 A), A the exact sum of what ``spread`` sums.
+      ``margin`` = fl(fl((2K + 4) eps spread) + (K + 3) eta) >= (4K + 8) u
+      spread (1 - u)^2 + (K + 2) eta exceeds both while (n + K) u <= 1/10.
+    - fl(M^_b + margin) >= a^, and rounding is monotone, so the ceiling
+      max_b fl(fl(M^_b + margin) / q), dividing by the kernel's own q, is >= v.
+      Two orders' moduli a^ differ by at most ``margin`` by the same bounds.
+    """
+    eta = np.finfo(float).smallest_subnormal
+    kk = len(runs)
+    outside = (np.abs(sums) if np.iscomplexobj(sums) else sums) * (1.0 - indicator)
+    spread = np.abs(outside).sum(axis=1)
+    margin = (2 * kk + 4) * np.finfo(float).eps * spread + (kk + 3) * eta
+    ordered = np.sort(outside, axis=1)
+    top = np.cumsum(ordered[:, : -kk - 1 : -1], axis=1)
+    if not np.iscomplexobj(sums):
+        np.maximum(top, -np.cumsum(ordered[:, :kk], axis=1), out=top)
+    top += margin[:, None]
+    for r0, r1, a in runs:
+        top[r0:r1] /= [math.sqrt(a * b) for b in range(1, kk + 1)]
+    return top.max(axis=1), margin
+
+
 def fro_constant_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> PairSearch:
     """Smallest flat-orthogonality constant, by enumerating all subset pairs.
 
     Maximizes |<sum of columns in I, sum of columns in J>| / sqrt(|I||J|)
     over disjoint nonempty subsets with sizes up to k; each unordered
-    pair is evaluated once. Rows of ``_FRO_BLOCK`` subsets are evaluated
-    at once against every subset from the block's first one on, flattened
-    row-major; earlier subsets were paired with them by an earlier block.
-    Subsets are sorted by size, so a block divides by sqrt(|I||J|) one
-    rectangle of sizes at a time, and overlaps are found by ANDing
-    64-column bitmasks of the subsets.
+    pair is evaluated once, in the row of whichever of I and J comes first.
+    Subsets are sorted by size, then lexicographically; rows of ``_FRO_BLOCK``
+    subsets are evaluated at once against every subset from the block's first
+    one on, flattened row-major, so a block divides by sqrt(|I||J|) one
+    rectangle of sizes at a time, and overlaps are found by ANDing 64-column
+    bitmasks of the subsets.
+
+    Rows are settled first by ``_fro_ceilings``, one sort per row. The
+    ``_SCREEN_TOP`` rows of largest ceiling are solved, and the bar is the
+    largest (v - margin) (1 - 8 eps) over them, v a row's best value: below
+    the value that pair gets in any order of summation, as q >= 1 and 8 eps
+    covers the roundings of v, of the pair's other value and of the bar while
+    the bar is a normal number (a smaller bar settles nothing). A row whose
+    ceiling is below the bar holds no value that reaches the maximum, so the
+    first maximum, its value and its witness are found among the other rows,
+    in the same order. The bar depends on neither the block size nor the
+    worker count.
+
+    The kept rows of a block are evaluated without the settled ones when every
+    subset has at most two columns: a sum of at most two nonzero terms rounds
+    alike in any order. With three or more, BLAS sums a product's entries in
+    an order that can depend on its shape, so a block that keeps any row is
+    evaluated whole, as without the ceilings. ``settled`` counts the rows that
+    no block evaluates.
     """
     n = frame.n
     if k < 1:
@@ -570,36 +638,57 @@ def fro_constant_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> P
         indicator[np.arange(start, end)[:, None], table] = 1.0
     sums = indicator @ g  # row s holds <column sums of s against every column>
     # masks[w, s]: bits of subset s's columns 64w .. 64w + 63
-    packed = np.packbits(indicator > 0.0, axis=1, bitorder="little")
-    packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
+    packed = np.zeros((count, -(-n // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(indicator > 0.0, axis=1, bitorder="little")
     masks = packed.view("<u8").T.copy()
-    blocks = [(lo, min(lo + _FRO_BLOCK, count)) for lo in range(0, count, _FRO_BLOCK)]
+    starts = [r0 for r0, _, _ in runs] + [count]
 
-    def kernel(block: tuple[int, int]) -> np.ndarray:
-        lo, hi = block
-        vals = sums[lo:hi] @ indicator[lo:].T
+    def kernel(chunk: tuple[int, np.ndarray]) -> np.ndarray:
+        lo, rows = chunk  # rows ascending, none before lo
+        # one row is solved twice: BLAS's matrix-vector kernel, which a one-row product
+        # runs, may add three terms in another order than the matrix-matrix kernel
+        vals = (sums[np.resize(rows, max(len(rows), 2))] @ indicator[lo:].T)[: len(rows)]
         vals = np.abs(vals, out=None if np.iscomplexobj(vals) else vals)
-        for r0, r1, a in runs:
-            if r0 < hi and r1 > lo:
-                rows = slice(max(r0, lo) - lo, min(r1, hi) - lo)
+        cuts = np.searchsorted(rows, starts).tolist()
+        for (_, _, a), first, last in zip(runs, cuts, cuts[1:]):
+            if first < last:
                 for c0, c1, b in runs:
                     if c1 > lo:
-                        vals[rows, max(c0, lo) - lo : c1 - lo] /= math.sqrt(a * b)
+                        vals[first:last, max(c0, lo) - lo : c1 - lo] /= math.sqrt(a * b)
         # a pair is unusable if it overlaps or is not after the row's own subset
         unusable = np.zeros(vals.shape, dtype=bool)
         for word in masks:
-            unusable |= (word[lo:hi, None] & word[lo:]) != 0
-        unusable[:, : hi - lo] |= np.tri(hi - lo, dtype=bool)
+            unusable |= (word[rows, None] & word[lo:]) != 0
+        # offsets below count compare fastest as small integers, as in np.tri
+        offsets = (rows - lo).astype(np.min_scalar_type(-count))
+        span = np.arange(offsets[-1] + 1, dtype=offsets.dtype)
+        unusable[:, : len(span)] |= span <= offsets[:, None]
         np.putmask(vals, unusable, -1.0)
         return vals.ravel()
 
-    def witness(block: tuple[int, int], flat: int):
-        lo = block[0]
+    def witness(chunk: tuple[int, np.ndarray], flat: int):
+        lo, rows = chunk
         i, j = divmod(flat, count - lo)
-        return tuple(tuple(np.flatnonzero(indicator[lo + r]).tolist()) for r in (i, j))
+        return tuple(tuple(np.flatnonzero(indicator[r]).tolist()) for r in (rows[i], lo + j))
 
-    [(value, (wi, wj), _)] = _first_max(blocks, kernel, witness)
-    return PairSearch(value, wi, wj, total)
+    keep = np.ones(count, dtype=bool)
+    if count > _SCREEN_TOP:
+        ceiling, margin = _fro_ceilings(sums, indicator, runs)
+        top = np.sort(np.argpartition(ceiling, -_SCREEN_TOP)[-_SCREEN_TOP:])
+        best = kernel((top[0], top)).reshape(len(top), -1).max(axis=1)
+        bar = ((best - margin[top]) * (1 - 8 * np.finfo(float).eps)).max()
+        if bar >= np.finfo(float).tiny:
+            keep = ~(ceiling < bar)  # a nan ceiling is kept
+    chunks = []
+    for lo in range(0, count, _FRO_BLOCK):
+        rows = lo + np.flatnonzero(keep[lo : lo + _FRO_BLOCK])
+        if len(rows) and len(runs) >= 3:  # a kept row keeps its whole block
+            rows = np.arange(lo, min(lo + _FRO_BLOCK, count))
+        if len(rows):
+            chunks.append((lo, rows))
+    settled = count - sum(len(rows) for _, rows in chunks)
+    [(value, (wi, wj), _)] = _first_max(chunks, kernel, witness)
+    return PairSearch(value, wi, wj, total, settled)
 
 
 def _spark_clear_ratio(frame: Frame, size: int, tol: float) -> float:
@@ -924,8 +1013,8 @@ def certify_frame(
     """Run the requested certifications on one frame and collect a report.
 
     ``power_specs`` is an iterable of (k, qs) pairs; the qs given for one k
-    are merged and estimated once each, in increasing order, in the exact
-    search's pass when that k has one. With ``bounds``
+    are merged and estimated once each, in increasing order, in one pass
+    over the k-subsets, the exact search's when that k has one. With ``bounds``
     set, the flat-to-plain and orthogonality-to-isometry chains are
     evaluated from whatever constants were computed, including the
     halving-chain bound when the orthogonality constant is requested.
@@ -955,7 +1044,8 @@ def certify_frame(
             powers = tuple((q, search.value) for q, search in ric.powers)
         else:
             ric = None
-            powers = tuple((q, ric_power_search(frame, k, q, budget).value) for q in qs)
+            searches = _power_searches(frame, k, qs, budget) if qs else []
+            powers = tuple((q, search.value) for q, search in zip(qs, searches))
         roc = roc_exact_search(frame, k, budget) if k in roc_ks else None
         if roc is not None:
             theta_cache[k] = roc.value

@@ -289,6 +289,8 @@ def _write_certification(writer: ReportWriter, report) -> None:
             writer.kv("fro-witness-i", rec.fro.witness_i)
             writer.kv("fro-witness-j", rec.fro.witness_j)
             writer.kv("fro-count", rec.fro.count)
+            rows = sum(math.comb(report.n, s) for s in range(1, min(rec.k, report.n - 1) + 1))
+            writer.comment(f"fro rows: {rec.fro.settled} of {rows} settled by sorted ceilings")
         for name, value in rec.bounds:
             writer.kv(name, value)
         writer.comment(f"wall {rec.wall:.6f}s")

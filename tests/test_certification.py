@@ -27,7 +27,10 @@ from ripcert import (
     verify_etf,
     welch_bound,
 )
-from ripcert import certification, subsets
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ripcert import all_pairs_steiner, certification, hadamard, steiner_etf, subsets
 from ripcert.certification import SPARK_TOL, SparkResult, _hollow_subgrams, _spark_clear_ratio
 from ripcert.constructions import Frame
 from ripcert.errors import (
@@ -277,6 +280,24 @@ class TestRicPower:
         assert len(gathered) == len(chunks)
         assert all(np.array_equal(a, b) for a, b in zip(gathered, chunks))
 
+    def test_power_only_k_gathers_each_chunk_once(self, paley13_real, monkeypatch):
+        singles = [ric_power_search(paley13_real, 4, q).value for q in (2, 8)]
+        gathered, real = [], certification._hollow_subgrams
+
+        def counting(g, chunk):
+            gathered.append(chunk.copy())
+            return real(g, chunk)
+
+        monkeypatch.setattr(certification, "_hollow_subgrams", counting)
+        report = certify_frame(paley13_real, power_specs=[(4, [8, 2]), (4, [2])])
+        assert report.record(4).ric is None
+        assert report.record(4).powers == ((2, singles[0]), (8, singles[1]))
+        chunks = list(subsets.iter_subset_chunks(paley13_real.n, 4))
+        assert len(gathered) == len(chunks)
+        assert all(np.array_equal(a, b) for a, b in zip(gathered, chunks))
+        with pytest.raises(EnumerationBudgetError, match="trace power estimate at K=4"):
+            certify_frame(paley13_real, power_specs=[(4, [2, 8])], budget=10)
+
     def test_q_errors_after_the_budget(self, paley13_real):
         with pytest.raises(EnumerationBudgetError, match="exact isometry constant at K=4"):
             ric_exact_search(paley13_real, 4, budget=10, qs=(0,))
@@ -464,6 +485,155 @@ def fro_bruteforce(frame, k):
                 best, first_max = value, (first, second)
             pairs += 1
     return best, pairs, first_max
+
+
+def planted_late_pair(n=10, seed=0):
+    """Columns n-4, n-3 orthonormal, n-2 and n-1 orthogonal and each at inner product
+    1/2 with both of them, the rest small noise: the pair (n-4, n-3) | (n-2, n-1) is
+    the only maximiser, of value 1, in the row of (n-4, n-3), six rows from the end."""
+    mat = 0.02 * np.random.default_rng(seed).standard_normal((5, n))
+    mat[:, -4:] = 0.0
+    r = math.sqrt(0.5)
+    mat[:3, -4:] = [[1.0, 0.0, 0.5, 0.5], [0.0, 1.0, 0.5, 0.5], [0.0, 0.0, r, -r]]
+    return Frame(mat, label="planted")
+
+
+def complex_gaussian(m, n, seed):
+    rng = np.random.default_rng(seed)
+    return Frame(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)), label="cgauss")
+
+
+def fro_rows(n, k):
+    """The subsets of the flat-orthogonality search, in its row order."""
+    sizes = range(1, min(k, n - 1) + 1)
+    return [c for size in sizes for c in itertools.combinations(range(n), size)]
+
+
+class TestFroCeilings:
+    """Rows settled by sorted ceilings before the block kernel move no value or witness."""
+
+    BLOCKS = (1, 7, 256)
+
+    @staticmethod
+    def _searches(monkeypatch, frame, k):
+        """(search, rows each block evaluated) at every block size of ``BLOCKS``."""
+        out = []
+        for block in TestFroCeilings.BLOCKS:
+            monkeypatch.setattr(certification, "_FRO_BLOCK", block)
+            chunks, real = [], certification._first_max
+
+            def recording(blocks, kernel, witness, stop=math.inf):
+                chunks.extend(blocks)
+                return real(blocks, kernel, witness, stop)
+
+            monkeypatch.setattr(certification, "_first_max", recording)
+            search = fro_constant_search(frame, k)
+            monkeypatch.setattr(certification, "_first_max", real)
+            out.append((search, [rows.tolist() for _, rows in chunks]))
+        return out
+
+    @staticmethod
+    def _matches(search, reference):
+        best, pairs, first_max = reference
+        assert (search.value, search.count) == (best, pairs)
+        assert (search.witness_i, search.witness_j) == first_max
+
+    def test_planted_maximiser_in_the_last_kept_row(self, monkeypatch):
+        frame = planted_late_pair()
+        reference = fro_bruteforce(frame, 2)
+        rows = fro_rows(frame.n, 2)
+        first, second = rows.index((6, 7)), rows.index((8, 9))
+        assert reference == (1.0, reference[1], ((6, 7), (8, 9)))
+        for search, chunks in self._searches(monkeypatch, frame, 2):
+            self._matches(search, reference)
+            kept = [row for block in chunks for row in block]
+            # the witness's row is the last kept row with a later partner; the one
+            # after it is its partner's, whose ceiling also reaches the maximum
+            assert kept == [first, second]
+            assert search.settled == len(rows) - 2
+
+    @pytest.mark.parametrize(
+        "frame, k",
+        [(steiner_etf(all_pairs_steiner(4), hadamard(4, "dft")), 2),
+         (steiner_etf(all_pairs_steiner(4), hadamard(4, "dft")), 3),
+         (complex_gaussian(4, 9, 5), 2), (complex_gaussian(4, 9, 6), 3)],
+        ids=["steiner-dft-2", "steiner-dft-3", "complex-gaussian-2", "complex-gaussian-3"],
+    )
+    def test_complex_gram_matches_bruteforce(self, frame, k, monkeypatch):
+        assert np.iscomplexobj(frame.gram)
+        best, pairs, first_max = fro_bruteforce(frame, k)
+        searches = [search for search, _ in self._searches(monkeypatch, frame, k)]
+        for search in searches:
+            # BLAS may add three complex terms in another order than the reference does
+            assert math.isclose(search.value, best, rel_tol=4 * np.finfo(float).eps)
+            assert (search.witness_i, search.witness_j, search.count) == (*first_max, pairs)
+            assert search == searches[0]
+        # the sum of the largest moduli settles rows of a frame without structure
+        assert any(search.settled for search in searches) or frame.label != "cgauss"
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        st.sampled_from([gaussian_matrix, bernoulli_matrix]),
+        st.integers(2, 10),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_small_real_frames_match_bruteforce(self, kind, n, k, seed, data):
+        frame = kind(data.draw(st.integers(1, n), label="m"), n, seed)
+        reference = fro_bruteforce(frame, k)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            for search, _ in self._searches(monkeypatch, frame, k):
+                self._matches(search, reference)
+
+    @pytest.mark.parametrize(
+        "frame, k",
+        [(gaussian_matrix(11, 22, 7), 2), (gaussian_matrix(6, 12, 3), 3),
+         (complex_gaussian(4, 9, 5), 3), (bernoulli_matrix(5, 10, 3), 3)],
+        ids=["gaussian-2", "gaussian-3", "complex-gaussian-3", "bernoulli-3"],
+    )
+    def test_no_row_settled_gives_the_same_search(self, frame, k, monkeypatch):
+        reference = fro_bruteforce(frame, k)
+        screened = [search for search, _ in self._searches(monkeypatch, frame, k)]
+        # at K = 3 a block that keeps a row is evaluated whole, so small blocks settle rows
+        assert any(search.settled for search in screened)
+        real = certification._fro_ceilings
+
+        def unbounded(sums, indicator, runs):
+            ceiling, margin = real(sums, indicator, runs)
+            return np.full_like(ceiling, np.inf), margin
+
+        monkeypatch.setattr(certification, "_fro_ceilings", unbounded)
+        for search, chunks in self._searches(monkeypatch, frame, k):
+            self._matches(search, reference)
+            assert search.settled == 0
+            rows = [row for block in chunks for row in block]
+            assert rows == list(range(len(fro_rows(frame.n, k))))
+            assert search == screened[0]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-160])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_ceilings_bound_every_row(self, monkeypatch, kind, scale):
+        frame = gaussian_matrix(4, 9, 11) if kind == "real" else complex_gaussian(4, 9, 11)
+        frame = unchecked_frame(scale * frame.matrix)  # tiny scales reach subnormal sums
+        ceilings, values, real = [], [], certification._fro_ceilings
+
+        def recording(sums, indicator, runs):
+            ceiling, margin = real(sums, indicator, runs)
+            ceilings.append(ceiling)
+            return np.full_like(ceiling, np.inf), margin  # every row reaches the kernel
+
+        def kept(blocks, kernel, witness, stop=math.inf):
+            for lo, rows in blocks:
+                values.append(kernel((lo, rows)).reshape(len(rows), -1).max(axis=1))
+            return [(0.0, ((), ()), 0)]
+
+        monkeypatch.setattr(certification, "_fro_ceilings", recording)
+        monkeypatch.setattr(certification, "_first_max", kept)
+        fro_constant_search(frame, 3)
+        values = np.concatenate(values)
+        assert values.max() > 0.0
+        assert (values <= ceilings[0]).all()
 
 
 class TestBoundChains:
@@ -1102,3 +1272,42 @@ def test_golden_etf_searches(negated):
     assert (repr(ric.value), ric.witness, ric.count) == (ric_value, witness, 142506)
     roc = roc_exact_search(frame, 2)
     assert (repr(roc.value), roc.witness_i, roc.witness_j, roc.count) == (roc_value, wi, wj, 82215)
+
+
+#: repr(value), witnesses and count of the flat-orthogonality search on
+#: gaussian_matrix(11, 22, seed) at K = 2 and 3; the row ceilings of the search
+#: must not move a digit or a witness
+GOLDEN_FRO = {
+    (7, 2): ("1.4257290152125441", (2, 4), (12, 21), 26796),
+    (7, 3): ("1.6953166154203343", (12, 21), (2, 4, 20), 1065526),
+    (101, 2): ("1.1011349849166439", (3, 8), (17, 20), 26796),
+    (101, 3): ("1.334556077246842", (3, 13, 17), (6, 14, 16), 1065526),
+}
+
+
+@pytest.mark.parametrize("seed, k", sorted(GOLDEN_FRO))
+def test_golden_fro_searches(seed, k):
+    search = fro_constant_search(gaussian_matrix(11, 22, seed), k)
+    assert (repr(search.value), search.witness_i, search.witness_j, search.count) == GOLDEN_FRO[
+        seed, k
+    ]
+
+
+#: the same on realified Paley 29 at K = 3, as given and with the bench's seed-1
+#: columns negated: nearly every row reaches the maximum, so the block kernel decides
+GOLDEN_ETF_FRO = {
+    False: ("0.5570860145311589", (0, 3, 29), (23, 25, 28), 7567260),
+    True: ("0.5570860145311606", (3, 6, 18), (24, 26, 28), 7567260),
+}
+
+
+@pytest.mark.parametrize("negated", [False, True])
+def test_golden_etf_fro_searches(negated):
+    frame = realify(paley_etf(29))
+    if negated:
+        mask = np.random.default_rng(1).integers(0, 2, frame.n)
+        frame = negate_columns(frame, np.flatnonzero(mask).tolist())
+    search = fro_constant_search(frame, 3, budget=10**7)
+    assert (repr(search.value), search.witness_i, search.witness_j, search.count) == (
+        GOLDEN_ETF_FRO[negated]
+    )

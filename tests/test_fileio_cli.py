@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import ripcert
 from ripcert import (
     all_pairs_steiner,
+    fro_constant_search,
     gaussian_matrix,
     hadamard,
     paley_etf,
@@ -358,6 +359,20 @@ class TestCertifyCommand:
         huge = fro_lines("huge.txt", "1000000000")
         assert "fro-count: 301" in huge
         assert huge == fro_lines("seven.txt", "7")
+
+    def test_fro_reports_the_rows_settled_by_sorted_ceilings(self, tmp_path):
+        mat = tmp_path / "g.mat"
+        frame = gaussian_matrix(11, 22, 7)
+        write_matrix(mat, frame)
+        rep = tmp_path / "rep.txt"
+        assert main(["certify", str(mat), "--fro", "2", "--fro", "3", "-o", str(rep)]) == 0
+        text = rep.read_text()
+        for k, rows in ((2, 253), (3, 1793)):
+            settled = fro_constant_search(frame, k).settled
+            assert 0 < settled < rows
+            line = f"# fro rows: {settled} of {rows} settled by sorted ceilings"
+            assert line in text.splitlines()
+        assert "# fro rows" not in report_body(text)
 
     def test_power_sequence_is_reported(self, tmp_path, paley5_file):
         rep = tmp_path / "rep.txt"
