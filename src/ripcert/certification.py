@@ -167,7 +167,8 @@ class PairSearch:
     witness_i: tuple[int, ...]
     witness_j: tuple[int, ...]
     count: int
-    #: rows of the flat-orthogonality search that its sorted ceilings settled unevaluated
+    #: what ceilings settled unevaluated: rows of the flat-orthogonality search, or the
+    #: first members whose whole group of pairs the orthogonality search skipped
     settled: int = field(default=0, compare=False)
 
 
@@ -510,16 +511,60 @@ def _power_searches(frame: Frame, k: int, qs, budget: int) -> list[SubsetSearch]
     return _subset_pass(frame, k, qs)
 
 
+def _group_ceilings(g: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Per row I of the k-subset ``table``: a ceiling on every value ``_screened``
+    computes for a pair (I, J) of ``roc_exact_search``.
+
+    With w_j(I) = sum over i in I of |g_ij|^2, ||G_IJ||_F^2 = sum over j in J of
+    w_j(I), and every partner J lies in the columns j > I[0] outside I, so s =
+    ||G_IJ||_F^2 is at most the sum of the k largest w_j(I) there. With u = eps,
+    eta and gamma_n as in ``_screened``: each computed w^_j sums at most 2k
+    rounded squares, so w^_j >= w_j (1 - gamma_{2k}) - k eta, and t^, the sum of
+    the k largest w^_j in k - 1 additions, is >= s (1 - gamma_{3k}) - k^2 eta for
+    every partner J. As 3k <= k^2 + 2, t^ meets the lower bound on s^ that the
+    proof of ``_screened`` starts from, so ``_ceiling(t^, k)`` bounds the value of
+    every pair in the group, as it bounds the row's own ceiling.
+    """
+    n, k = len(g), table.shape[1]
+    sq = g.real * g.real
+    if np.iscomplexobj(g):
+        sq += g.imag * g.imag
+    w = sq[table[:, 0]]
+    for column in table.T[1:]:
+        w += sq[column]
+    w[np.arange(n) <= table[:, :1]] = 0.0
+    np.put_along_axis(w, table, 0.0, axis=1)
+    w.partition(n - k, axis=1)
+    return _ceiling(w[:, n - k :].sum(axis=1), k)
+
+
 def roc_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> PairSearch:
     """Exact orthogonality constant over disjoint equal-size supports.
 
     Maximizes the spectral norm of the cross-Gram over all unordered
     pairs of disjoint k-subsets. Restricting to full-size supports loses
     nothing because the norm is monotone under adding columns (checked
-    as a tested property on small frames). ``_screened`` settles, without
-    forming C*C, each pair whose ceiling, ||C||_F^2 or, on a real
-    equiangular Gram, its Seidel sign class's squared norm, with a rounding
-    margin, is below the best of its chunk's top rows.
+    as a tested property on small frames).
+
+    Whole groups, the pairs that share a first member I, are settled before
+    any of their pairs is enumerated. ``_group_ceilings`` bounds every value
+    in each group; the pairs of the ``_SCREEN_TOP`` groups of largest
+    ceiling go through the kernel's screen, and with b the best value it
+    computes (of lambda, before the square root) and bar = b (1 - 8u), a
+    group whose ceiling is below the bar holds only values strictly below
+    b, and so, as ``_screened`` shows, no pair whose square root reaches
+    the maximum. The other groups are enumerated in the same order as
+    without the pre-pass, so the first maximum, its float and its witness
+    are unchanged, and the bar depends on neither the chunk size nor the
+    worker count. ``settled`` counts the first members the pre-pass
+    settles; where it settles none, as on a real ETF, whose groups share
+    one Frobenius ceiling, every pair is enumerated as before. First
+    members with no partner are never enumerated.
+
+    Inside the enumerated groups, ``_screened`` settles, without forming
+    C*C, each pair whose ceiling, ||C||_F^2 or, on a real equiangular Gram,
+    its Seidel sign class's squared norm, with a rounding margin, is below
+    the best of its chunk's top rows.
     """
     n = frame.n
     if not 1 <= k <= n // 2:
@@ -530,8 +575,7 @@ def roc_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> Pair
     equiangular = _equiangular(g)
     u, eta = np.finfo(float).eps, np.finfo(float).smallest_subnormal
 
-    def kernel(pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        first, second = pair
+    def solved(first: np.ndarray, second: np.ndarray) -> np.ndarray:
         cross = _gather(g, first, second)
         ceiling = _ceiling(_squares(cross.reshape(len(cross), -1)), k)
         if equiangular is not None:
@@ -540,11 +584,23 @@ def roc_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> Pair
             lam = q * q + 2 * (k + 16) ** 2 * u * (k * mu) ** 2 + 4 * k * k * eta
             ceiling = np.minimum(ceiling, lam * (1 + 8 * u))
         # sigma_max(C) = sqrt(lambda_max(C*C)): a k x k eigvalsh is cheaper than an SVD
-        lam = _screened(cross, ceiling, _cross_product, _top_eigenvalue)
+        return _screened(cross, ceiling, _cross_product, _top_eigenvalue)
+
+    def kernel(pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        lam = solved(*pair)
         return np.sqrt(lam, out=np.full_like(lam, -1.0), where=lam >= 0.0)
 
-    [(value, (wi, wj), _)] = _first_max(iter_disjoint_pair_chunks(n, k), kernel, _pair_row)
-    return PairSearch(value, wi, wj, total)
+    # the first members with a partner: all but the C(2k - 1, k) in the last 2k - 1 columns
+    groups = math.comb(n, k) - math.comb(2 * k - 1, k)
+    ceiling = _group_ceilings(g, _subset_table(n, k)[:groups])
+    live = np.arange(groups)
+    if groups > _SCREEN_TOP:
+        top = np.sort(np.argpartition(ceiling, -_SCREEN_TOP)[-_SCREEN_TOP:])
+        best = max(solved(*pair).max() for pair in iter_disjoint_pair_chunks(n, k, top))
+        live = live[~(ceiling < best * (1.0 - 8 * u))]  # a nan ceiling is kept
+    chunks = iter_disjoint_pair_chunks(n, k, live)
+    [(value, (wi, wj), _)] = _first_max(chunks, kernel, _pair_row)
+    return PairSearch(value, wi, wj, total, groups - len(live))
 
 
 def _fro_ceilings(sums: np.ndarray, indicator: np.ndarray, runs) -> tuple[np.ndarray, np.ndarray]:

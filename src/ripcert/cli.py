@@ -284,6 +284,11 @@ def _write_certification(writer: ReportWriter, report) -> None:
             writer.kv("roc-witness-i", rec.roc.witness_i)
             writer.kv("roc-witness-j", rec.roc.witness_j)
             writer.kv("roc-count", rec.roc.count)
+            # the first members with a partner
+            groups = math.comb(report.n, rec.k) - math.comb(2 * rec.k - 1, rec.k)
+            writer.comment(
+                f"roc groups: {rec.roc.settled} of {groups} first members settled by group ceilings"
+            )
         if rec.fro is not None:
             writer.kv("fro-constant", rec.fro.value)
             writer.kv("fro-witness-i", rec.fro.witness_i)

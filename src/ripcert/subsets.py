@@ -15,6 +15,7 @@ never nest.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -85,11 +86,15 @@ def mixed_pair_count(n: int, k: int) -> int:
     return total // 2
 
 
+@functools.lru_cache(maxsize=16)
 def _subset_table(n: int, r: int) -> np.ndarray:
-    """All r-subsets of range(n), lexicographic, as a (C(n, r), r) array."""
+    """All r-subsets of range(n), lexicographic, as a read-only (C(n, r), r) array,
+    built once per (n, r) and shared by every caller."""
     rows = math.comb(n, r)
     flat = itertools.chain.from_iterable(itertools.combinations(range(n), r))
-    return np.fromiter(flat, dtype=np.intp, count=rows * r).reshape(rows, r)
+    table = np.fromiter(flat, dtype=np.intp, count=rows * r).reshape(rows, r)
+    table.flags.writeable = False
+    return table
 
 
 def _row_starts(table: np.ndarray, n: int) -> list[int]:
@@ -138,7 +143,9 @@ def iter_subset_chunks(n: int, k: int) -> Iterator[np.ndarray]:
     yield from _pack(segments(), k)
 
 
-def iter_disjoint_pair_chunks(n: int, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def iter_disjoint_pair_chunks(
+    n: int, k: int, firsts: np.ndarray | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Unordered pairs of disjoint k-subsets, each pair listed once.
 
     The subset containing the overall smallest element is first, so the
@@ -146,7 +153,8 @@ def iter_disjoint_pair_chunks(n: int, k: int) -> Iterator[tuple[np.ndarray, np.n
     lexicographic order of (first, second): for each k-subset ``first``,
     the partners are the rows of the k-subset table that start above
     ``first[0]`` and share no element with it, found through a
-    column-membership table.
+    column-membership table. ``firsts``, ascending rows of that table,
+    keeps only the pairs whose first member they name, in the same order.
     """
     table = _subset_table(n, k)
     starts = _row_starts(table, n)
@@ -154,7 +162,7 @@ def iter_disjoint_pair_chunks(n: int, k: int) -> Iterator[tuple[np.ndarray, np.n
     member[table, np.arange(len(table))[:, None]] = True
 
     def segments():
-        for first in table:
+        for first in table if firsts is None else table[firsts]:
             lo = starts[first[0] + 1]
             yield first, table[lo:][~member[first, lo:].any(axis=0)]
 

@@ -913,9 +913,22 @@ SEARCHES = {
     "power": (ric_power_search, (3, 2)),
     "ric-powers": (lambda frame, k: ric_exact_search(frame, k, qs=(2, 3, 8)), (3,)),
     "roc": (roc_exact_search, (2,)),
+    # at K = 3 whole groups of pairs settle before they are enumerated
+    "roc-3": (roc_exact_search, (3,)),
     "fro": (fro_constant_search, (2,)),
     "spark": (spark_search, (6,)),
 }
+
+
+#: (frame, search) pairs of ``TestChunkIndependence``; "roc-3" runs where whole ROC
+#: groups settle: on the ETFs none does, as at K = 2, and one pair per chunk over
+#: their 30,030 to 80,080 pairs takes seconds each
+CHUNK_CASES = [
+    (frame_name, search)
+    for search in sorted(SEARCHES)
+    for frame_name in ["steiner_6x16", "paley13_real", "paley13", "gaussian", "bernoulli"]
+    if search != "roc-3" or frame_name in ("gaussian", "bernoulli")
+]
 
 
 class TestChunkIndependence:
@@ -936,9 +949,8 @@ class TestChunkIndependence:
             monkeypatch.setattr(certification, name, recorded(getattr(subsets, name)))
         monkeypatch.setattr(certification, "_FRO_BLOCK", chunk)
 
-    @pytest.mark.parametrize("search", sorted(SEARCHES))
     @pytest.mark.parametrize(
-        "frame_name", ["steiner_6x16", "paley13_real", "paley13", "gaussian", "bernoulli"]
+        "frame_name, search", CHUNK_CASES, ids=[f"{f}-{s}" for f, s in CHUNK_CASES]
     )
     def test_same_result_for_every_chunk_size_and_worker_count(
         self, request, monkeypatch, search, frame_name
@@ -1128,9 +1140,12 @@ class TestFrobeniusNearTie:
                 margin[0] = True
                 records.clear()
                 assert fn(frame, k) == reference
-                ((bounds, values),) = records
-                # every row's ceiling bounds its computed value, the tie included
-                assert np.all(bounds >= values)
+                # one screened batch per search, and for ROC one more before it: the
+                # pairs of the top group, which set the bar for the group ceilings
+                assert len(records) == (1 if search == "ric" else 2)
+                for bounds, values in records:
+                    # every row's ceiling bounds its computed value, the tie included
+                    assert np.all(bounds >= values)
                 planted = np.arange(k)[None]
                 if scale == 1.0 and search == "roc":
                     pair = (tuple(range(k)), tuple(range(k, 2 * k)))
@@ -1139,12 +1154,12 @@ class TestFrobeniusNearTie:
                 elif scale == 1.0:
                     assert reference.witness == tuple(range(k))
                     assert reference.value == full(frame.gram, planted)[0]
-                # the same rows with the ceiling's margin taken off
+                # the same rows with the ceiling's margin taken off; every ROC group is
+                # kept, as without its margin a group ceiling can settle the maximum
                 margin[0] = False
                 records.clear()
-                fn(frame, k)
-                ((raw, values),) = records
-                above_raw += int(np.sum(values > raw))
+                without_group_ceilings(monkeypatch, lambda: fn(frame, k))
+                above_raw += sum(int(np.sum(values > raw)) for raw, values in records)
         # some rows compute above their unmargined Frobenius norm
         assert above_raw > 0
 
@@ -1232,6 +1247,113 @@ class TestClassCeiling:
         monkeypatch.setattr(certification, "_sign_norms", lambda signs: applied.append(1))
         fn(frame, k)
         assert not applied
+
+
+def roc_groups(frame, k):
+    """(group ceilings, pairs, each pair's group) of ``roc_exact_search`` at K = k: the
+    pairs in enumeration order as (first, second) index arrays, a group being the row
+    of the pair's first member in the k-subset table."""
+    n = frame.n
+    table = list(itertools.combinations(range(n), k))
+    pairs = [(r, a, b) for r, a in enumerate(table) for b in table
+             if b[0] > a[0] and not set(a) & set(b)]
+    group, first, second = (np.array(column) for column in zip(*pairs))
+    rows = len(table) - math.comb(2 * k - 1, k)  # the first members with a partner
+    ceiling = certification._group_ceilings(frame.gram, subsets._subset_table(n, k)[:rows])
+    return ceiling, (first, second), group
+
+
+def without_group_ceilings(monkeypatch, fn):
+    """``fn()`` with every ROC group kept, as before the group ceilings."""
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            certification, "_group_ceilings", lambda g, table: np.full(len(table), np.inf)
+        )
+        return fn()
+
+
+class TestGroupCeilings:
+    """A group of ROC pairs, those that share a first member, is settled before it is
+    enumerated when its ceiling is below the best value of the top groups' pairs."""
+
+    CASES = [
+        (gaussian_matrix(8, 12, 9), 2), (gaussian_matrix(8, 12, 9), 3),
+        (bernoulli_matrix(5, 10, 3), 2), (bernoulli_matrix(5, 10, 3), 3),
+        ("paley13", 2), ("steiner_6x16", 2), (long_last_column(gaussian_matrix(5, 10, 1)), 2),
+        # every square below the normal range, where the margin's absolute term does the work
+        (unchecked_frame(1e-80 * gaussian_matrix(5, 10, 2).matrix), 2),
+    ]
+    IDS = ["gaussian-2", "gaussian-3", "bernoulli-2", "bernoulli-3", "paley13", "steiner",
+           "long-last-column", "tiny"]
+
+    @pytest.mark.parametrize("frame, k", CASES, ids=IDS)
+    def test_ceilings_bound_every_pair(self, request, frame, k):
+        if isinstance(frame, str):
+            frame = request.getfixturevalue(frame)
+        ceiling, (first, second), group = roc_groups(frame, k)
+        cross = certification._gather(frame.gram, first, second)
+        lam = certification._top_eigenvalue(certification._cross_product(cross))
+        assert lam.max() > 0.0
+        assert np.all(lam <= ceiling[group])
+        assert np.all(_full_roc(frame.gram, (first, second)) <= np.sqrt(ceiling[group]))
+        # a group without pairs has no ceiling
+        assert group.max() < len(ceiling)
+
+    @pytest.mark.parametrize(
+        "frame, k, top",
+        [(gaussian_matrix(8, 12, 9), 3, 8), (long_last_column(gaussian_matrix(5, 10, 1)), 2, 1),
+         (bernoulli_matrix(5, 10, 3), 3, 8)],
+        ids=["gaussian", "long-last-column", "bernoulli"],
+    )
+    def test_maximum_outside_the_top_groups(self, monkeypatch, frame, k, top):
+        monkeypatch.setattr(certification, "_SCREEN_TOP", top)
+        ceiling, pairs, group = roc_groups(frame, k)
+        values = _full_roc(frame.gram, pairs)
+        best = int(np.argmax(values))  # the first maximiser in enumeration order
+        # the group of the maximum is not among the top groups, so their pairs only set a bar
+        assert np.sum(ceiling > ceiling[group[best]]) >= top
+        search = roc_exact_search(frame, k)
+        assert search.settled > 0
+        witness = tuple(pairs[0][best].tolist()), tuple(pairs[1][best].tolist())
+        assert (search.value, (search.witness_i, search.witness_j)) == (values[best], witness)
+        reference = without_group_ceilings(monkeypatch, lambda: roc_exact_search(frame, k))
+        assert reference.settled == 0
+        assert search == reference
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-160])
+    def test_rank_one_pairs_need_the_margin(self, monkeypatch, scale):
+        # as in TestFrobeniusNearTie: some pairs compute above the unmargined ceiling
+        rng = np.random.default_rng(16)
+        monkeypatch.setattr(certification, "_ceiling", lambda squares, k: squares)
+        above_raw = 0
+        for k in (1, 2, 3, 4):
+            for _ in range(30):
+                frame = rank_one_plant("roc", k, rng, scale)
+                raw, pairs, group = roc_groups(frame, k)
+                cross = certification._gather(frame.gram, *pairs)
+                lam = certification._top_eigenvalue(certification._cross_product(cross))
+                above_raw += int(np.sum(lam > raw[group]))
+        assert above_raw > 0
+
+    def test_few_first_members_reach_the_gather(self, monkeypatch):
+        frame = gaussian_matrix(11, 22, 11)
+        firsts, real = set(), certification._gather
+
+        def counting(a, rows, cols):
+            firsts.update(map(tuple, rows.tolist()))
+            return real(a, rows, cols)
+
+        monkeypatch.setattr(certification, "_gather", counting)
+        search = roc_exact_search(frame, 3)
+        assert len(firsts) < 0.05 * math.comb(22, 3)
+        assert search.settled >= math.comb(22, 3) - math.comb(5, 3) - len(firsts)
+        monkeypatch.undo()
+        assert search == without_group_ceilings(monkeypatch, lambda: roc_exact_search(frame, 3))
+
+    def test_equal_ceilings_settle_no_group(self, paley13_real):
+        # every cross-Gram of a real ETF has the same Frobenius norm
+        search = roc_exact_search(paley13_real, 2)
+        assert search.settled == 0
 
 
 #: repr(value) and witnesses of the exact searches on gaussian_matrix(11, 22, seed);

@@ -20,6 +20,7 @@ from ripcert import (
     hadamard,
     paley_etf,
     realify,
+    roc_exact_search,
     steiner_etf,
     steiner_triple,
     verify_etf,
@@ -373,6 +374,21 @@ class TestCertifyCommand:
             line = f"# fro rows: {settled} of {rows} settled by sorted ceilings"
             assert line in text.splitlines()
         assert "# fro rows" not in report_body(text)
+
+    def test_roc_reports_the_first_members_settled_by_group_ceilings(self, tmp_path):
+        mat = tmp_path / "g.mat"
+        frame = gaussian_matrix(11, 22, 7)
+        write_matrix(mat, frame)
+        rep = tmp_path / "rep.txt"
+        assert main(["certify", str(mat), "--roc", "2", "--roc", "3", "-o", str(rep)]) == 0
+        text = rep.read_text()
+        # C(22, k) first members, less the C(2k - 1, k) that have no partner
+        for k, groups in ((2, 228), (3, 1530)):
+            settled = roc_exact_search(frame, k).settled
+            assert 0 < settled < groups
+            line = f"# roc groups: {settled} of {groups} first members settled by group ceilings"
+            assert line in text.splitlines()
+        assert "# roc groups" not in report_body(text)
 
     def test_power_sequence_is_reported(self, tmp_path, paley5_file):
         rep = tmp_path / "rep.txt"

@@ -2,6 +2,7 @@ import itertools
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from ripcert import subsets
@@ -31,8 +32,8 @@ def subset_rows(n, k):
         yield from (tuple(int(x) for x in row) for row in block)
 
 
-def pair_rows(n, k):
-    for first, second in iter_disjoint_pair_chunks(n, k):
+def pair_rows(n, k, firsts=None):
+    for first, second in iter_disjoint_pair_chunks(n, k, firsts):
         assert 0 < len(first) <= subsets.CHUNK
         assert first.shape == second.shape == (len(first), k)
         for a, b in zip(first, second):
@@ -58,6 +59,26 @@ class TestEnumerationOrder:
         for n in range(1, 13):
             for k in range(1, n // 2 + 2):
                 assert same_sequence(pair_rows(n, k), reference_pairs(n, k)), (n, k)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 4096])
+    def test_disjoint_pairs_of_chosen_first_members(self, chunk, monkeypatch):
+        monkeypatch.setattr(subsets, "CHUNK", chunk)
+        rng = np.random.default_rng(5)
+        for n in range(2, 13):
+            for k in range(1, n // 2 + 1):
+                table = list(itertools.combinations(range(n), k))
+                firsts = np.flatnonzero(rng.random(len(table)) < 0.3)
+                named = {table[r] for r in firsts}
+                expected = (pair for pair in reference_pairs(n, k) if pair[0] in named)
+                assert same_sequence(pair_rows(n, k, firsts), expected), (n, k)
+                assert not list(pair_rows(n, k, firsts[:0]))
+
+    def test_subset_tables_are_shared_and_read_only(self):
+        table = subsets._subset_table(9, 3)
+        assert subsets._subset_table(9, 3) is table
+        assert [tuple(row) for row in table.tolist()] == list(itertools.combinations(range(9), 3))
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
 
     def test_more_than_64_columns(self, monkeypatch):
         monkeypatch.setattr(subsets, "CHUNK", 4096)
