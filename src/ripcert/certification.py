@@ -43,8 +43,7 @@ SPARK_TOL = 1e-9
 CHECK_SLACK = 1e-9
 #: subsets per row block of the flat-orthogonality search
 _FRO_BLOCK = 256
-#: rows solved first, by largest ceiling, to set the bar the rest of an exact
-#: RIC or ROC chunk, or of a flat-orthogonality search, is screened against
+#: rows solved first, by largest ceiling, to set the bar of ``_live``
 _SCREEN_TOP = 8
 
 LN2 = math.log(2.0)
@@ -167,9 +166,10 @@ class PairSearch:
     witness_i: tuple[int, ...]
     witness_j: tuple[int, ...]
     count: int
-    #: what ceilings settled unevaluated: rows of the flat-orthogonality search, or the
-    #: first members whose whole group of pairs the orthogonality search skipped
+    #: what ceilings settled unevaluated, of ``rows``: rows of the flat-orthogonality
+    #: search, or first members with a partner (groups of pairs) of the orthogonality one
     settled: int = field(default=0, compare=False)
+    rows: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -300,29 +300,43 @@ def _sign_norms(signs: np.ndarray) -> np.ndarray:
     return np.sqrt(lam + 16 * k**3 * np.finfo(float).eps)[inverse]
 
 
-def _screened(rows: np.ndarray, ceiling: np.ndarray, form, solve) -> np.ndarray:
+def _live(ceiling: np.ndarray, best) -> np.ndarray:
+    """Mask of the rows of a search that its ceilings leave to be solved.
+
+    ``ceiling`` bounds every value the search computes in each row, and
+    ``best(top)`` is b, a value it computes (or one its caller proves safe)
+    in the ``_SCREEN_TOP`` rows of largest ceiling, ascending. With u = eps
+    (twice the unit roundoff) and bar = b (1 - 8u), a row whose ceiling is
+    below the bar holds only values v < bar < b, still below b after a
+    correctly rounded square root: fl(bar) <= b (1 - 7u), so fl(sqrt(v)) <
+    sqrt(b) (1 - 3.5u) (1 + u/2) < fl(sqrt(b)). It holds no first maximum
+    and is settled; a nan ceiling is kept. These bounds need a normal bar,
+    so a smaller one settles nothing, and so do at most ``_SCREEN_TOP`` rows.
+    """
+    if len(ceiling) > _SCREEN_TOP:
+        top = np.sort(np.argpartition(ceiling, -_SCREEN_TOP)[-_SCREEN_TOP:])
+        bar = best(top) * (1.0 - 8 * np.finfo(float).eps)
+        if bar >= np.finfo(float).tiny:
+            return ~(ceiling < bar)
+    return np.ones(len(ceiling), dtype=bool)
+
+
+def _screened(rows: np.ndarray, ceiling: np.ndarray, solve) -> np.ndarray:
     """``solve`` on the rows of a batch that can hold its first maximum, -1 elsewhere.
 
-    ``form(rows)`` gives the k x k matrices M that ``solve`` reads, and
-    ``solve(M)`` per row the value ``eigvalsh`` computes from M, clipped
-    below at 0, which ``ceiling`` bounds. The ``_SCREEN_TOP`` rows of
-    largest ceiling are solved first; with b their best value, u = eps
-    (twice the unit roundoff) and bar = b (1 - 8u), every other row with
-    ceiling < bar is settled at -1 and the rest (or the batch) are solved.
+    ``solve(rows)`` gives per row the value ``eigvalsh`` computes from the
+    k x k matrix M it forms of the row, clipped below at 0, which ``ceiling``
+    bounds; ``_live`` settles rows against the best of the top rows. M and
+    ``eigvalsh`` are taken matrix by matrix, so a row's float does not
+    depend on the rows solved with it, and the batch's first maximum, its
+    row and its float, are those of ``solve`` on the whole batch.
 
-    ``form`` and ``eigvalsh`` run matrix by matrix, so a row's float does
-    not depend on the rows solved with it, and the batch's first maximum,
-    its row and its float, are those of ``solve`` on the whole batch. A
-    value v < bar is strictly below b, and still strictly below after a
-    correctly rounded square root: fl(bar) <= b (1 - 7u), so
-    fl(sqrt(v)) < sqrt(b) (1 - 3.5u) (1 + u/2) < fl(sqrt(b)).
-
-    The Frobenius ceilings, with gamma_n = n u / (1 - n u), eta the smallest
-    subnormal, F the Frobenius norm of the Hermitian H of M's lower triangle
-    and real diagonal, which ``eigvalsh`` reads, and s^ the ``_squares`` of
-    the entries of C (ROC: C the cross-Gram, M = fl(C* C), the value lambda)
-    or of H (RIC: M the hollow sub-Gram, counting H's strict lower triangle
-    twice, the value the spectral radius rho):
+    The Frobenius ceilings, with u = eps, gamma_n = n u / (1 - n u), eta the
+    smallest subnormal, F the Frobenius norm of the Hermitian H of M's lower
+    triangle and real diagonal, which ``eigvalsh`` reads, and s^ the
+    ``_squares`` of the entries of C (ROC: C the cross-Gram, M = fl(C* C),
+    the value lambda) or of H (RIC: M the hollow sub-Gram, counting H's
+    strict lower triangle twice, the value the spectral radius rho):
 
     - s^ sums at most 2k^2 squares, each rounded once and then in at most
       k^2 + 1 additions, so s^ >= s (1 - gamma_{k^2+2}) - 2 k^2 eta for the
@@ -355,29 +369,21 @@ def _screened(rows: np.ndarray, ceiling: np.ndarray, form, solve) -> np.ndarray:
     Each is evaluated in at most 8 roundings of nonnegative terms and
     multiplied by 1 + 8u: (1 - u/2)^9 (1 + 8u) > 1.
     """
-    if len(rows) <= _SCREEN_TOP:  # every row is a top row
-        return solve(form(rows))
-    top = np.argpartition(ceiling, -_SCREEN_TOP)[-_SCREEN_TOP:]
-    out = np.full(len(rows), -1.0)
-    out[top] = solve(form(rows[top]))
-    bar = out[top].max() * (1.0 - 8 * np.finfo(float).eps)
-    keep = np.flatnonzero(~(ceiling < bar))  # a nan ceiling is kept
+    keep = np.flatnonzero(_live(ceiling, lambda top: solve(rows[top]).max()))
     if len(keep) == len(rows):
-        return solve(form(rows))
-    out[keep] = solve(form(rows[keep]))
+        return solve(rows)
+    out = np.full(len(rows), -1.0)
+    out[keep] = solve(rows[keep])
     return out
-
-
-def _cross_product(c: np.ndarray) -> np.ndarray:
-    return c.conj().swapaxes(1, 2) @ c
 
 
 def _spectral_radius(a: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(a)).max(axis=1)
 
 
-def _top_eigenvalue(a: np.ndarray) -> np.ndarray:
-    return np.maximum(np.linalg.eigvalsh(a)[:, -1], 0.0)
+def _squared_norm(c: np.ndarray) -> np.ndarray:
+    """sigma_max(C)^2 = lambda_max(C* C) per C, clipped below at 0: eigvalsh beats an SVD."""
+    return np.maximum(np.linalg.eigvalsh(c.conj().swapaxes(1, 2) @ c)[:, -1], 0.0)
 
 
 def _check_k(n: int, k: int) -> None:
@@ -441,7 +447,7 @@ def ric_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET, qs=()) 
             mu, e, d, signs = equiangular
             rho = mu * _sign_norms(_gather(signs, chunk, chunk)) + (k - 1) * e + d
             ceiling = np.minimum(ceiling, (rho + 16 * k * k * u * (mu + d)) * (1 + 8 * u))
-        return _screened(m, ceiling, lambda rows: rows, _spectral_radius)
+        return _screened(m, ceiling, _spectral_radius)
 
     ric, *powers = _subset_pass(frame, k, qs, screen)
     return SubsetSearch(ric.value, ric.witness, ric.count, tuple(zip(qs, powers)))
@@ -547,19 +553,15 @@ def roc_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> Pair
     as a tested property on small frames).
 
     Whole groups, the pairs that share a first member I, are settled before
-    any of their pairs is enumerated. ``_group_ceilings`` bounds every value
-    in each group; the pairs of the ``_SCREEN_TOP`` groups of largest
-    ceiling go through the kernel's screen, and with b the best value it
-    computes (of lambda, before the square root) and bar = b (1 - 8u), a
-    group whose ceiling is below the bar holds only values strictly below
-    b, and so, as ``_screened`` shows, no pair whose square root reaches
-    the maximum. The other groups are enumerated in the same order as
-    without the pre-pass, so the first maximum, its float and its witness
-    are unchanged, and the bar depends on neither the chunk size nor the
-    worker count. ``settled`` counts the first members the pre-pass
-    settles; where it settles none, as on a real ETF, whose groups share
-    one Frobenius ceiling, every pair is enumerated as before. First
-    members with no partner are never enumerated.
+    any of their pairs is enumerated: ``_group_ceilings`` bounds every value
+    (lambda, before the square root) in each group, and ``_live`` settles
+    groups against the best value that the kernel's screen computes for the
+    pairs of the top groups. The other groups are enumerated in the same
+    order, so the first maximum, its float and its witness are unchanged at
+    every chunk size and worker count. ``settled`` counts the first members
+    settled, of the ``rows`` that have a partner (the others are never
+    enumerated); a real ETF, whose groups share one Frobenius ceiling,
+    settles none.
 
     Inside the enumerated groups, ``_screened`` settles, without forming
     C*C, each pair whose ceiling, ||C||_F^2 or, on a real equiangular Gram,
@@ -583,8 +585,7 @@ def roc_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> Pair
             q = mu * _sign_norms(_gather(signs, first, second)) + k * e
             lam = q * q + 2 * (k + 16) ** 2 * u * (k * mu) ** 2 + 4 * k * k * eta
             ceiling = np.minimum(ceiling, lam * (1 + 8 * u))
-        # sigma_max(C) = sqrt(lambda_max(C*C)): a k x k eigvalsh is cheaper than an SVD
-        return _screened(cross, ceiling, _cross_product, _top_eigenvalue)
+        return _screened(cross, ceiling, _squared_norm)
 
     def kernel(pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         lam = solved(*pair)
@@ -593,14 +594,14 @@ def roc_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> Pair
     # the first members with a partner: all but the C(2k - 1, k) in the last 2k - 1 columns
     groups = math.comb(n, k) - math.comb(2 * k - 1, k)
     ceiling = _group_ceilings(g, _subset_table(n, k)[:groups])
-    live = np.arange(groups)
-    if groups > _SCREEN_TOP:
-        top = np.sort(np.argpartition(ceiling, -_SCREEN_TOP)[-_SCREEN_TOP:])
-        best = max(solved(*pair).max() for pair in iter_disjoint_pair_chunks(n, k, top))
-        live = live[~(ceiling < best * (1.0 - 8 * u))]  # a nan ceiling is kept
+
+    def best(top: np.ndarray) -> float:
+        return max(solved(*pair).max() for pair in iter_disjoint_pair_chunks(n, k, top))
+
+    live = np.flatnonzero(_live(ceiling, best))
     chunks = iter_disjoint_pair_chunks(n, k, live)
     [(value, (wi, wj), _)] = _first_max(chunks, kernel, _pair_row)
-    return PairSearch(value, wi, wj, total, groups - len(live))
+    return PairSearch(value, wi, wj, total, groups - len(live), groups)
 
 
 def _fro_ceilings(sums: np.ndarray, indicator: np.ndarray, runs) -> tuple[np.ndarray, np.ndarray]:
@@ -657,16 +658,14 @@ def fro_constant_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> P
     rectangle of sizes at a time, and overlaps are found by ANDing 64-column
     bitmasks of the subsets.
 
-    Rows are settled first by ``_fro_ceilings``, one sort per row. The
-    ``_SCREEN_TOP`` rows of largest ceiling are solved, and the bar is the
-    largest (v - margin) (1 - 8 eps) over them, v a row's best value: below
-    the value that pair gets in any order of summation, as q >= 1 and 8 eps
-    covers the roundings of v, of the pair's other value and of the bar while
-    the bar is a normal number (a smaller bar settles nothing). A row whose
-    ceiling is below the bar holds no value that reaches the maximum, so the
-    first maximum, its value and its witness are found among the other rows,
-    in the same order. The bar depends on neither the block size nor the
-    worker count.
+    Rows are settled first by ``_fro_ceilings``, one sort per row, through
+    ``_live`` with b the largest v - margin over the top rows, v a row's best
+    value: b (1 - 8 eps) is below the value that pair gets in any order of
+    summation, as q >= 1 and 8 eps covers the roundings of v, of the pair's
+    other value and of the bar. So a settled row holds no value that reaches
+    the maximum, and the first maximum, its value and its witness are found
+    among the other rows, in the same order, at every block size and worker
+    count.
 
     The kept rows of a block are evaluated without the settled ones when every
     subset has at most two columns: a sum of at most two nonzero terms rounds
@@ -727,14 +726,12 @@ def fro_constant_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> P
         i, j = divmod(flat, count - lo)
         return tuple(tuple(np.flatnonzero(indicator[r]).tolist()) for r in (rows[i], lo + j))
 
-    keep = np.ones(count, dtype=bool)
-    if count > _SCREEN_TOP:
-        ceiling, margin = _fro_ceilings(sums, indicator, runs)
-        top = np.sort(np.argpartition(ceiling, -_SCREEN_TOP)[-_SCREEN_TOP:])
-        best = kernel((top[0], top)).reshape(len(top), -1).max(axis=1)
-        bar = ((best - margin[top]) * (1 - 8 * np.finfo(float).eps)).max()
-        if bar >= np.finfo(float).tiny:
-            keep = ~(ceiling < bar)  # a nan ceiling is kept
+    ceiling, margin = _fro_ceilings(sums, indicator, runs)
+
+    def best(top: np.ndarray) -> float:
+        return (kernel((top[0], top)).reshape(len(top), -1).max(axis=1) - margin[top]).max()
+
+    keep = _live(ceiling, best)
     chunks = []
     for lo in range(0, count, _FRO_BLOCK):
         rows = lo + np.flatnonzero(keep[lo : lo + _FRO_BLOCK])
@@ -744,7 +741,7 @@ def fro_constant_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> P
             chunks.append((lo, rows))
     settled = count - sum(len(rows) for _, rows in chunks)
     [(value, (wi, wj), _)] = _first_max(chunks, kernel, witness)
-    return PairSearch(value, wi, wj, total, settled)
+    return PairSearch(value, wi, wj, total, settled, count)
 
 
 def _spark_clear_ratio(frame: Frame, size: int, tol: float) -> float:

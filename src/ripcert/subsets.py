@@ -144,17 +144,16 @@ def iter_subset_chunks(n: int, k: int) -> Iterator[np.ndarray]:
 
 
 def iter_disjoint_pair_chunks(
-    n: int, k: int, firsts: np.ndarray | None = None
+    n: int, k: int, firsts: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Unordered pairs of disjoint k-subsets, each pair listed once.
+    """Unordered pairs of disjoint k-subsets whose first member ``firsts`` names.
 
-    The subset containing the overall smallest element is first, so the
-    enumeration covers each unordered pair exactly once. Pairs come in
-    lexicographic order of (first, second): for each k-subset ``first``,
-    the partners are the rows of the k-subset table that start above
-    ``first[0]`` and share no element with it, found through a
-    column-membership table. ``firsts``, ascending rows of that table,
-    keeps only the pairs whose first member they name, in the same order.
+    ``firsts`` are ascending rows of the lexicographic k-subset table. A
+    pair's first member holds its smallest element, so every row together
+    lists each unordered pair once. Pairs come in lexicographic order of
+    (first, second): the partners of ``first`` are the rows of the table
+    that start above ``first[0]`` and share no element with it, found
+    through a column-membership table.
     """
     table = _subset_table(n, k)
     starts = _row_starts(table, n)
@@ -162,7 +161,7 @@ def iter_disjoint_pair_chunks(
     member[table, np.arange(len(table))[:, None]] = True
 
     def segments():
-        for first in table if firsts is None else table[firsts]:
+        for first in table[firsts]:
             lo = starts[first[0] + 1]
             yield first, table[lo:][~member[first, lo:].any(axis=0)]
 

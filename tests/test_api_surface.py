@@ -1,14 +1,16 @@
 """The package's API surface carries no dead names.
 
-Four static checks over ``src/ripcert/*.py``, read with the standard
+Five static checks over ``src/ripcert/*.py``, read with the standard
 library's ``ast``: every imported name is used by its module, every
 public top-level function or class is referenced by some package code,
-every public method or property of a public class is read as an
-attribute by some package code, and every defaulted parameter of a
-public top-level function is passed by some package call. A public
-function, or a parameter, that only tests use is dead weight in the
-package; one that is a deliberate oracle or contract goes on an
-allowlist below with its reason.
+every private top-level function, class or constant is read by some
+package code (an import alone does not count), every public method or
+property of a public class is read as an attribute by some package code,
+and every defaulted parameter of a public top-level function is passed
+by some package call. A public function, or a parameter, that only tests
+use is dead weight in the package; one that is a deliberate oracle or
+contract goes on an allowlist below with its reason. A private helper
+that only tests use has no reason to stay.
 """
 
 import ast
@@ -83,6 +85,38 @@ def test_every_public_name_has_a_package_caller():
     assert not uncalled
     # an allowlist entry whose name is gone would hide nothing and should go too
     assert set(UNREFERENCED_ALLOWED) <= {defn for _, defn in defined}
+
+
+def private_definitions(tree):
+    """Top-level private functions, classes and constants of a module, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def test_every_private_name_is_read_by_package_code():
+    modules = parsed_modules()
+    read = set()
+    for name, tree in modules.items():
+        if name != "__init__.py":
+            read |= loaded_names(tree)
+            read |= {
+                node.attr
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            }
+    defined = [
+        (name, private) for name, tree in modules.items() for private in private_definitions(tree)
+    ]
+    assert defined  # the scan sees the helpers
+    unread = [f"{name}: {private}" for name, private in defined if private not in read]
+    assert not unread
 
 
 def test_every_public_member_is_read_by_package_code():

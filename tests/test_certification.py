@@ -855,6 +855,38 @@ class TestCertifyFrame:
         bad = dataclasses.replace(report, per_k=(bad_rec,))
         assert any("gershgorin" in v for v in bad.invariant_violations())
 
+    def test_sandwich_of_delta_at_2k(self):
+        # theta_K <= delta_2K <= min(theta_K + delta_K, 2 theta_K + delta_1) is checked
+        # only when a K has both constants and its 2K has the exact one
+        report = certify_frame(bernoulli_matrix(8, 12, 3), exact_ks=(2, 4), roc_ks=(2,))
+        assert report.invariant_violations() == []
+        rec, double = report.per_k
+        theta, delta_2k = rec.roc.value, double.ric.value
+        assert theta <= delta_2k <= min(theta + rec.ric.value, 2 * theta + report.delta1)
+
+        def tampered(roc=theta, ric_2k=delta_2k):
+            bad_rec = dataclasses.replace(rec, roc=dataclasses.replace(rec.roc, value=roc))
+            bad_double = dataclasses.replace(
+                double, ric=dataclasses.replace(double.ric, value=ric_2k)
+            )
+            return dataclasses.replace(report, per_k=(bad_rec, bad_double))
+
+        assert tampered(roc=delta_2k + 0.1).invariant_violations() == [
+            "K=2: orthogonality constant exceeds delta at 2K"
+        ]
+        assert tampered(ric_2k=2 * theta + report.delta1 + 0.1).invariant_violations() == [
+            "K=2: delta at 2K exceeds both sandwich bounds"
+        ]
+
+    def test_spark_at_most_k_forces_delta_one(self, paley5_real):
+        report = certify_frame(paley5_real, exact_ks=(4,), spark_cap=4)
+        assert report.invariant_violations() == []
+        [rec] = report.per_k
+        assert report.spark.spark == 4 and rec.ric.value >= 1.0 - 1e-9
+        bad_rec = dataclasses.replace(rec, ric=dataclasses.replace(rec.ric, value=0.5))
+        bad = dataclasses.replace(report, per_k=(bad_rec,))
+        assert bad.invariant_violations() == ["K=4: spark 4 <= K but exact constant 0.5 < 1"]
+
 
 class TestWorkerDeterminism:
     def test_results_identical_across_worker_counts(self, paley13_real, monkeypatch):
@@ -1017,16 +1049,16 @@ class TestScreen:
 
             return real(chunks, recorded, witness, stop)
 
-        def counting(rows, ceiling, form, solve):
-            formed = []
+        def counting(rows, ceiling, solve):
+            solved = []
 
             def counted(x):
-                formed.append(x)
-                return form(x)
+                solved.append(x)
+                return solve(x)
 
-            out = real_screen(rows, ceiling, counted, solve)
-            if len(formed) == 2 and len(formed[1]) == len(rows):  # the top rows, then all
-                assert formed[1] is rows  # nothing settled: no row-subset copy
+            out = real_screen(rows, ceiling, counted)
+            if len(solved) == 2 and len(solved[1]) == len(rows):  # the top rows, then all
+                assert solved[1] is rows  # nothing settled: no row-subset copy
             return out
 
         monkeypatch.setattr(certification, "_first_max", recording)
@@ -1078,15 +1110,24 @@ class TestScreen:
         else:
             assert settled == frobenius
 
-    def test_a_row_at_the_bar_is_solved(self, monkeypatch):
-        # the screen settles only rows whose ceiling is strictly below
-        # bar = b (1 - 8u): row 0 sits exactly at the bar and ties the top row 1
-        monkeypatch.setattr(certification, "_SCREEN_TOP", 1)
-        u = np.finfo(float).eps
-        rows = np.array([1.0, 1.0, 0.25, 0.25])[:, None, None]
-        ceiling = np.array([1.0 - 8 * u, 2.0, 0.5, 0.5])
-        out = certification._screened(rows, ceiling, lambda r: r, certification._top_eigenvalue)
-        assert out.tolist() == [1.0, 1.0, -1.0, -1.0]
+    U = np.finfo(float).eps
+
+    @pytest.mark.parametrize(
+        "top, rows, ceiling, expected",
+        [
+            # the screen settles only rows whose ceiling is strictly below
+            # bar = b (1 - 8u): row 0 sits exactly at the bar and ties the top row 1
+            (1, [1.0, 1.0, 0.25, 0.25], [1.0 - 8 * U, 2.0, 0.5, 0.5], [1.0, 1.0, -1.0, -1.0]),
+            # rows 0 and 1 are the top rows; row 1's ceiling is below row 0's bar
+            (2, [1.0, 0.5, 0.25], [1.0, 0.5, 0.25], [1.0, -1.0, -1.0]),
+        ],
+        ids=["at-the-bar", "top-row-below-the-bar"],
+    )
+    def test_rows_settle_strictly_below_the_bar(self, monkeypatch, top, rows, ceiling, expected):
+        monkeypatch.setattr(certification, "_SCREEN_TOP", top)
+        rows = np.array(rows)[:, None, None]
+        out = certification._screened(rows, np.array(ceiling), certification._squared_norm)
+        assert out.tolist() == expected
 
 
 def rank_one_plant(search, k, rng, scale):
@@ -1121,9 +1162,9 @@ class TestFrobeniusNearTie:
         records, margin = [], [True]
         real_screen, real_ceiling = certification._screened, certification._ceiling
 
-        def recording(rows, ceiling, form, solve):
-            records.append((ceiling, solve(form(rows))))
-            return real_screen(rows, ceiling, form, solve)
+        def recording(rows, ceiling, solve):
+            records.append((ceiling, solve(rows)))
+            return real_screen(rows, ceiling, solve)
 
         def ceiling(squares, k):
             return real_ceiling(squares, k) if margin[0] else squares
@@ -1207,9 +1248,9 @@ class TestClassCeiling:
             mu = float(np.abs(g[~np.eye(frame.n, dtype=bool)]).max())
             records, applied = [], []
 
-            def recording(rows, ceiling, form, solve):
-                records.append((rows, ceiling, solve(form(rows))))
-                return real_screen(rows, ceiling, form, solve)
+            def recording(rows, ceiling, solve):
+                records.append((rows, ceiling, solve(rows)))
+                return real_screen(rows, ceiling, solve)
 
             def norms(signs):
                 applied.append(len(signs))
@@ -1292,7 +1333,7 @@ class TestGroupCeilings:
             frame = request.getfixturevalue(frame)
         ceiling, (first, second), group = roc_groups(frame, k)
         cross = certification._gather(frame.gram, first, second)
-        lam = certification._top_eigenvalue(certification._cross_product(cross))
+        lam = certification._squared_norm(cross)
         assert lam.max() > 0.0
         assert np.all(lam <= ceiling[group])
         assert np.all(_full_roc(frame.gram, (first, second)) <= np.sqrt(ceiling[group]))
@@ -1331,7 +1372,7 @@ class TestGroupCeilings:
                 frame = rank_one_plant("roc", k, rng, scale)
                 raw, pairs, group = roc_groups(frame, k)
                 cross = certification._gather(frame.gram, *pairs)
-                lam = certification._top_eigenvalue(certification._cross_product(cross))
+                lam = certification._squared_norm(cross)
                 above_raw += int(np.sum(lam > raw[group]))
         assert above_raw > 0
 
@@ -1354,6 +1395,17 @@ class TestGroupCeilings:
         # every cross-Gram of a real ETF has the same Frobenius norm
         search = roc_exact_search(paley13_real, 2)
         assert search.settled == 0
+
+    def test_no_bar_below_the_normal_range(self, monkeypatch):
+        # the cross-Grams are ~1e-160, so lambda and the group bar are subnormal, where
+        # the bar's relative rounding bounds fail: no group may be settled against it
+        frame = Frame(np.eye(8) + 1e-160 * np.random.default_rng(0).standard_normal((8, 8)))
+        searches = [(fn, k) for fn in (roc_exact_search, ric_exact_search, fro_constant_search)
+                    for k in (2, 3)]
+        found = [fn(frame, k) for fn, k in searches]
+        assert [search.settled for search in found[:2]] == [0, 0]
+        monkeypatch.setattr(certification, "_SCREEN_TOP", 10**9)  # solve every row
+        assert found == [fn(frame, k) for fn, k in searches]
 
 
 #: repr(value) and witnesses of the exact searches on gaussian_matrix(11, 22, seed);

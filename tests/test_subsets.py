@@ -1,4 +1,5 @@
 import itertools
+import math
 import threading
 import time
 
@@ -32,7 +33,7 @@ def subset_rows(n, k):
         yield from (tuple(int(x) for x in row) for row in block)
 
 
-def pair_rows(n, k, firsts=None):
+def pair_rows(n, k, firsts):
     for first, second in iter_disjoint_pair_chunks(n, k, firsts):
         assert 0 < len(first) <= subsets.CHUNK
         assert first.shape == second.shape == (len(first), k)
@@ -58,7 +59,8 @@ class TestEnumerationOrder:
         monkeypatch.setattr(subsets, "CHUNK", chunk)
         for n in range(1, 13):
             for k in range(1, n // 2 + 2):
-                assert same_sequence(pair_rows(n, k), reference_pairs(n, k)), (n, k)
+                every = np.arange(math.comb(n, k))
+                assert same_sequence(pair_rows(n, k, every), reference_pairs(n, k)), (n, k)
 
     @pytest.mark.parametrize("chunk", [1, 5, 4096])
     def test_disjoint_pairs_of_chosen_first_members(self, chunk, monkeypatch):
@@ -85,7 +87,7 @@ class TestEnumerationOrder:
         for k in (1, 2, 3):
             expected = itertools.combinations(range(70), k)
             assert same_sequence(subset_rows(70, k), expected)
-        assert same_sequence(pair_rows(70, 1), reference_pairs(70, 1))
+        assert same_sequence(pair_rows(70, 1, np.arange(70)), reference_pairs(70, 1))
 
 
 class TestOrderedMap:
