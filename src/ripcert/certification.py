@@ -11,6 +11,7 @@ witness subset and the exact number of evaluations performed.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -1077,17 +1078,12 @@ def certify_frame(
         power_map.setdefault(int(k), set()).update(int(q) for q in qs)
     ks = sorted(set(exact_ks) | set(roc_ks) | set(fro_ks) | set(power_map))
     d1 = delta1(frame)
-    try:
-        mu = frame.coherence
-    except InvalidParameterError:
-        mu = None
-    try:
-        welch = welch_bound(frame.m, frame.n)
-    except InvalidParameterError:
-        welch = None
+    mu = frame.coherence if frame.n >= 2 else None
+    welch = welch_bound(frame.m, frame.n) if frame.n >= 2 and frame.n >= frame.m else None
+    # one search per orthogonality K, shared by a requested K and every halving chain
+    roc_search = functools.cache(lambda kk: roc_exact_search(frame, kk, budget))
 
     records: list[PerKRecord] = []
-    theta_cache: dict[int, float] = {}
     for k in ks:
         start = time.perf_counter()
         gersh = gershgorin_bound(frame, k) if gershgorin else None
@@ -1099,9 +1095,7 @@ def certify_frame(
             ric = None
             searches = _power_searches(frame, k, qs, budget) if qs else []
             powers = tuple((q, search.value) for q, search in zip(qs, searches))
-        roc = roc_exact_search(frame, k, budget) if k in roc_ks else None
-        if roc is not None:
-            theta_cache[k] = roc.value
+        roc = roc_search(k) if k in roc_ks else None
         fro = fro_constant_search(frame, k, budget) if k in fro_ks else None
         derived: list[tuple[str, float]] = []
         if bounds:
@@ -1112,11 +1106,7 @@ def certify_frame(
                 )
             if roc is not None:
                 derived.append(("ro-to-rip-2k", ro_to_rip_bound(roc.value, d1)))
-                chain = halving_chain(k)
-                for kk in chain:
-                    if kk not in theta_cache:
-                        theta_cache[kk] = roc_exact_search(frame, kk, budget).value
-                thetas = [theta_cache[kk] for kk in chain]
+                thetas = [roc_search(kk).value for kk in halving_chain(k)]
                 iterated = iterated_ro_bound(thetas, d1, k=k)
                 derived.append(("iterated-ro-sum-2k", iterated.sum_bound))
                 derived.append(("iterated-ro-closed-2k", iterated.closed_form))

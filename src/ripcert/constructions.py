@@ -101,6 +101,8 @@ class Frame:
         arr = np.asarray(self.matrix)
         if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
             raise MatrixShapeError(f"expected a nonempty 2-D array, got shape {arr.shape}")
+        if np.iscomplexobj(arr) and not arr.imag.any():
+            arr = arr.real  # drops -0.0 imaginary parts, which the real file format cannot keep
         arr = np.array(arr, dtype=np.complex128, order="C")
         if not np.isfinite(arr).all():
             raise InvalidParameterError("matrix entries must be finite")
@@ -187,66 +189,31 @@ def all_pairs_steiner(v: int) -> SteinerSystem:
     return SteinerSystem(v, 2, blocks)
 
 
-def _idempotent_quasigroup(n: int):
-    # commutative idempotent quasigroup on Z_n for odd n
-    half = (n + 1) // 2
-
-    def op(i, j):
-        return ((i + j) * half) % n
-
-    return op
-
-
-def _half_idempotent_quasigroup(n: int):
-    # commutative quasigroup on Z_n (n even) with i*i == i for i < n // 2
-    t = n // 2
-
-    def op(i, j):
-        s = (i + j) % n
-        return s // 2 if s % 2 == 0 else t + (s - 1) // 2
-
-    return op
-
-
 def steiner_triple(v: int) -> SteinerSystem:
-    """A (2, 3, v) triple system for v = 3 or 1 mod 6 (Bose / Skolem builds)."""
+    """A (2, 3, v) triple system for v = 3 or 1 mod 6 (Bose / Skolem builds).
+
+    Both builds use the commutative quasigroup x o y = s // 2 + (s mod 2) * ceil(n/2),
+    s = x + y mod n, on Z_n with n = v // 3; for odd n it is Bose's idempotent
+    (x + y)(n + 1)/2, for even n Skolem's, idempotent on i < n/2 only.
+    """
     if v < 7 or v % 6 not in (1, 3):
         raise CongruenceError(
             f"triple systems exist only for v = 1 or 3 (mod 6) with v >= 7, got v={v}"
         )
     _require_incidence_budget(v, 3)
-    blocks: list[tuple[int, int, int]] = []
-    if v % 6 == 3:
-        n = v // 3
-        op = _idempotent_quasigroup(n)
-
-        def pt(i, j):
-            return i + n * j
-
-        for i in range(n):
-            blocks.append((pt(i, 0), pt(i, 1), pt(i, 2)))
-        for i in range(n):
-            for k in range(i + 1, n):
-                for j in range(3):
-                    blocks.append((pt(i, j), pt(k, j), pt(op(i, k), (j + 1) % 3)))
-    else:
-        t = v // 6
-        n = 2 * t
-        op = _half_idempotent_quasigroup(n)
-        inf = 3 * n
-
-        def pt(i, j):
-            return i + n * j
-
-        for i in range(t):
-            blocks.append((pt(i, 0), pt(i, 1), pt(i, 2)))
-        for i in range(t):
-            for j in range(3):
-                blocks.append((inf, pt(t + i, j), pt(i, (j + 1) % 3)))
-        for i in range(n):
-            for k in range(i + 1, n):
-                for j in range(3):
-                    blocks.append((pt(i, j), pt(k, j), pt(op(i, k), (j + 1) % 3)))
+    n = v // 3
+    half = (n + 1) // 2
+    # point (i, j) of Z_n x Z_3 is i + n * j; Skolem's extra point is 3n
+    blocks = [(i, i + n, i + 2 * n) for i in range(n if n % 2 else half)]
+    if n % 2 == 0:
+        blocks += [
+            (3 * n, half + i + n * j, i + n * ((j + 1) % 3)) for i in range(half) for j in range(3)
+        ]
+    for i in range(n):
+        for k in range(i + 1, n):
+            s = (i + k) % n
+            x = s // 2 + (s % 2) * half
+            blocks += [(i + n * j, k + n * j, x + n * ((j + 1) % 3)) for j in range(3)]
     canon = sorted(tuple(sorted(b)) for b in blocks)
     return SteinerSystem(v, 3, tuple(canon))
 

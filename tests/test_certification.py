@@ -878,6 +878,45 @@ class TestCertifyFrame:
             "K=2: delta at 2K exceeds both sandwich bounds"
         ]
 
+    def test_power_and_flat_invariants_on_tampered_reports(self, paley5_real):
+        report = certify_frame(
+            paley5_real, exact_ks=(2,), power_specs=((2, (2,)),), roc_ks=(2,), fro_ks=(2,)
+        )
+        assert report.invariant_violations() == []
+        [rec] = report.per_k
+        exact = rec.ric.value
+
+        def tampered(**changes):
+            return dataclasses.replace(report, per_k=(dataclasses.replace(rec, **changes),))
+
+        assert tampered(powers=((2, exact - 0.1),)).invariant_violations() == [
+            "K=2: power estimate at q=2 fell below the exact constant"
+        ]
+        assert tampered(powers=((2, 2 ** 0.25 * exact + 0.1),)).invariant_violations() == [
+            "K=2: power estimate at q=2 exceeds the K^(1/2q) envelope of the exact constant"
+        ]
+        fro = dataclasses.replace(rec.fro, value=rec.roc.value + 0.1)
+        assert tampered(fro=fro).invariant_violations() == [
+            "K=2: flat orthogonality constant exceeds the plain one"
+        ]
+
+    def test_each_orthogonality_search_runs_once_in_order(self, monkeypatch):
+        # a requested K and the halving chains share one search per K
+        calls = []
+        real = certification.roc_exact_search
+
+        def recording(frame, k, budget):
+            calls.append(k)
+            return real(frame, k, budget)
+
+        monkeypatch.setattr(certification, "roc_exact_search", recording)
+        frame = gaussian_matrix(8, 12, 2)
+        report = certify_frame(frame, roc_ks=(2, 4), bounds=True)
+        assert calls == [2, 1, 4]
+        thetas = [real(frame, kk).value for kk in (4, 2, 1)]
+        expected = iterated_ro_bound(thetas, report.delta1, k=4).sum_bound
+        assert dict(report.record(4).bounds)["iterated-ro-sum-2k"] == expected
+
     def test_spark_at_most_k_forces_delta_one(self, paley5_real):
         report = certify_frame(paley5_real, exact_ks=(4,), spark_cap=4)
         assert report.invariant_violations() == []

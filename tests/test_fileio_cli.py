@@ -18,6 +18,7 @@ from ripcert import (
     fro_constant_search,
     gaussian_matrix,
     hadamard,
+    negate_columns,
     paley_etf,
     realify,
     roc_exact_search,
@@ -70,6 +71,15 @@ class TestMatrixFormat:
         path = tmp_path / "z.mat"
         write_matrix(path, frame)
         assert read_matrix(path).matrix.tobytes() == frame.matrix.tobytes()
+
+    def test_negated_real_frame_roundtrip_bit_for_bit(self, tmp_path):
+        # negating complex128 columns of a real frame leaves -0.0 imaginary parts,
+        # which the real file format cannot carry; the frame drops them on input
+        frame = negate_columns(realify(paley_etf(13)), [1, 2])
+        path = tmp_path / "n.mat"
+        write_matrix(path, frame)
+        assert read_matrix(path).matrix.tobytes() == frame.matrix.tobytes()
+        assert not np.signbit(frame.matrix.imag).any()
 
     def test_tiny_imaginary_parts_roundtrip_bit_for_bit(self, tmp_path):
         # the DFT Hadamard of order 2 leaves imaginary parts of 1.2e-16
@@ -469,6 +479,45 @@ class TestCertifyCommand:
         assert main(["certify", str(paley5_file), "--exact-ric", "2", "-o", str(rep)]) == 1
         assert capsys.readouterr().err == "error: RIPCERT_WORKERS='x' is not an integer\n"
         assert not rep.exists()
+
+
+    @pytest.mark.parametrize("shape, missing", [((4, 3), "welch-bound"), ((3, 1), "coherence")])
+    def test_frame_without_coherence_or_welch_bound(self, tmp_path, shape, missing):
+        # a 4 x 3 frame has no Welch bound (n < m), a one-column frame no coherence
+        mat, rep = tmp_path / "f.mat", tmp_path / "rep.txt"
+        write_matrix(mat, Frame(np.eye(*shape)))
+        assert main(["certify", str(mat), "--exact-ric", "1", "-o", str(rep)]) == 0
+        keys = [line.partition(":")[0] for line in rep.read_text().splitlines()]
+        assert missing not in keys and "delta1" in keys
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "paley", "--p", "13"],
+            ["certify", "{F}", "--exact-ric", "x", "-o", "out"],
+            ["construct", "steiner", "--v", "4", "--k", "2", "--hadamard", "bogus", "-o", "out"],
+            ["bogus"],
+            ["certify", "{F}", "--nope", "-o", "out"],
+        ],
+    )
+    def test_argparse_failures_exit_one_with_one_error_line(
+        self, tmp_path, paley5_file, monkeypatch, capsys, argv
+    ):
+        run = tmp_path / "run"
+        run.mkdir()
+        monkeypatch.chdir(run)
+        capsys.readouterr()
+        assert main([str(paley5_file) if a == "{F}" else a for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert list(run.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["mc", "fro", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: ripcert")
 
 
 class TestGraphCommand:
