@@ -34,7 +34,6 @@ from .subsets import (
     mixed_pair_count,
     ordered_map,
     require_budget,
-    subset_count,
     worker_count,
 )
 
@@ -131,8 +130,7 @@ def delta1_witness(frame: Frame) -> tuple[float, int]:
 
 def gershgorin_bound(frame: Frame, k: int) -> float:
     """Disc bound (k-1) * coherence, valid for unit-norm columns."""
-    if k < 1:
-        raise InvalidParameterError(f"need k >= 1, got {k}")
+    _check_k(frame.n, k)
     d1 = delta1(frame)
     if d1 > 1e-9:
         raise PreconditionError(
@@ -393,8 +391,11 @@ def _check_k(n: int, k: int) -> None:
 
 
 def _check_q(q) -> None:
+    """Refuse q unless it is an integer in 1..2**52, so that 2q is exact as a float."""
     if not isinstance(q, int) or q < 1:
         raise InvalidParameterError(f"need integer q >= 1, got {q}")
+    if q > 2**52:
+        raise InvalidParameterError(f"need q <= 2**52, got {q}")
 
 
 def _subset_pass(frame: Frame, k: int, qs, screen=None) -> list[SubsetSearch]:
@@ -415,7 +416,7 @@ def _subset_pass(frame: Frame, k: int, qs, screen=None) -> list[SubsetSearch]:
             return screen(chunk, m)
         return np.vstack([screen(chunk, m), _trace_power_roots(m, ps)])
 
-    total = subset_count(frame.n, k)
+    total = math.comb(frame.n, k)
     found = _first_max(iter_subset_chunks(frame.n, k), kernel, _row)
     return [SubsetSearch(value, witness, total) for value, witness, _ in found]
 
@@ -433,7 +434,7 @@ def ric_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET, qs=()) 
     """
     n = frame.n
     _check_k(n, k)
-    require_budget(subset_count(n, k), budget, f"exact isometry constant at K={k}")
+    require_budget(math.comb(n, k), budget, f"exact isometry constant at K={k}")
     for q in qs:
         _check_q(q)
     equiangular = _equiangular(frame.gram)
@@ -514,7 +515,7 @@ def _power_searches(frame: Frame, k: int, qs, budget: int) -> list[SubsetSearch]
     _check_k(frame.n, k)
     for q in qs:
         _check_q(q)
-    require_budget(subset_count(frame.n, k), budget, f"trace power estimate at K={k}")
+    require_budget(math.comb(frame.n, k), budget, f"trace power estimate at K={k}")
     return _subset_pass(frame, k, qs)
 
 
@@ -676,8 +677,7 @@ def fro_constant_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> P
     no block evaluates.
     """
     n = frame.n
-    if k < 1:
-        raise InvalidParameterError(f"need k >= 1, got {k}")
+    _check_k(n, k)
     if n < 2:
         raise PreconditionError("need at least two columns")
     total = mixed_pair_count(n, k)
@@ -834,12 +834,12 @@ def spark_search(frame: Frame, cap: int, budget: int = DEFAULT_BUDGET) -> SparkR
     n = frame.n
     if not 1 <= cap <= n:
         raise InvalidParameterError(f"need 1 <= cap <= {n}, got {cap}")
-    total = sum(subset_count(n, s) for s in range(1, cap + 1))
+    total = sum(math.comb(n, s) for s in range(1, cap + 1))
     require_budget(total, budget, f"spark search up to size {cap}")
     mat = frame.matrix
     g = frame.gram
     discs = _disc_sizes(frame, min(cap, frame.m))
-    tested = sum(subset_count(n, s) for s in range(1, discs + 1))
+    tested = sum(math.comb(n, s) for s in range(1, discs + 1))
     for size in range(discs + 1, cap + 1):
         if size > frame.m:  # more columns than rows: the first subset is dependent
             return SparkResult(size, cap, tuple(range(size)), tested + 1, discs)
@@ -859,7 +859,7 @@ def spark_search(frame: Frame, cap: int, budget: int = DEFAULT_BUDGET) -> SparkR
         )
         if hit == 1.0:
             return SparkResult(size, cap, witness, tested + position + 1, discs)
-        tested += subset_count(n, size)
+        tested += math.comb(n, size)
     return SparkResult(None, cap, None, tested, discs)
 
 

@@ -221,9 +221,7 @@ def steiner_triple(v: int) -> SteinerSystem:
 def incidence_matrix(system: SteinerSystem) -> np.ndarray:
     """0/1 block-by-point incidence matrix of a design."""
     a = np.zeros((system.num_blocks, system.v))
-    for i, b in enumerate(system.blocks):
-        for j in b:
-            a[i, j] = 1.0
+    a[np.arange(system.num_blocks)[:, None], system.blocks] = 1.0
     return a
 
 

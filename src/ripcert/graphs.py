@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .certification import CHECK_SLACK, _equiangular, verify_etf
+from .certification import CHECK_SLACK, _check_q, _equiangular, verify_etf
 from .constructions import Frame
 from .errors import (
     AmbiguousSignError,
@@ -63,9 +63,11 @@ class SimpleGraph:
     def n(self) -> int:
         return self.adjacency.shape[0]
 
-    @property
+    @cached_property
     def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1)
+        degs = self.adjacency.sum(axis=1)
+        degs.setflags(write=False)
+        return degs
 
     def is_regular(self) -> bool:
         degs = self.degrees
@@ -111,10 +113,6 @@ class SeidelMatrix:
             raise InvalidParameterError("off-diagonal entries must be +/-1")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -245,14 +243,12 @@ def srg_check(g: SimpleGraph) -> SrgCheckResult:
     k = int(degs[0])
     # float64 so BLAS runs the product; counts <= n < 2**53 are exact in any order
     common = adj.astype(np.float64) @ adj.astype(np.float64)
-    offdiag = ~np.eye(n, dtype=bool)
-    adjacent = adj & offdiag
-    nonadjacent = ~adj & offdiag
-    if not adjacent.any():
+    nonadjacent = ~adj & ~np.eye(n, dtype=bool)
+    if not adj.any():
         return SrgCheckResult("degenerate", None, "no adjacent pairs; lambda undefined")
     if not nonadjacent.any():
         return SrgCheckResult("degenerate", None, "no non-adjacent pairs; mu undefined")
-    lam_vals = np.unique(common[adjacent])
+    lam_vals = np.unique(common[adj])
     if lam_vals.size != 1:
         return SrgCheckResult(
             "not-srg", None, f"adjacent pairs see {lam_vals.size} distinct counts"
@@ -420,8 +416,9 @@ def _validate_vertex_set(g: SimpleGraph, vertices, what: str) -> list[int]:
     idx = [int(v) for v in vertices]
     if len(set(idx)) != len(idx):
         raise InvalidSelectionError(f"duplicate vertices in {what}")
+    n = g.n
     for v in idx:
-        if not 0 <= v < g.n:
+        if not 0 <= v < n:
             raise InvalidSelectionError(f"vertex {v} out of range in {what}")
     return idx
 
@@ -482,8 +479,7 @@ def seidel_trace_expansion(frame: Frame, kset, q: int, seidel=None) -> TraceExpa
     returned. ``seidel`` is the (S, mu) pair of ``seidel_from_gram(frame)``
     when the caller has it already; otherwise it is computed here.
     """
-    if not isinstance(q, int) or q < 1:
-        raise InvalidParameterError(f"need integer q >= 1, got {q}")
+    _check_q(q)
     picked = [int(x) for x in kset]
     cols = sorted(set(picked))
     if len(cols) != len(picked):

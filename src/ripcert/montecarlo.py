@@ -18,6 +18,7 @@ import numpy as np
 
 from .certification import (
     FRO_C,
+    _check_q,
     delta1_witness,
     fro_constant_search,
     ric_power_search,
@@ -171,8 +172,7 @@ def run_power_trials(cfg: TrialConfig) -> TrialOutcome:
     measurement-count threshold m >= (81/delta^2) k^(1+1/q) ln(e n / k)
     under which high-probability success is guaranteed.
     """
-    if cfg.q is None or cfg.q < 1:
-        raise InvalidParameterError("power trials need q >= 1")
+    _check_q(cfg.q)
     # delta**2 underflows for tiny delta; an infinite threshold is unmet
     needed = 81.0 / cfg.delta / cfg.delta * cfg.k ** (1.0 + 1.0 / cfg.q) * math.log(
         math.e * cfg.n / cfg.k
@@ -273,11 +273,7 @@ class TailRow:
 class TailTable:
     """Empirical two-sided tails of sums of Gaussian products, with bounds."""
 
-    m: int
-    k1: int
-    k2: int
     trials: int
-    seed: int
     rows: tuple[TailRow, ...]
 
     @property
@@ -301,8 +297,8 @@ def column_sum_tail(m: int, k1: int, k2: int, trials: int, seed: int) -> TailTab
     the exponential bound 2 exp(-m theta_hat^2 / 4). The bound is a
     theorem for theta_hat <= 1/2 and holds empirically well beyond.
     """
-    if m < 1 or k1 < 1 or k2 < 1:
-        raise InvalidParameterError("need m, k1, k2 >= 1")
+    if not all(1 <= x <= 2**53 for x in (m, k1, k2)):
+        raise InvalidParameterError("need 1 <= m, k1, k2 <= 2**53, where floats are exact")
     if trials < 1:
         raise InvalidParameterError("need trials >= 1")
     thresholds = np.array([th * math.sqrt(k1 * k2) for th in _TAIL_GRID])
@@ -332,4 +328,4 @@ def column_sum_tail(m: int, k1: int, k2: int, trials: int, seed: int) -> TailTab
         )
         for i, th in enumerate(_TAIL_GRID)
     )
-    return TailTable(m, k1, k2, trials, seed, rows)
+    return TailTable(trials, rows)

@@ -68,10 +68,6 @@ def require_budget(needed: int, budget: int, what: str, unit: str = "subset eval
         raise EnumerationBudgetError(needed, budget, what, unit)
 
 
-def subset_count(n: int, k: int) -> int:
-    return math.comb(n, k)
-
-
 def disjoint_pair_count(n: int, k: int) -> int:
     """Number of unordered pairs of disjoint k-subsets of range(n)."""
     return math.comb(n, k) * math.comb(n - k, k) // 2

@@ -126,6 +126,11 @@ class TestGershgorin:
         with pytest.raises(PreconditionError):
             gershgorin_bound(gaussian_matrix(8, 12, 0), 2)
 
+    @pytest.mark.parametrize("k", [0, 17])
+    def test_k_outside_one_to_n_rejected(self, steiner_6x16, k):
+        with pytest.raises(InvalidParameterError, match=f"need 1 <= k <= 16, got k={k}"):
+            gershgorin_bound(steiner_6x16, k)
+
 
 class TestRicExact:
     def test_k1_equals_delta1(self, paley13_real):
@@ -306,6 +311,13 @@ class TestRicPower:
         with pytest.raises(InvalidParameterError, match="need integer q >= 1, got 0"):
             ric_power_search(paley13_real, 4, 0, budget=10)
 
+    def test_q_is_bounded_where_2q_is_exact_as_a_float(self, paley5_real):
+        # at q = 2**52 the estimate 2^(1/2q) mu is mu to the last bit
+        exact = ric_exact_search(paley5_real, 2).value
+        assert math.isclose(ric_power_search(paley5_real, 2, 2**52).value, exact, rel_tol=1e-14)
+        with pytest.raises(InvalidParameterError, match=r"need q <= 2\*\*52, got 4503599627370497"):
+            ric_power_search(paley5_real, 2, 2**52 + 1)
+
     def test_matches_plain_trace_route(self):
         # the scaled exponentiation must agree with direct matrix powers
         frame = gaussian_matrix(6, 10, 3)
@@ -398,7 +410,7 @@ class TestFroConstant:
             assert theta_hat <= roc_exact_search(paley13_real, k).value + 1e-9
 
     # k >= n - 1 clips the subset sizes to n - 1, the largest with a disjoint partner
-    @pytest.mark.parametrize("m, n, k, seed", [(5, 8, 3, 17), (4, 6, 5, 3), (4, 6, 9, 3)])
+    @pytest.mark.parametrize("m, n, k, seed", [(5, 8, 3, 17), (4, 6, 5, 3), (4, 6, 6, 3)])
     def test_matches_bruteforce(self, m, n, k, seed):
         frame = gaussian_matrix(m, n, seed)
         g = frame.gram
@@ -580,6 +592,7 @@ class TestFroCeilings:
         st.data(),
     )
     def test_small_real_frames_match_bruteforce(self, kind, n, k, seed, data):
+        k = min(k, n)  # K > n is refused; K = n still clips the subset sizes to n - 1
         frame = kind(data.draw(st.integers(1, n), label="m"), n, seed)
         reference = fro_bruteforce(frame, k)
         with pytest.MonkeyPatch.context() as monkeypatch:

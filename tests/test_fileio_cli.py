@@ -6,6 +6,7 @@ import string
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ripcert
+from ripcert import cli
 from ripcert import (
     all_pairs_steiner,
     fro_constant_search,
@@ -39,7 +41,13 @@ from ripcert.fileio import (
     write_matrix,
     write_steiner,
 )
-from ripcert.graphs import SimpleGraph
+from ripcert.graphs import (
+    CliqueResult,
+    MixingCheck,
+    SimpleGraph,
+    SrgCheckResult,
+    SrgParams,
+)
 
 
 class TestMatrixFormat:
@@ -356,20 +364,19 @@ class TestCertifyCommand:
         assert "tested: 697" in lines
         assert "# spark sizes 1-3 decided by Gershgorin discs, 1 enumerated" in lines
 
-    def test_huge_fro_k_is_clipped_to_the_column_count(self, tmp_path):
+    def test_fro_k_at_the_column_count_is_clipped(self, tmp_path):
+        # K > n exits 1 (TestUsageErrors); K = n clips the subset sizes to n - 1
         mat = tmp_path / "g.mat"
         write_matrix(mat, gaussian_matrix(4, 6, 1))
 
         def fro_lines(name, k):
             rep = tmp_path / name
-            start = time.perf_counter()
             assert main(["certify", str(mat), "--fro", k, "-o", str(rep)]) == 0
-            assert time.perf_counter() - start < 1.0
             return [line for line in rep.read_text().splitlines() if line.startswith("fro-")]
 
-        huge = fro_lines("huge.txt", "1000000000")
-        assert "fro-count: 301" in huge
-        assert huge == fro_lines("seven.txt", "7")
+        at_n = fro_lines("six.txt", "6")
+        assert "fro-count: 301" in at_n
+        assert at_n == fro_lines("five.txt", "5")
 
     def test_fro_reports_the_rows_settled_by_sorted_ceilings(self, tmp_path):
         mat = tmp_path / "g.mat"
@@ -510,6 +517,44 @@ class TestUsageErrors:
         monkeypatch.chdir(run)
         capsys.readouterr()
         assert main([str(paley5_file) if a == "{F}" else a for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert list(run.iterdir()) == []
+
+    # each raised OverflowError before q, K, m, k1 and k2 were bounded; --fro 20 on
+    # 14 columns wrote a report before K > n was refused, as --exact-ric 20 is
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "{F}", "--power", "2", str(2**1023)],
+            ["mc", "power", "--m", "8", "--n", "12", "--k", "2", "--q", str(10**400),
+             "--delta", "0.5", "--trials", "2", "--seed", "1"],
+            ["graph", "{F}", "--trace-expansion", "0,1", str(2**1023)],
+            ["certify", "{F}", "--gershgorin", "--exact-ric", str(10**400)],
+            ["certify", "{F}", "--gershgorin", "--roc", str(10**400)],
+            ["certify", "{F}", "--gershgorin", "--power", str(10**400), "2"],
+            ["certify", "{F}", "--fro", str(10**400), "--bounds"],
+            ["certify", "{F}", "--gershgorin", "--fro", str(10**400)],
+            ["mc", "tail", "--m", str(2**1024), "--k1", "2", "--k2", "2", "--trials", "10",
+             "--seed", "1"],
+            ["mc", "tail", "--m", "16", "--k1", str(2**600), "--k2", str(2**600),
+             "--trials", "10", "--seed", "1"],
+            ["certify", "{F}", "--fro", "20"],
+        ],
+        ids=["power-q", "mc-power-q", "trace-expansion-q", "gershgorin-ric-k",
+             "gershgorin-roc-k", "gershgorin-power-k", "fro-bounds-k", "gershgorin-fro-k",
+             "tail-m", "tail-k1-k2", "fro-k-above-n"],
+    )
+    def test_out_of_range_integers_exit_one_with_one_error_line(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        frame = tmp_path / "p13.mat"
+        assert main(["construct", "paley", "--p", "13", "-o", str(frame)]) == 0
+        run = tmp_path / "run"
+        run.mkdir()
+        monkeypatch.chdir(run)
+        capsys.readouterr()
+        assert main([str(frame) if a == "{F}" else a for a in argv] + ["-o", "out"]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert list(run.iterdir()) == []
@@ -833,6 +878,69 @@ def test_golden_mc_and_certify_report_bodies(tmp_path, monkeypatch, workers):
         assert main(argv) == 0
         body = report_body((tmp_path / argv[-1]).read_text())
         assert hashlib.sha256(body.encode()).hexdigest() == digest, argv
+
+
+def _disagreeing_routes(real):
+    def planted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return replace(result, expansion=result.direct + 1.0)
+
+    return planted
+
+
+def _tail_above_its_bound(real):
+    def planted(*args, **kwargs):
+        table = real(*args, **kwargs)
+        half = table.trials // 2
+        top = replace(table.rows[-1], count=table.trials, pos_count=half,
+                      neg_count=table.trials - half)
+        return replace(table, rows=table.rows[:-1] + (top,))
+
+    return planted
+
+
+class TestInvariantExits:
+    """Each exit-2 line of ``graph`` and ``mc tail``, reached by a planted failing result."""
+
+    @pytest.mark.parametrize(
+        "name, fake, argv, message",
+        [
+            ("expander_mixing_check", lambda real: lambda g, i, j: MixingCheck(2.0, 1.0, 1.0, 0.0),
+             ["graph", "--paley-graph", "13", "--mixing", "1"], "mixing bound failed for I="),
+            ("predicted_srg", lambda real: lambda m, n: SrgParams(13, 6, 2, 3),
+             ["graph", "{F}", "--srg-check"],
+             "descendant graph is srg(5,2,0,1), expected srg(13,6,2,3)"),
+            ("srg_check", lambda real: lambda g: SrgCheckResult("not-srg", None, "planted"),
+             ["graph", "--paley-graph", "13", "--srg-check"],
+             "paley graph of order 13 failed strong regularity"),
+            ("paley_clique_number", lambda real: lambda g: CliqueResult(4, (0, 1, 3, 9), True, 1),
+             ["graph", "--paley-graph", "13", "--clique"],
+             "clique number 4 is not below sqrt(13)"),
+            ("seidel_trace_expansion", _disagreeing_routes,
+             ["graph", "{F}", "--trace-expansion", "0,1,2", "1"],
+             "trace expansion routes disagree"),
+            ("column_sum_tail", _tail_above_its_bound,
+             ["mc", "tail", "--m", "16", "--k1", "2", "--k2", "2", "--trials", "1000",
+              "--seed", "1"],
+             "m=16: empirical tail exceeded its bound"),
+        ],
+        ids=["mixing", "descendant", "paley-srg", "clique", "trace-expansion", "tail"],
+    )
+    def test_a_failed_check_exits_two(
+        self, tmp_path, paley5_file, monkeypatch, capsys, name, fake, argv, message
+    ):
+        monkeypatch.setattr(cli, name, fake(getattr(cli, name)))
+        rep = tmp_path / "rep.txt"
+        capsys.readouterr()
+        assert main([str(paley5_file) if a == "{F}" else a for a in argv] + ["-o", str(rep)]) == 2
+        [err] = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"invariant violation: {message}")
+        lines = rep.read_text().splitlines()
+        assert "violations: 1" in lines
+        violation = err.removeprefix("invariant violation: ")
+        assert [line for line in lines if line.startswith("violation-")] == [
+            f"violation-0: {violation}"
+        ]
 
 
 class TestMcCommand:

@@ -30,6 +30,7 @@ from ripcert.errors import (
     InfeasibleSizeError,
     InvalidParameterError,
     InvalidSelectionError,
+    MatrixShapeError,
     NotEtfError,
     NotRealError,
     NotRegularError,
@@ -90,6 +91,27 @@ class TestLegendre:
             legendre_symbol(3, 2)
         with pytest.raises(InvalidParameterError):
             legendre_symbol(3, 9)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "kind, entries, error, message",
+        [
+            (SimpleGraph, np.zeros((2, 3)), MatrixShapeError, "adjacency must be square"),
+            (SimpleGraph, np.zeros(3), MatrixShapeError, "adjacency must be square"),
+            (SimpleGraph, [[0, 1], [0, 0]], InvalidParameterError, "must be symmetric"),
+            (SimpleGraph, [[1, 0], [0, 0]], InvalidParameterError, "self-loops"),
+            (SeidelMatrix, np.zeros((2, 3)), MatrixShapeError, "entries must be square"),
+            (SeidelMatrix, [[0, 1], [-1, 0]], InvalidParameterError, "must be symmetric"),
+            (SeidelMatrix, [[1, 1], [1, 0]], InvalidParameterError, "diagonal must be zero"),
+            (SeidelMatrix, [[0, 2], [2, 0]], InvalidParameterError, r"must be \+/-1"),
+        ],
+        ids=["graph-nonsquare", "graph-1d", "graph-asymmetric", "graph-self-loop",
+             "seidel-nonsquare", "seidel-asymmetric", "seidel-diagonal", "seidel-entry"],
+    )
+    def test_malformed_matrices_are_refused(self, kind, entries, error, message):
+        with pytest.raises(error, match=message):
+            kind(entries)
 
 
 class TestPaleyGraph:
