@@ -122,12 +122,6 @@ def delta1(frame: Frame) -> float:
     return float(np.abs(frame.column_norms_squared - 1.0).max())
 
 
-def delta1_witness(frame: Frame) -> tuple[float, int]:
-    devs = np.abs(frame.column_norms_squared - 1.0)
-    col = int(np.argmax(devs))
-    return float(devs[col]), col
-
-
 def gershgorin_bound(frame: Frame, k: int) -> float:
     """Disc bound (k-1) * coherence, valid for unit-norm columns."""
     _check_k(frame.n, k)
@@ -398,48 +392,32 @@ def _check_q(q) -> None:
         raise InvalidParameterError(f"need q <= 2**52, got {q}")
 
 
-def _subset_pass(frame: Frame, k: int, qs, screen=None) -> list[SubsetSearch]:
+def _subset_pass(frame: Frame, k: int, qs, budget: int, exact: bool) -> list[SubsetSearch]:
     """One pass over the k-subsets, each chunk's hollow sub-Grams gathered once.
 
-    The value columns are ``screen(chunk, sub-Grams)``, if given, then the
-    trace power estimate at each q of ``qs``, all from one squaring chain.
-    Returns one ``SubsetSearch`` per column, in that order.
-    """
-    g = frame.gram
-    ps = [2 * q for q in qs]
+    Checks k, then every q of ``qs``, then the budget. The value columns are
+    the exact isometry constant, if ``exact``, then the trace power estimate
+    at each q of ``qs``, all from one squaring chain. Returns one
+    ``SubsetSearch`` per column, in that order.
 
-    def kernel(chunk: np.ndarray) -> np.ndarray:
-        m = _hollow_subgrams(g, chunk)
-        if screen is None:
-            return _trace_power_roots(m, ps)
-        if not ps:
-            return screen(chunk, m)
-        return np.vstack([screen(chunk, m), _trace_power_roots(m, ps)])
-
-    total = math.comb(frame.n, k)
-    found = _first_max(iter_subset_chunks(frame.n, k), kernel, _row)
-    return [SubsetSearch(value, witness, total) for value, witness, _ in found]
-
-
-def ric_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET, qs=()) -> SubsetSearch:
-    """Exact isometry constant: max spectral norm of hollow sub-Grams.
-
-    Enumerates every k-column subset; this is the oracle every other
-    estimate is compared against. ``_screened`` settles each sub-Gram whose
-    ceiling, its Frobenius norm or, on a real equiangular Gram, its Seidel
-    sign class's norm, with a rounding margin, is below the best of its
-    chunk's top rows. For each q of ``qs`` the same pass also takes the
-    trace power estimate from the sub-Grams it gathers; ``powers`` holds
-    (q, search) pairs equal, bit for bit, to ``ric_power_search`` at each q.
+    The exact column is the oracle every other estimate is compared against.
+    ``_screened`` settles each sub-Gram whose ceiling, its Frobenius norm or,
+    on a real equiangular Gram, its Seidel sign class's norm, with a rounding
+    margin, is below the best of its chunk's top rows.
     """
     n = frame.n
     _check_k(n, k)
-    require_budget(math.comb(n, k), budget, f"exact isometry constant at K={k}")
     for q in qs:
         _check_q(q)
-    equiangular = _equiangular(frame.gram)
-    u = np.finfo(float).eps
-    i, j = np.tril_indices(k, -1)
+    total = math.comb(n, k)
+    what = "exact isometry constant" if exact else "trace power estimate"
+    require_budget(total, budget, f"{what} at K={k}")
+    g = frame.gram
+    ps = [2 * q for q in qs]
+    if exact:  # the screen's set-up: np.tril_indices costs 5% of a 300 us power search
+        equiangular = _equiangular(g)
+        u = np.finfo(float).eps
+        i, j = np.tril_indices(k, -1)
 
     def screen(chunk: np.ndarray, m: np.ndarray) -> np.ndarray:
         squares = 2.0 * _squares(m[:, i, j])
@@ -451,7 +429,27 @@ def ric_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET, qs=()) 
             ceiling = np.minimum(ceiling, (rho + 16 * k * k * u * (mu + d)) * (1 + 8 * u))
         return _screened(m, ceiling, _spectral_radius)
 
-    ric, *powers = _subset_pass(frame, k, qs, screen)
+    def kernel(chunk: np.ndarray) -> np.ndarray:
+        m = _hollow_subgrams(g, chunk)
+        if not exact:
+            return _trace_power_roots(m, ps)
+        if not ps:
+            return screen(chunk, m)
+        return np.vstack([screen(chunk, m), _trace_power_roots(m, ps)])
+
+    found = _first_max(iter_subset_chunks(n, k), kernel, _row)
+    return [SubsetSearch(value, witness, total) for value, witness, _ in found]
+
+
+def ric_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET, qs=()) -> SubsetSearch:
+    """Exact isometry constant: max spectral norm of hollow sub-Grams.
+
+    Enumerates every k-column subset in ``_subset_pass``. For each q of
+    ``qs`` the same pass also takes the trace power estimate from the
+    sub-Grams it gathers; ``powers`` holds (q, search) pairs equal, bit for
+    bit, to ``ric_power_search`` at each q.
+    """
+    ric, *powers = _subset_pass(frame, k, qs, budget, exact=True)
     return SubsetSearch(ric.value, ric.witness, ric.count, tuple(zip(qs, powers)))
 
 
@@ -468,8 +466,6 @@ def _trace_power_roots(a: np.ndarray, ps) -> np.ndarray:
     fro = _frobenius(a)
     out = np.zeros((len(ps), a.shape[0]))
     live = fro > 0.0
-    if not live.any():
-        return out
     base = a[live] / fro[live, None, None]
     logbase = np.zeros(base.shape[0])
     res: list = [None] * len(ps)
@@ -506,17 +502,8 @@ def ric_power_search(frame: Frame, k: int, q: int, budget: int = DEFAULT_BUDGET)
     Non-increasing in q and converging to the exact isometry constant
     from above.
     """
-    [search] = _power_searches(frame, k, (q,), budget)
+    [search] = _subset_pass(frame, k, (q,), budget, exact=False)
     return search
-
-
-def _power_searches(frame: Frame, k: int, qs, budget: int) -> list[SubsetSearch]:
-    """``ric_power_search`` at each q of ``qs``, all from one pass over the k-subsets."""
-    _check_k(frame.n, k)
-    for q in qs:
-        _check_q(q)
-    require_budget(math.comb(frame.n, k), budget, f"trace power estimate at K={k}")
-    return _subset_pass(frame, k, qs)
 
 
 def _group_ceilings(g: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -1093,7 +1080,7 @@ def certify_frame(
             powers = tuple((q, search.value) for q, search in ric.powers)
         else:
             ric = None
-            searches = _power_searches(frame, k, qs, budget) if qs else []
+            searches = _subset_pass(frame, k, qs, budget, exact=False) if qs else []
             powers = tuple((q, search.value) for q, search in zip(qs, searches))
         roc = roc_search(k) if k in roc_ks else None
         fro = fro_constant_search(frame, k, budget) if k in fro_ks else None

@@ -19,7 +19,7 @@ import numpy as np
 from .certification import (
     FRO_C,
     _check_q,
-    delta1_witness,
+    delta1,
     fro_constant_search,
     ric_power_search,
 )
@@ -150,12 +150,13 @@ def run_fro_trials(cfg: TrialConfig) -> TrialOutcome:
 
     def measure(frame):
         search = fro_constant_search(frame, cfg.k)
-        d1, d1_col = delta1_witness(frame)
+        d1 = delta1(frame)
         failed = []
         if search.value > theta_thr:
             failed.append(("fro-constant", search.value, (search.witness_i, search.witness_j)))
         if d1 > d1_thr:
-            failed.append(("delta1", d1, ((d1_col,),)))
+            col = int(np.argmax(np.abs(frame.column_norms_squared - 1.0)))
+            failed.append(("delta1", d1, ((col,),)))
         return search.value, failed
 
     return TrialOutcome(

@@ -31,7 +31,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ripcert import all_pairs_steiner, certification, hadamard, steiner_etf, subsets
-from ripcert.certification import SPARK_TOL, SparkResult, _hollow_subgrams, _spark_clear_ratio
+from ripcert.certification import (
+    SPARK_TOL,
+    SparkResult,
+    SubsetSearch,
+    _hollow_subgrams,
+    _spark_clear_ratio,
+)
 from ripcert.constructions import Frame
 from ripcert.errors import (
     ChainError,
@@ -246,6 +252,10 @@ class TestRicPower:
         for q in (1, 3):
             assert ric_power_search(paley13_real, 1, q).value < 1e-12
 
+    def test_all_zero_batch_gives_zero_at_the_first_subset(self):
+        # every hollow sub-Gram of the identity is zero, so no row has a trace to root
+        assert ric_power_search(orthonormal_frame(4), 3, 2) == SubsetSearch(0.0, (0, 1, 2), 4)
+
     #: the shared chain squares up to the largest q; 3 and 5 multiply squares together
     SHARED_QS = (1, 2, 3, 5, 8)
 
@@ -303,8 +313,8 @@ class TestRicPower:
         with pytest.raises(EnumerationBudgetError, match="trace power estimate at K=4"):
             certify_frame(paley13_real, power_specs=[(4, [2, 8])], budget=10)
 
-    def test_q_errors_after_the_budget(self, paley13_real):
-        with pytest.raises(EnumerationBudgetError, match="exact isometry constant at K=4"):
+    def test_q_errors_before_the_budget(self, paley13_real):
+        with pytest.raises(InvalidParameterError, match="need integer q >= 1, got 0"):
             ric_exact_search(paley13_real, 4, budget=10, qs=(0,))
         with pytest.raises(InvalidParameterError, match="need integer q >= 1, got 0"):
             ric_exact_search(paley13_real, 4, qs=(2, 0))

@@ -559,6 +559,18 @@ class TestUsageErrors:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert list(run.iterdir()) == []
 
+    # an invalid q is refused before the budget, with or without --exact-ric at its K
+    @pytest.mark.parametrize("exact", [["--exact-ric", "4"], []], ids=["exact-ric", "power-only"])
+    def test_invalid_q_over_budget_exits_one(self, tmp_path, monkeypatch, capsys, exact):
+        frame = tmp_path / "p13.mat"
+        assert main(["construct", "paley", "--p", "13", "-o", str(frame)]) == 0
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        argv = ["certify", str(frame), *exact, "--power", "4", "0", "--budget", "10", "-o", "out"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: need integer q >= 1, got 0\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [["--help"], ["mc", "fro", "--help"]])
     def test_help_exits_zero(self, argv, capsys):
         assert main(argv) == 0
