@@ -28,8 +28,8 @@ from .errors import (
     RipcertError,
 )
 from .linalg import DEFAULT_TOL, gram
-from .modular import is_prime, quadratic_residues
-from .subsets import DEFAULT_BUDGET, require_budget
+from .modular import quadratic_residues
+from .subsets import DEFAULT_BUDGET, _selection, require_budget
 
 _SEED_MASK = (1 << 64) - 1
 #: cap on n^2 for a frame's n x n Gram; it admits the widest built-in frames
@@ -108,7 +108,8 @@ class Frame:
             raise InvalidParameterError("matrix entries must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
-        norms = np.linalg.norm(arr, axis=0)
+        with np.errstate(over="ignore"):  # an overflowing norm is refused just below
+            norms = np.linalg.norm(arr, axis=0)
         if not np.all(np.isfinite(norms)) or float(norms.min()) <= 0.0:
             raise InvalidParameterError("every frame column must have finite positive norm")
 
@@ -158,10 +159,7 @@ class Frame:
 
 def negate_columns(frame: Frame, indices) -> Frame:
     """Flip the sign of the selected columns (a flipping-equivalent frame)."""
-    idx = sorted({int(i) for i in indices})
-    for i in idx:
-        if not 0 <= i < frame.n:
-            raise InvalidParameterError(f"column {i} out of range")
+    idx = _selection(indices, frame.n, "the columns")
     data = np.array(frame.matrix)
     data[:, idx] *= -1.0
     return Frame(data, label=frame.label)
@@ -295,12 +293,10 @@ def paley_etf(p: int, require_1mod4: bool = True) -> Frame:
     whose dense matrix exceeds the default budget are refused before any
     primality test.
     """
-    m = (p + 1) // 2
-    require_budget(m * (p + 1), DEFAULT_BUDGET, f"a paley frame of order {p}", "matrix entries")
-    if not is_prime(p) or p == 2:
-        raise InvalidParameterError(f"p={p} is not an odd prime")
     if require_1mod4 and p % 4 != 1:
         raise CongruenceError(f"p={p} is not 1 (mod 4); pass require_1mod4=False to override")
+    m = (p + 1) // 2
+    require_budget(m * (p + 1), DEFAULT_BUDGET, f"a paley frame of order {p}", "matrix entries")
     qs = np.array(quadratic_residues(p))
     h = np.exp(-2j * np.pi * np.outer(qs, np.arange(p)) / p)
     d = np.full(m, math.sqrt(2.0 / p))

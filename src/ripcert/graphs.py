@@ -36,8 +36,8 @@ from .errors import (
     NotRealError,
     NotRegularError,
 )
-from .modular import is_prime, quadratic_residues
-from .subsets import DEFAULT_BUDGET, require_budget
+from .modular import quadratic_residues
+from .subsets import DEFAULT_BUDGET, _selection, require_budget
 
 DEFAULT_CLIQUE_BUDGET = 10_000_000
 
@@ -161,13 +161,12 @@ def paley_graph(p: int) -> SimpleGraph:
     Like a graph file, the dense adjacency matrix must fit the default
     budget; larger orders are refused before any primality test.
     """
-    require_budget(p * p, DEFAULT_BUDGET, f"a paley graph of order {p}", "adjacency entries")
-    if not is_prime(p):
-        raise InvalidParameterError(f"p={p} is not prime")
     if p % 4 != 1:
         raise CongruenceError(f"paley graphs need p = 1 (mod 4), got {p}")
+    require_budget(p * p, DEFAULT_BUDGET, f"a paley graph of order {p}", "adjacency entries")
+    residues = quadratic_residues(p)  # refuses a p that is not an odd prime before np.zeros
     square = np.zeros(p, dtype=bool)
-    square[quadratic_residues(p)] = True
+    square[residues] = True
     square[0] = False
     vertices = np.arange(p)
     return SimpleGraph(square[(vertices[None, :] - vertices[:, None]) % p])
@@ -412,17 +411,6 @@ class MixingCheck:
         return self.lhs <= self.rhs + CHECK_SLACK
 
 
-def _validate_vertex_set(g: SimpleGraph, vertices, what: str) -> list[int]:
-    idx = [int(v) for v in vertices]
-    if len(set(idx)) != len(idx):
-        raise InvalidSelectionError(f"duplicate vertices in {what}")
-    n = g.n
-    for v in idx:
-        if not 0 <= v < n:
-            raise InvalidSelectionError(f"vertex {v} out of range in {what}")
-    return idx
-
-
 def expander_mixing_check(g: SimpleGraph, i_set, j_set) -> MixingCheck:
     """Compare |E(I,J) - (d/n)|I||J|| with lambda * sqrt(|I||J|).
 
@@ -433,8 +421,8 @@ def expander_mixing_check(g: SimpleGraph, i_set, j_set) -> MixingCheck:
     """
     if not g.is_regular():
         raise NotRegularError("mixing bound needs a regular graph")
-    i_idx = _validate_vertex_set(g, i_set, "I")
-    j_idx = _validate_vertex_set(g, j_set, "J")
+    i_idx = _selection(i_set, g.n, "I")
+    j_idx = _selection(j_set, g.n, "J")
     n = g.n
     d = int(g.degrees[0]) if n else 0
     edges = float(g.adjacency[np.ix_(i_idx, j_idx)].sum())
@@ -480,13 +468,7 @@ def seidel_trace_expansion(frame: Frame, kset, q: int, seidel=None) -> TraceExpa
     when the caller has it already; otherwise it is computed here.
     """
     _check_q(q)
-    picked = [int(x) for x in kset]
-    cols = sorted(set(picked))
-    if len(cols) != len(picked):
-        raise InvalidSelectionError("subset contains duplicates")
-    for c in cols:
-        if not 0 <= c < frame.n:
-            raise InvalidSelectionError(f"column {c} out of range")
+    cols = sorted(_selection(kset, frame.n, "the subset"))
     k = len(cols)
     if k < 2:
         raise InvalidParameterError("need at least two columns")

@@ -18,6 +18,7 @@ import numpy as np
 
 from .certification import (
     FRO_C,
+    _check_k,
     _check_q,
     delta1,
     fro_constant_search,
@@ -56,8 +57,7 @@ class TrialConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidParameterError("need trials >= 1")
-        if not 1 <= self.k <= self.n:
-            raise InvalidParameterError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
+        _check_k(self.n, self.k)
         if self.ensemble not in ("gaussian", "bernoulli"):
             raise InvalidParameterError(f"unknown ensemble {self.ensemble!r}")
         if not 0 < self.delta < math.inf:
@@ -303,7 +303,6 @@ def column_sum_tail(m: int, k1: int, k2: int, trials: int, seed: int) -> TailTab
     if trials < 1:
         raise InvalidParameterError("need trials >= 1")
     thresholds = np.array([th * math.sqrt(k1 * k2) for th in _TAIL_GRID])
-    counts = np.zeros(len(_TAIL_GRID), dtype=np.int64)
     pos = np.zeros(len(_TAIL_GRID), dtype=np.int64)
     neg = np.zeros(len(_TAIL_GRID), dtype=np.int64)
     rng = _generator(seed)
@@ -312,10 +311,11 @@ def column_sum_tail(m: int, k1: int, k2: int, trials: int, seed: int) -> TailTab
     while done < trials:
         block = min(_TRIAL_BLOCK, trials - done)
         sums = scale * np.sqrt(rng.chisquare(m, block)) * rng.standard_normal(block)
-        counts += (np.abs(sums)[:, None] >= thresholds[None, :]).sum(axis=0)
         pos += (sums[:, None] >= thresholds[None, :]).sum(axis=0)
         neg += (sums[:, None] <= -thresholds[None, :]).sum(axis=0)
         done += block
+    # s >= t and s <= -t are disjoint for t > 0, and make up |s| >= t; at t = 0 every s counts
+    counts = np.where(thresholds > 0, pos + neg, trials)
     rows = tuple(
         TailRow(
             theta_hat=float(th),

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
-from .errors import EnumerationBudgetError, InvalidParameterError
+from .errors import EnumerationBudgetError, InvalidParameterError, InvalidSelectionError
 
 WORKERS_ENV = "RIPCERT_WORKERS"
 #: rows per enumerated chunk, and the row cap of the r-subset table that
@@ -66,6 +66,17 @@ def require_budget(needed: int, budget: int, what: str, unit: str = "subset eval
         raise InvalidParameterError(f"budget must be >= 0, got {budget}")
     if needed > budget:
         raise EnumerationBudgetError(needed, budget, what, unit)
+
+
+def _selection(values, n: int, what: str) -> list[int]:
+    """``values`` as ints, refused unless distinct and each in range(n)."""
+    idx = [int(v) for v in values]
+    if len(set(idx)) != len(idx):
+        raise InvalidSelectionError(f"duplicate entries in {what}")
+    for v in idx:
+        if not 0 <= v < n:
+            raise InvalidSelectionError(f"{v} out of range in {what}")
+    return idx
 
 
 def disjoint_pair_count(n: int, k: int) -> int:

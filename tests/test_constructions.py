@@ -378,6 +378,11 @@ class TestFrameValidation:
         with pytest.raises(InvalidParameterError):  # and no overflow warning first
             frame.gram
 
+    def test_overflowing_column_norm_rejected(self):
+        # the norm's squares overflow; the refusal comes without an overflow warning
+        with pytest.raises(InvalidParameterError, match="finite positive norm"):
+            Frame(np.full((1, 2), 1e200))
+
     def test_gram_budget_admits_the_widest_built_in_frames(self):
         triple, pairs = steiner_triple(87), all_pairs_steiner(56)
         # a paley frame of prime order p has p + 1 columns

@@ -208,6 +208,27 @@ class TestMalformedFiles:
         assert main(cli_argv("graph", path, tmp_path / "out.txt")) == 3
         assert "big.graph:2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, data, message",
+        [
+            ("matrix", b"ripmat 1\nrows 1\ncols 1\n\xc3\xa9\n", ": not an ASCII text file"),
+            ("steiner", b"ripsteiner 1\n", ": truncated file"),
+            ("matrix", b"ripmat 1\nrows 0\ncols 2\n", ": need rows, cols >= 1, got 0, 2"),
+            ("matrix", b"ripmat 1\nrows 2\ncols 2\n1 2\n", ": expected 2 data rows"),
+            ("graph", b"ripgraph 1\nvertices -1\n", ":2: negative vertex count -1"),
+        ],
+        ids=["non-ascii", "truncated", "no-rows", "missing-rows", "negative-vertices"],
+    )
+    def test_refusal_is_one_error_line_naming_the_file(
+        self, tmp_path, monkeypatch, capsys, kind, data, message
+    ):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        monkeypatch.chdir(tmp_path)
+        assert main(cli_argv(kind, path, "out.txt")) == 1
+        assert capsys.readouterr().err == f"error: {path}{message}\n"
+        assert not (tmp_path / "out.txt").exists()
+
     def test_graph_at_budget_is_read(self, tmp_path):
         path = tmp_path / "edge.graph"
         path.write_text("ripgraph 1\nvertices 2236\n0: 2235\n")
@@ -446,6 +467,18 @@ class TestCertifyCommand:
         assert proc.returncode == 1
         assert proc.stderr == "error: matrix entries must be finite\n"
 
+    def test_overflowing_column_norm_prints_only_the_error_line(self, tmp_path):
+        big = tmp_path / "big.mat"
+        big.write_text("ripmat 1\nrows 1\ncols 2\n1e200 1e200\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ripcert.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ripcert.cli", "certify", str(big), "-o",
+             str(tmp_path / "rep.txt")],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {big}: every frame column must have finite positive norm\n"
+
     @pytest.mark.parametrize("search", [["--exact-ric", "2"], []])
     def test_negative_budget_is_usage_error(self, tmp_path, steiner_file, capsys, search):
         rep = tmp_path / "rep.txt"
@@ -570,6 +603,25 @@ class TestUsageErrors:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: need integer q >= 1, got 0\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["construct", "steiner", "--v", "7"], "steiner needs --v and --k (or --design FILE)"),
+            (["mc", "fro", "--m", ",", "--n", "12", "--k", "2", "--delta", "0.5", "--trials",
+              "2", "--seed", "1"], "--m needs at least one value"),
+            (["construct", "paley", "--p", "4000"],
+             "p=4000 is not 1 (mod 4); pass require_1mod4=False to override"),
+            (["graph", "--paley-graph", "4000"], "paley graphs need p = 1 (mod 4), got 4000"),
+        ],
+        ids=["steiner-without-k", "mc-empty-m", "paley-frame-4000", "paley-graph-4000"],
+    )
+    def test_refusal_is_one_error_line(self, tmp_path, monkeypatch, capsys, argv, message):
+        # a Paley order that is not 1 (mod 4) is refused at any size, before the budget
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "-o", "out"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [["--help"], ["mc", "fro", "--help"]])
     def test_help_exits_zero(self, argv, capsys):

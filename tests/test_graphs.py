@@ -131,6 +131,13 @@ class TestPaleyGraph:
         with pytest.raises(CongruenceError):
             paley_graph(7)
 
+    # -3 % 4 == 1 in Python, so the congruence alone lets a negative order through
+    @pytest.mark.parametrize("p", [-3, 1, 9, 21])
+    def test_orders_1_mod_4_that_are_not_odd_primes_are_refused(self, p):
+        with pytest.raises(InvalidParameterError) as err:
+            paley_graph(p)
+        assert str(err.value) == f"p={p} is not an odd prime"
+
     @pytest.mark.parametrize("p", [5, 13, 17, 29, 101])
     def test_matches_residue_double_loop(self, p):
         residues = set(quadratic_residues(p)) - {0}
@@ -152,7 +159,7 @@ class TestPaleyGraph:
         def no_trial_division(n):
             raise AssertionError("is_prime ran before the size check")
 
-        monkeypatch.setattr("ripcert.graphs.is_prime", no_trial_division)
+        monkeypatch.setattr("ripcert.modular.is_prime", no_trial_division)
         with pytest.raises(EnumerationBudgetError, match="adjacency entries"):
             paley_graph(p)
 
@@ -216,6 +223,17 @@ class TestDescendantGraph:
         once = negate_columns(paley5_real, [1, 3])
         twice = negate_columns(once, [1, 3])
         assert np.array_equal(twice.matrix, paley5_real.matrix)
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [([1, 1], "duplicate entries in the columns"), ([6], "6 out of range in the columns"),
+         ([-1], "-1 out of range in the columns")],
+        ids=["duplicate", "too-large", "negative"],
+    )
+    def test_negation_refuses_bad_columns(self, paley5_real, columns, message):
+        with pytest.raises(InvalidSelectionError) as err:
+            negate_columns(paley5_real, columns)
+        assert str(err.value) == message
 
     def test_switching_twice_changes_nothing(self, paley13_real):
         seidel, _ = seidel_from_gram(paley13_real)
@@ -456,6 +474,18 @@ class TestExpanderMixing:
         assert math.isclose(check.second_eigenvalue, 1.0, abs_tol=1e-9)
         assert check.ok
 
+    @pytest.mark.parametrize(
+        "i_set, j_set, message",
+        [([0, 0], [1], "duplicate entries in I"), ([0], [2, 2], "duplicate entries in J"),
+         ([13, 13], [0], "duplicate entries in I"), ([0], [2, 13], "13 out of range in J"),
+         ([-1], [0], "-1 out of range in I")],
+        ids=["duplicate-i", "duplicate-j", "duplicate-before-range", "too-large", "negative"],
+    )
+    def test_rejects_bad_vertex_sets(self, i_set, j_set, message):
+        with pytest.raises(InvalidSelectionError) as err:
+            expander_mixing_check(paley_graph(13), i_set, j_set)
+        assert str(err.value) == message
+
     def test_irregular_rejected(self):
         g = SimpleGraph.from_edges(4, [(0, 1), (1, 2)])
         with pytest.raises(NotRegularError):
@@ -592,6 +622,19 @@ class TestSeidelTraceExpansion:
             seidel_trace_expansion(paley13_real, (0, paley13_real.n), 1)
         with pytest.raises(InvalidParameterError):
             seidel_trace_expansion(paley13_real, (3,), 1)
+
+    @pytest.mark.parametrize(
+        "kset, message",
+        [((0, 0, 1), "duplicate entries in the subset"),
+         ((14, 14), "duplicate entries in the subset"),
+         ((0, 14), "14 out of range in the subset"),
+         ((2, -1), "-1 out of range in the subset")],
+        ids=["duplicate", "duplicate-before-range", "too-large", "negative"],
+    )
+    def test_bad_subset_messages(self, paley13_real, kset, message):
+        with pytest.raises(InvalidSelectionError) as err:
+            seidel_trace_expansion(paley13_real, kset, 1)
+        assert str(err.value) == message
 
     def test_non_etf_rejected(self):
         with pytest.raises(NotEtfError):
