@@ -1480,6 +1480,23 @@ GOLDEN = {
 }
 
 
+#: repr(value) and witness of the trace power estimates at K = 4 on
+#: gaussian_matrix(11, 22, seed), one per q, taken in the exact search's pass and alone
+GOLDEN_POWERS = {
+    7: ((2, "2.260243851204223", (2, 4, 12, 21)), (3, "2.2519332242442474", (2, 4, 12, 21))),
+    101: ((2, "1.7602890631184054", (7, 12, 13, 19)),
+          (3, "1.7445841158430044", (7, 12, 13, 19))),
+}
+
+
+def _power_pins(frame, k, qs):
+    """(q, repr(value), witness) of each power column, after checking that the
+    exact search's pass and ``ric_power_search`` agree on it."""
+    shared = ric_exact_search(frame, k, qs=qs).powers
+    assert [search for _, search in shared] == [ric_power_search(frame, k, q) for q in qs]
+    return tuple((q, repr(search.value), search.witness) for q, search in shared)
+
+
 @pytest.mark.parametrize("seed", sorted(GOLDEN))
 def test_golden_exact_searches(seed):
     roc_value, wi, wj, ric_value, witness = GOLDEN[seed]
@@ -1488,6 +1505,7 @@ def test_golden_exact_searches(seed):
     assert (repr(roc.value), roc.witness_i, roc.witness_j, roc.count) == (roc_value, wi, wj, 746130)
     ric = ric_exact_search(frame, 6)
     assert (repr(ric.value), ric.witness, ric.count) == (ric_value, witness, 74613)
+    assert _power_pins(frame, 4, (2, 3)) == GOLDEN_POWERS[seed]
 
 
 #: repr(value) and witnesses of the exact RIC (K=5) and ROC (K=2) searches on
@@ -1495,6 +1513,9 @@ def test_golden_exact_searches(seed):
 #: negated; tied maximisers make these witnesses the ones the screen must not move
 GOLDEN_ETF = ("0.7427813527082129", (5, 9, 17, 23, 25),
               "0.37139067635410916", (6, 18), (14, 28))
+#: the same for the trace power estimates at K = 5, q = 2 and 8
+GOLDEN_ETF_POWERS = ((2, "0.7456659947622231", (5, 9, 17, 23, 25)),
+                     (8, "0.7427813527514484", (5, 9, 17, 23, 25)))
 
 
 @pytest.mark.parametrize("negated", [False, True])
@@ -1508,6 +1529,7 @@ def test_golden_etf_searches(negated):
     assert (repr(ric.value), ric.witness, ric.count) == (ric_value, witness, 142506)
     roc = roc_exact_search(frame, 2)
     assert (repr(roc.value), roc.witness_i, roc.witness_j, roc.count) == (roc_value, wi, wj, 82215)
+    assert _power_pins(frame, 5, (2, 8)) == GOLDEN_ETF_POWERS
 
 
 #: repr(value), witnesses and count of the flat-orthogonality search on
