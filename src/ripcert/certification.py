@@ -305,6 +305,9 @@ def _live(ceiling: np.ndarray, best) -> np.ndarray:
     sqrt(b) (1 - 3.5u) (1 + u/2) < fl(sqrt(b)). It holds no first maximum
     and is settled; a nan ceiling is kept. These bounds need a normal bar,
     so a smaller one settles nothing, and so do at most ``_SCREEN_TOP`` rows.
+    This is the only rule that settles rows: of the exact RIC and ROC
+    columns and the trace power columns (each line of ``_screened``), of the
+    ROC groups and of the flat-orthogonality rows.
     """
     if len(ceiling) > _SCREEN_TOP:
         top = np.sort(np.argpartition(ceiling, -_SCREEN_TOP)[-_SCREEN_TOP:])
@@ -315,21 +318,26 @@ def _live(ceiling: np.ndarray, best) -> np.ndarray:
 
 
 def _screened(rows: np.ndarray, ceiling: np.ndarray, solve) -> np.ndarray:
-    """``solve`` on the rows of a batch that can hold its first maximum, -1 elsewhere.
+    """``solve`` on the rows of a batch that can hold a first maximum, -1 elsewhere.
 
-    ``solve(rows)`` gives per row the value ``eigvalsh`` computes from the
-    k x k matrix M it forms of the row, clipped below at 0, which ``ceiling``
-    bounds; ``_live`` settles rows against the best of the top rows. M and
-    ``eigvalsh`` are taken matrix by matrix, so a row's float does not
-    depend on the rows solved with it, and the batch's first maximum, its
-    row and its float, are those of ``solve`` on the whole batch.
+    ``solve(rows)`` gives per row one value, or one line of values per row of
+    a 2-D ``ceiling``, which bounds each line; ``_live`` settles each line's
+    rows against the best of that line's top rows, and a row kept for any
+    line is solved for every line. ``solve`` takes its rows matrix by matrix
+    (``eigvalsh``, or the products of ``_trace_power_roots``), so a row's
+    float does not depend on the rows solved with it, and each line's first
+    maximum, its row and its float, are those of ``solve`` on the whole batch.
 
-    The Frobenius ceilings, with u = eps, gamma_n = n u / (1 - n u), eta the
+    Here ``solve`` gives per row the value ``eigvalsh`` computes from the
+    k x k matrix M it forms of the row, clipped below at 0, or the trace
+    power estimates, whose ceilings ``_power_margin`` proves from the
+    spectral radius ceilings below. The Frobenius ceilings, with u = eps,
+    gamma_n = n u / (1 - n u), eta the
     smallest subnormal, F the Frobenius norm of the Hermitian H of M's lower
     triangle and real diagonal, which ``eigvalsh`` reads, and s^ the
     ``_squares`` of the entries of C (ROC: C the cross-Gram, M = fl(C* C),
-    the value lambda) or of H (RIC: M the hollow sub-Gram, counting H's
-    strict lower triangle twice, the value the spectral radius rho):
+    the value lambda) or of M (RIC: M = H the hollow sub-Gram, exactly
+    Hermitian as ``Frame.gram`` is, the value the spectral radius rho):
 
     - s^ sums at most 2k^2 squares, each rounded once and then in at most
       k^2 + 1 additions, so s^ >= s (1 - gamma_{k^2+2}) - 2 k^2 eta for the
@@ -351,22 +359,27 @@ def _screened(rows: np.ndarray, ceiling: np.ndarray, solve) -> np.ndarray:
       multiplies s^ + 5 k^2 eta by 1 + 2 (k + 16)^2 u, which stays above A
       through that product's rounding, the rounding of the margin and, for
       RIC, of the square root taken of it: ceiling = ``_ceiling(s^, k)``
-      for ROC and its square root for RIC.
+      for ROC and its square root for RIC. The RIC ceiling bounds the exact
+      F and the exact spectral radius of H as well as the computed rho.
 
     The class ceilings, on a Gram that ``_equiangular`` accepts, with S the
     row's sign block, sigma(S) <= ``_sign_norms`` and |E_ij| <= e off the
     diagonal and <= d on it: RIC: H = mu S + E, so rho <= mu sigma(S)
-    + (k - 1) e + d + 16ku F, F <= k (mu + d). ROC: C = mu S + E, so
+    + (k - 1) e + d + 16ku F, F <= k (mu + d), and the exact spectral radius
+    is at most the same sum without 16ku F. ROC: C = mu S + E, so
     sigma_max(C) <= q = mu sigma(S) + k e, and with s <= k^2 mu^2 the ROC
     terms above give lambda <= q^2 + 2 (k + 16)^2 u k^2 mu^2 + 4 k^2 eta.
     Each is evaluated in at most 8 roundings of nonnegative terms and
     multiplied by 1 + 8u: (1 - u/2)^9 (1 + 8u) > 1.
     """
-    keep = np.flatnonzero(_live(ceiling, lambda top: solve(rows[top]).max()))
-    if len(keep) == len(rows):
+    keep = np.zeros(len(rows), dtype=bool)
+    for line, bound in enumerate(np.atleast_2d(ceiling)):
+        keep |= _live(bound, lambda top: np.atleast_2d(solve(rows[top]))[line].max())
+    if keep.all():
         return solve(rows)
-    out = np.full(len(rows), -1.0)
-    out[keep] = solve(rows[keep])
+    values = solve(rows[keep])
+    out = np.full(values.shape[:-1] + (len(rows),), -1.0)
+    out[..., keep] = values
     return out
 
 
@@ -401,9 +414,16 @@ def _subset_pass(frame: Frame, k: int, qs, budget: int, exact: bool) -> list[Sub
     ``SubsetSearch`` per column, in that order.
 
     The exact column is the oracle every other estimate is compared against.
-    ``_screened`` settles each sub-Gram whose ceiling, its Frobenius norm or,
-    on a real equiangular Gram, its Seidel sign class's norm, with a rounding
-    margin, is below the best of its chunk's top rows.
+    Every column is screened by ``_screened``. A row's spectral radius
+    ceiling rho^ is its Frobenius ceiling F^ and, in the exact pass on a real
+    equiangular Gram, the smaller of that and its Seidel sign class's norm,
+    with a rounding margin. The exact column settles rows whose rho^ is below
+    the best of its chunk's top rows. The power column at q settles rows whose
+    rho^ (F^ / rho^)^(1/q), times ``_power_margin(k, q)``, is below the best of
+    its own top rows: Tr[H^(2q)] <= rho^(2q - 2) F^2, so that bounds the
+    exact estimate, and the margin bounds the rounding of the computed one.
+    The power columns share one ``_trace_power_roots`` call per chunk, on
+    the rows that any of them keeps.
     """
     n = frame.n
     _check_k(n, k)
@@ -414,28 +434,26 @@ def _subset_pass(frame: Frame, k: int, qs, budget: int, exact: bool) -> list[Sub
     require_budget(total, budget, f"{what} at K={k}")
     g = frame.gram
     ps = [2 * q for q in qs]
-    if exact:  # the screen's set-up: np.tril_indices costs 5% of a 300 us power search
-        equiangular = _equiangular(g)
-        u = np.finfo(float).eps
-        i, j = np.tril_indices(k, -1)
-
-    def screen(chunk: np.ndarray, m: np.ndarray) -> np.ndarray:
-        squares = 2.0 * _squares(m[:, i, j])
-        squares += _squares(np.diagonal(m, axis1=1, axis2=2).real)
-        ceiling = np.sqrt(_ceiling(squares, k))
-        if equiangular is not None:
-            mu, e, d, signs = equiangular
-            rho = mu * _sign_norms(_gather(signs, chunk, chunk)) + (k - 1) * e + d
-            ceiling = np.minimum(ceiling, (rho + 16 * k * k * u * (mu + d)) * (1 + 8 * u))
-        return _screened(m, ceiling, _spectral_radius)
+    margins = [_power_margin(k, q) for q in qs]
+    equiangular = _equiangular(g) if exact else None
+    u = np.finfo(float).eps
 
     def kernel(chunk: np.ndarray) -> np.ndarray:
         m = _hollow_subgrams(g, chunk)
-        if not exact:
-            return _trace_power_roots(m, ps)
+        frobenius = rho = np.sqrt(_ceiling(_squares(m.reshape(len(m), -1)), k))
+        if equiangular is not None:
+            mu, e, d, signs = equiangular
+            rho = mu * _sign_norms(_gather(signs, chunk, chunk)) + (k - 1) * e + d
+            rho = np.minimum(frobenius, (rho + 16 * k * k * u * (mu + d)) * (1 + 8 * u))
+        ric = _screened(m, rho, _spectral_radius) if exact else None
         if not ps:
-            return screen(chunk, m)
-        return np.vstack([screen(chunk, m), _trace_power_roots(m, ps)])
+            return ric
+        if rho is frobenius:  # rho^ (F^ / rho^)^(1/q) = F^, and F^ may be inf
+            ceilings = np.outer(margins, frobenius)
+        else:
+            ceilings = [rho * (frobenius / rho) ** (1 / q) * w for q, w in zip(qs, margins)]
+        powers = _screened(m, ceilings, lambda rows: _trace_power_roots(rows, ps))
+        return powers if ric is None else np.vstack([ric, powers])
 
     found = _first_max(iter_subset_chunks(n, k), kernel, _row)
     return [SubsetSearch(value, witness, total) for value, witness, _ in found]
@@ -447,10 +465,78 @@ def ric_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET, qs=()) 
     Enumerates every k-column subset in ``_subset_pass``. For each q of
     ``qs`` the same pass also takes the trace power estimate from the
     sub-Grams it gathers; ``powers`` holds (q, search) pairs equal, bit for
-    bit, to ``ric_power_search`` at each q.
+    bit, to ``ric_power_search`` at each q. Every column settles the rows
+    that its proved ceilings put below its chunk's best (``_subset_pass``);
+    on a real ETF the power columns use the sign-class ceilings too.
     """
     ric, *powers = _subset_pass(frame, k, qs, budget, exact=True)
     return SubsetSearch(ric.value, ric.witness, ric.count, tuple(zip(qs, powers)))
+
+
+def _power_margin(k: int, q: int) -> float:
+    """1 + epsilon, with the value that ``_trace_power_roots`` computes at p = 2q
+    for a k x k Hermitian H at most (1 + epsilon) P, P = Tr(H^p)^(1/p) exact;
+    inf where the proof below does not give an epsilon below 2^-20.
+
+    With u = eps, gamma_n = n u / (1 - n u) and eta as in ``_screened``: let f
+    be the computed Frobenius norm of H and treat every computed norm that the
+    chain divides by as an exact scalar. Then the chain approximates matrices
+    Y that are positive multiples of powers of H, Y_0 = H / f, Y = Y_a Y_b / r
+    for each product the chain forms and divides by its computed norm r, and
+    logs L* that sum the exact logs of those norms, so that exactly
+    P = f exp((ln Tr Y + L*) / p) for the line's last Y. For the computed
+    matrix R of each Y, with e = ||R - Y||_F / ||Y||_F:
+
+    - Dividing by a scalar rounds each entry within u (a complex quotient in
+      two roundings), so e_0 <= u.
+    - A product's Frobenius error is at most c ||R_a||_F ||R_b||_F, c = 2
+      gamma_{k+2}: sqrt(2) gamma_{k+2} for a length-k complex inner product,
+      and the rest covers underflow, at most k eta per entry against norms
+      of at least 1/(2k).
+    - ||R_a R_b - Y_a Y_b||_F <= (e_a + e_b + e_a e_b) ||Y_a||_F ||Y_b||_F, and
+      for powers of one Hermitian H, ||Y_a||_F ||Y_b||_F <= sqrt(k)
+      ||Y_a Y_b||_F (Chebyshev's sum inequality on |lambda_i|^2a and
+      |lambda_i|^2b). So each product and division gives
+      1 + e <= (1 + u) (1 + sqrt(k) ((1 + e_a)(1 + e_b)(1 + c) - 1)).
+    - p is even, so Y is positive semidefinite and Tr Y >= ||Y||_F. The
+      computed trace t^ sums k diagonal entries, each off by at most
+      sqrt(k) e ||Y||_F in all, so t^ <= (1 + delta) Tr Y with 1 + delta =
+      (1 + sqrt(k) e)(1 + gamma_k), and the 1/p root divides ln(1 + delta)
+      by p. While delta < 1 every computed matrix is nonzero, so each log
+      the chain takes is of a positive finite float and at most 745 in
+      magnitude, within 4 ulps (numpy's log and exp, and power, are taken
+      to be that accurate).
+    - The logs: a logbase at bit j is at most 745 2^j in magnitude and
+      enters L with weight at most p / 2^j; logres and the last sum are at
+      most 1118 p. So each log's error and each rounding of a sum moves
+      ln t^ + L by at most 3000 u p: 2 per squaring, 3 per product and 2 at
+      the end, plus 1 for the division by p, with bits and ones the binary
+      digits of p, at most 2 bits + 3 ones - 2 units of 3000 u in the
+      exponent. One more covers exp and the last product by f, and one
+      more the ceiling's own roundings (the power (F^ / rho^)^(1/q) with
+      1/q rounded, two products and this margin).
+
+    So epsilon = expm1(ln(1 + delta) / p + (2 bits + 3 ones) 3000 u), doubled
+    to cover its own evaluation. Each squaring multiplies e by about
+    2 sqrt(k), so at large q delta reaches 2^-20 and the ceiling is inf.
+    """
+    u = float(np.finfo(float).eps)  # a Python float: overflow to inf is silent
+    c = 2 * (k + 2) * u / (1 - (k + 2) * u)
+
+    def product(ea: float, eb: float) -> float:
+        return (1 + u) * (1 + math.sqrt(k) * ((1 + ea) * (1 + eb) * (1 + c) - 1)) - 1
+
+    p = 2 * q
+    base, res = u, None
+    for bit in range(p.bit_length()):
+        if p >> bit & 1:
+            res = base if res is None else product(res, base)
+        base = product(base, base)
+    delta = (1 + math.sqrt(k) * res) * (1 + k * u / (1 - k * u)) - 1
+    if not delta < 2.0**-20:
+        return math.inf
+    units = 2 * p.bit_length() + 3 * bin(p).count("1")
+    return 1 + 2 * math.expm1(math.log1p(delta) / p + 3000 * units * u)
 
 
 def _trace_power_roots(a: np.ndarray, ps) -> np.ndarray:
@@ -500,7 +586,8 @@ def ric_power_search(frame: Frame, k: int, q: int, budget: int = DEFAULT_BUDGET)
     """Trace power estimate: max over subsets of Tr[(sub-Gram - I)^(2q)]^(1/2q).
 
     Non-increasing in q and converging to the exact isometry constant
-    from above.
+    from above. Rows whose Frobenius ceiling, times ``_power_margin``, is
+    below the best of their chunk's top rows are settled unsolved.
     """
     [search] = _subset_pass(frame, k, (q,), budget, exact=False)
     return search

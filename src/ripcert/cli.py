@@ -34,6 +34,7 @@ from .constructions import (
     steiner_triple,
 )
 from .errors import (
+    CongruenceError,
     EnumerationBudgetError,
     InfeasibleInputError,
     InvalidParameterError,
@@ -231,7 +232,12 @@ def _cmd_construct(args) -> int:
         if args.design_out:
             write_steiner(args.design_out, system)
     elif args.family == "paley":
-        frame = paley_etf(args.p, require_1mod4=not args.allow_3mod4)
+        try:
+            frame = paley_etf(args.p, require_1mod4=not args.allow_3mod4)
+        except CongruenceError:  # the library's message names its keyword, not the flag
+            raise _UsageError(
+                f"p={args.p} is not 1 (mod 4); pass --allow-3mod4 to override"
+            ) from None
     elif args.family == "gaussian":
         frame = gaussian_matrix(args.m, args.n, args.seed)
     else:

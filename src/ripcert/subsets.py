@@ -179,19 +179,22 @@ def iter_disjoint_pair_chunks(
 def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Iterator[R]:
     """Map preserving input order, optionally on a thread pool.
 
-    With workers > 1 at most ``4 * workers`` tasks are in flight, and
-    results are yielded strictly in submission order, so any downstream
-    reduction sees the same sequence as a serial run. The pool's threads
-    are marked, so ``worker_count`` is 1 on them.
+    With workers > 1 and at least two items, at most ``4 * workers`` tasks
+    are in flight, and results are yielded strictly in submission order, so
+    any downstream reduction sees the same sequence as a serial run. The
+    pool's threads are marked, so ``worker_count`` is 1 on them. A map of
+    fewer than two items runs on the calling thread, with no pool.
     """
-    if workers <= 1:
-        for item in items:
+    items = iter(items)
+    head = list(itertools.islice(items, 2)) if workers > 1 else []
+    if len(head) < 2:
+        for item in itertools.chain(head, items):
             yield fn(item)
         return
     pool = ThreadPoolExecutor(max_workers=workers, initializer=_mark_pool_thread)
     try:
         pending: deque = deque()
-        for item in items:
+        for item in itertools.chain(head, items):
             pending.append(pool.submit(fn, item))
             if len(pending) >= 4 * workers:
                 yield pending.popleft().result()

@@ -1,6 +1,9 @@
 import dataclasses
+import functools
 import itertools
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1074,28 +1077,46 @@ def _full_roc(g, pair):
     return np.sqrt(np.maximum(lam, 0.0))
 
 
+def _full_powers(qs):
+    """The unscreened trace power lines of a chunk, one per q, then the exact RIC line
+    in front of them if ``exact``."""
+
+    def full(g, chunk, exact=False):
+        lines = certification._trace_power_roots(_hollow_subgrams(g, chunk), [2 * q for q in qs])
+        return np.vstack([_full_ric(g, chunk), lines]) if exact else lines
+
+    return full
+
+
 class TestScreen:
-    """Rows the exact RIC and ROC kernels leave at -1 are strictly below their chunk's best."""
+    """Rows the screened kernels leave at -1 are strictly below their chunk's best."""
 
     SCREENED = {
         "ric": (ric_exact_search, 4, _full_ric),
-        # the screened column of a kernel that also takes trace powers
-        "ric-powers": (lambda frame, k: ric_exact_search(frame, k, qs=(1, 3)), 4, _full_ric),
+        # the screened RIC line of a kernel that also takes trace powers, and those powers
+        "ric-powers": (lambda frame, k: ric_exact_search(frame, k, qs=(2, 3)), 4,
+                       functools.partial(_full_powers((2, 3)), exact=True)),
         "roc": (roc_exact_search, 2, _full_roc),
+        # trace powers without the exact search: their ceilings rest on F alone
+        "power": (lambda frame, k: ric_power_search(frame, k, 2), 4, _full_powers((2,))),
+        "powers": (lambda frame, k: certify_frame(frame, power_specs=[(k, (2, 8))]), 4,
+                   _full_powers((2, 8))),
     }
+    #: the searches whose first line is an exact RIC or ROC one
+    EXACT = ("ric", "ric-powers", "roc")
     #: whether the Frobenius ceiling alone settles rows: it does on a generic frame, and
     #: on a real ETF, whose sub-Grams all share one Frobenius norm, it settles none
     FROBENIUS_SETTLES = {"gaussian": True, "paley13_real": False}
     #: frames with a real Gram equiangular within DEFAULT_TOL: only there is the
     #: sign-class ceiling applied, and there it settles rows the Frobenius one leaves
     CLASS_FRAMES = ("steiner_6x16", "paley13_real", "paley13")
+    FRAMES = ["gaussian", "bernoulli", "steiner_6x16", "paley13_real", "paley13", "degenerate"]
 
     @staticmethod
     def _settled(monkeypatch, frame, search, top):
-        """Rows settled by one screened search at chunk 64, each chunk checked
-        against the unscreened solve. The "ric-powers" kernel returns the
-        screened line of values and then one line per q; the screened line is
-        the one checked."""
+        """Rows settled by one screened search at chunk 64, per value line, each
+        chunk's lines checked against the unscreened ones: the exact line and one
+        line per q."""
         fn, k, full = TestScreen.SCREENED[search]
         seen = []
         real = certification._first_max
@@ -1104,9 +1125,7 @@ class TestScreen:
         def recording(chunks, kernel, witness, stop=math.inf):
             def recorded(chunk):
                 values = kernel(chunk)
-                lines = np.atleast_2d(values)
-                assert len(lines) == (3 if search == "ric-powers" else 1)
-                seen.append((chunk, lines[0]))
+                seen.append((chunk, np.atleast_2d(values)))
                 return values
 
             return real(chunks, recorded, witness, stop)
@@ -1119,8 +1138,9 @@ class TestScreen:
                 return solve(x)
 
             out = real_screen(rows, ceiling, counted)
-            if len(solved) == 2 and len(solved[1]) == len(rows):  # the top rows, then all
-                assert solved[1] is rows  # nothing settled: no row-subset copy
+            lines = len(np.atleast_2d(ceiling))
+            if len(solved) == lines + 1 and len(solved[-1]) == len(rows):  # tops, then all
+                assert solved[-1] is rows  # nothing settled: no row-subset copy
             return out
 
         monkeypatch.setattr(certification, "_first_max", recording)
@@ -1130,30 +1150,30 @@ class TestScreen:
         fn(frame, k)
         g = frame.gram
         settled = 0
-        for chunk, values in seen:
-            reference = full(g, chunk)
-            skipped = values == -1.0
-            settled += int(skipped.sum())
-            # solved rows carry the unscreened float, bit for bit
-            assert np.array_equal(values[~skipped], reference[~skipped])
-            assert np.all(reference[skipped] < values.max())
-            assert values.max() == reference.max()
-            assert np.argmax(values) == np.argmax(reference)
-        return settled
+        for chunk, lines in seen:
+            references = np.atleast_2d(full(g, chunk))
+            assert lines.shape == references.shape
+            skipped = lines == -1.0
+            settled = settled + skipped.sum(axis=1)
+            for values, reference, skip in zip(lines, references, skipped):
+                # solved rows carry the unscreened float, bit for bit
+                assert np.array_equal(values[~skip], reference[~skip])
+                assert np.all(reference[skip] < values.max())
+                assert values.max() == reference.max()
+                assert np.argmax(values) == np.argmax(reference)
+        return settled.tolist()
 
     @pytest.mark.parametrize("top", [1, 8])
-    @pytest.mark.parametrize("search", sorted(SCREENED))
-    @pytest.mark.parametrize(
-        "frame_name",
-        ["gaussian", "bernoulli", "steiner_6x16", "paley13_real", "paley13", "degenerate"],
-    )
+    @pytest.mark.parametrize("search", EXACT)
+    @pytest.mark.parametrize("frame_name", FRAMES)
     def test_settled_rows_are_below_the_chunk_maximum(
         self, request, monkeypatch, frame_name, search, top
     ):
         frame = named_frame(request, frame_name)
         real_equiangular, real_norms = certification._equiangular, certification._sign_norms
         monkeypatch.setattr(certification, "_equiangular", lambda g: None)
-        frobenius = self._settled(monkeypatch, frame, search, top)  # the Frobenius ceiling alone
+        # the Frobenius ceiling alone
+        frobenius = self._settled(monkeypatch, frame, search, top)[0]
         monkeypatch.setattr(certification, "_equiangular", real_equiangular)
         applied = []
 
@@ -1162,7 +1182,7 @@ class TestScreen:
             return real_norms(signs)
 
         monkeypatch.setattr(certification, "_sign_norms", norms)
-        settled = self._settled(monkeypatch, frame, search, top)
+        settled = self._settled(monkeypatch, frame, search, top)[0]
         assert settled > 0
         if frame_name in self.FROBENIUS_SETTLES:
             assert (frobenius > 0) == self.FROBENIUS_SETTLES[frame_name]
@@ -1171,6 +1191,21 @@ class TestScreen:
             assert settled > frobenius
         else:
             assert settled == frobenius
+
+    @pytest.mark.parametrize("top", [1, 8])
+    @pytest.mark.parametrize("search", ["ric-powers", "power", "powers"])
+    @pytest.mark.parametrize("frame_name", FRAMES)
+    def test_power_lines_settle_below_the_chunk_maximum(
+        self, request, monkeypatch, frame_name, search, top
+    ):
+        frame = named_frame(request, frame_name)
+        settled = self._settled(monkeypatch, frame, search, top)
+        powers = settled[1:] if search == "ric-powers" else settled
+        # an ETF's sub-Grams share one Frobenius norm: only the sign-class ceilings of
+        # the exact pass on a real ETF settle its power rows
+        etf = frame_name in ("steiner_6x16", "paley13_real", "paley13")
+        classes = search == "ric-powers" and frame_name in self.CLASS_FRAMES
+        assert all((line > 0) == (classes or not etf) for line in powers), powers
 
     U = np.finfo(float).eps
 
@@ -1206,6 +1241,74 @@ def rank_one_plant(search, k, rng, scale):
     mat[: block.shape[0], : block.shape[1]] = block
     mat[-2:, -2:] = np.eye(2)
     return unchecked_frame(mat)  # a tiny column's computed norm can underflow to 0
+
+
+#: trace power orders of the ceiling test: at 2^20 the margin is finite at K = 1
+#: only, and at 2^52 at no K, so those rows keep an infinite ceiling
+POWER_QS = (1, 2, 3, 8, 2**20, 2**52)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e100, 1e-100])
+@pytest.mark.parametrize("frame_name", TestScreen.FRAMES)
+def test_power_ceilings_bound_every_row(request, monkeypatch, frame_name, scale):
+    """Every trace power value is at most its row's ceiling, in the exact pass (with
+    the sign-class ceilings on a real ETF) and without it. Scaled by 1e100, F^2
+    overflows: those ceilings are inf and the chain's values nan."""
+    frame = unchecked_frame(named_frame(request, frame_name).matrix * scale)
+    records = []
+    real_screen = certification._screened
+
+    def recording(rows, ceiling, solve):
+        records.append((np.atleast_2d(ceiling), np.atleast_2d(solve(rows))))
+        return real_screen(rows, ceiling, solve)
+
+    monkeypatch.setattr(certification, "_screened", recording)
+    monkeypatch.setattr(certification, "_SCREEN_TOP", 10**9)  # solve every row
+    with warnings.catch_warnings():
+        if scale > 1.0:  # the chain divides 0 by 0 once F^2 overflows
+            warnings.simplefilter("ignore", RuntimeWarning)
+        for k in (1, 2, 3, 4):
+            ric_exact_search(frame, k, qs=POWER_QS)
+            certify_frame(frame, power_specs=[(k, POWER_QS)])
+    powers = [(ceiling, values) for ceiling, values in records if len(ceiling) > 1]
+    # per K one chunk: a RIC and a power batch in the exact pass, a power batch without it
+    assert len(powers) == 2 * (len(records) - len(powers)) == 8
+    for ceiling, values in records:
+        assert not np.any(values > ceiling)
+    if scale <= 1.0:
+        for ceiling, _ in powers:
+            finite = np.isfinite(ceiling).all(axis=1)
+            assert finite[:4].all() and not finite[-1]
+
+
+def test_power_margin_bounds_exact_trace_powers():
+    """On H = s P, P a symmetric permutation with a unit phase on each swap, Tr H^(2q)
+    is an exact rational: the computed estimate never exceeds its exact value times
+    ``_power_margin``, and it exceeds the exact value itself on some rows."""
+    rng = np.random.default_rng(28)
+    qs = (1, 2, 3, 8)
+    above = 0
+    for k in (2, 3, 4, 5, 6):
+        rows, exact = [], []
+        for _ in range(40):
+            order, s = rng.permutation(k), float(rng.uniform(0.1, 3.0))
+            h = np.zeros((k, k), dtype=complex)
+            terms = [Fraction(s) ** 2] * (k % 2)  # s^2 per fixed point, s^2 |w|^2 per swap
+            if k % 2:
+                h[order[-1], order[-1]] = s
+            for i, j in order[: k - k % 2].reshape(-1, 2):
+                w = s * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+                h[i, j], h[j, i] = w, np.conj(w)
+                terms += [Fraction(w.real) ** 2 + Fraction(w.imag) ** 2] * 2
+            rows.append(h)
+            exact.append([sum(t**q for t in terms) for q in qs])
+        values = certification._trace_power_roots(np.array(rows), [2 * q for q in qs])
+        for line, q in enumerate(qs):
+            margin = Fraction(certification._power_margin(k, q)) ** (2 * q)
+            for value, trace in zip(values[line], exact):
+                assert Fraction(value) ** (2 * q) <= trace[line] * margin
+                above += Fraction(value) ** (2 * q) > trace[line]
+    assert above > 0
 
 
 class TestFrobeniusNearTie:

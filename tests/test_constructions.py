@@ -209,7 +209,8 @@ class TestPaleyEtf:
     def test_rejects_non_prime_and_congruence(self):
         with pytest.raises(InvalidParameterError):
             paley_etf(9)
-        with pytest.raises(CongruenceError):
+        # a library caller is told the keyword; the CLI names its flag instead
+        with pytest.raises(CongruenceError, match="pass require_1mod4=False to override"):
             paley_etf(7)
 
     def test_allows_3mod4_when_requested(self):

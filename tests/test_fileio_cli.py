@@ -611,7 +611,7 @@ class TestUsageErrors:
             (["mc", "fro", "--m", ",", "--n", "12", "--k", "2", "--delta", "0.5", "--trials",
               "2", "--seed", "1"], "--m needs at least one value"),
             (["construct", "paley", "--p", "4000"],
-             "p=4000 is not 1 (mod 4); pass require_1mod4=False to override"),
+             "p=4000 is not 1 (mod 4); pass --allow-3mod4 to override"),
             (["graph", "--paley-graph", "4000"], "paley graphs need p = 1 (mod 4), got 4000"),
         ],
         ids=["steiner-without-k", "mc-empty-m", "paley-frame-4000", "paley-graph-4000"],

@@ -2,6 +2,7 @@ import itertools
 import math
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -91,6 +92,20 @@ class TestEnumerationOrder:
 
 
 class TestOrderedMap:
+    @pytest.mark.parametrize("count, pools", [(0, 0), (1, 0), (2, 1)])
+    def test_a_pool_only_for_two_items_or_more(self, monkeypatch, count, pools):
+        started = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(subsets, "ThreadPoolExecutor", CountingPool)
+        results = list(ordered_map(lambda x: 2 * x, iter(range(count)), 2))
+        assert results == [2 * x for x in range(count)]
+        assert started == [2] * pools
+
     def test_early_exit_cancels_queued_work(self):
         calls = []
         lock = threading.Lock()
