@@ -325,8 +325,9 @@ def _screened(rows: np.ndarray, ceiling: np.ndarray, solve) -> np.ndarray:
     rows against the best of that line's top rows, and a row kept for any
     line is solved for every line. ``solve`` takes its rows matrix by matrix
     (``eigvalsh``, or the products of ``_trace_power_roots``), so a row's
-    float does not depend on the rows solved with it, and each line's first
-    maximum, its row and its float, are those of ``solve`` on the whole batch.
+    float does not depend on the rows solved with it: the top rows keep the
+    values solved for the bar, and each line's first maximum, its row and
+    its float, are those of ``solve`` on the whole batch.
 
     Here ``solve`` gives per row the value ``eigvalsh`` computes from the
     k x k matrix M it forms of the row, clipped below at 0, or the trace
@@ -372,14 +373,22 @@ def _screened(rows: np.ndarray, ceiling: np.ndarray, solve) -> np.ndarray:
     Each is evaluated in at most 8 roundings of nonnegative terms and
     multiplied by 1 + 8u: (1 - u/2)^9 (1 + 8u) > 1.
     """
-    keep = np.zeros(len(rows), dtype=bool)
+    out = np.full(np.shape(ceiling), -1.0)
+    keep, solved = np.zeros(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool)
+
+    def best(top: np.ndarray, line: int) -> float:
+        out[..., top] = solve(rows[top])
+        solved[top] = True
+        return np.atleast_2d(out)[line, top].max()
+
     for line, bound in enumerate(np.atleast_2d(ceiling)):
-        keep |= _live(bound, lambda top: np.atleast_2d(solve(rows[top]))[line].max())
+        keep |= _live(bound, lambda top: best(top, line))
     if keep.all():
         return solve(rows)
-    values = solve(rows[keep])
-    out = np.full(values.shape[:-1] + (len(rows),), -1.0)
-    out[..., keep] = values
+    rest = np.flatnonzero(keep & ~solved)
+    if len(rest):
+        out[..., rest] = solve(rows[rest])
+    out[..., ~keep] = -1.0  # top rows below the bar are settled too
     return out
 
 
@@ -449,7 +458,7 @@ def _subset_pass(frame: Frame, k: int, qs, budget: int, exact: bool) -> list[Sub
         if not ps:
             return ric
         if rho is frobenius:  # rho^ (F^ / rho^)^(1/q) = F^, and F^ may be inf
-            ceilings = np.outer(margins, frobenius)
+            ceilings = np.multiply.outer(margins, frobenius)
         else:
             ceilings = [rho * (frobenius / rho) ** (1 / q) * w for q, w in zip(qs, margins)]
         powers = _screened(m, ceilings, lambda rows: _trace_power_roots(rows, ps))
@@ -473,6 +482,7 @@ def ric_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET, qs=()) 
     return SubsetSearch(ric.value, ric.witness, ric.count, tuple(zip(qs, powers)))
 
 
+@functools.lru_cache(maxsize=128)
 def _power_margin(k: int, q: int) -> float:
     """1 + epsilon, with the value that ``_trace_power_roots`` computes at p = 2q
     for a k x k Hermitian H at most (1 + epsilon) P, P = Tr(H^p)^(1/p) exact;
