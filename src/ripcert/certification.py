@@ -431,8 +431,8 @@ def _subset_pass(frame: Frame, k: int, qs, budget: int, exact: bool) -> list[Sub
     rho^ (F^ / rho^)^(1/q), times ``_power_margin(k, q)``, is below the best of
     its own top rows: Tr[H^(2q)] <= rho^(2q - 2) F^2, so that bounds the
     exact estimate, and the margin bounds the rounding of the computed one.
-    The power columns share one ``_trace_power_roots`` call per chunk, on
-    the rows that any of them keeps.
+    The power columns share one ``_trace_power_roots`` call per chunk on the
+    rows that any of them keeps, besides the top rows solved for each bar.
     """
     n = frame.n
     _check_k(n, k)
