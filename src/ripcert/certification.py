@@ -424,12 +424,13 @@ def _subset_pass(frame: Frame, k: int, qs, budget: int, exact: bool) -> list[Sub
 
     The exact column is the oracle every other estimate is compared against.
     Every column is screened by ``_screened``. A row's spectral radius
-    ceiling rho^ is its Frobenius ceiling F^ and, in the exact pass on a real
-    equiangular Gram, the smaller of that and its Seidel sign class's norm,
-    with a rounding margin. The exact column settles rows whose rho^ is below
-    the best of its chunk's top rows. The power column at q settles rows whose
-    rho^ (F^ / rho^)^(1/q), times ``_power_margin(k, q)``, is below the best of
-    its own top rows: Tr[H^(2q)] <= rho^(2q - 2) F^2, so that bounds the
+    ceiling rho^ is its Frobenius ceiling F^ and, on a real equiangular Gram,
+    the smaller of that and its Seidel sign class's norm, with a rounding
+    margin, whether or not the pass takes the exact column. That column
+    settles rows whose rho^ is below the best of its chunk's top rows. The
+    power column at q settles rows whose rho^ (F^ / rho^)^(1/q), times
+    ``_power_margin(k, q)``, is below the best of its own top rows:
+    Tr[H^(2q)] <= rho^(2q - 2) F^2, so that bounds the
     exact estimate, and the margin bounds the rounding of the computed one.
     The power columns share one ``_trace_power_roots`` call per chunk on the
     rows that any of them keeps, besides the top rows solved for each bar.
@@ -444,23 +445,22 @@ def _subset_pass(frame: Frame, k: int, qs, budget: int, exact: bool) -> list[Sub
     g = frame.gram
     ps = [2 * q for q in qs]
     margins = [_power_margin(k, q) for q in qs]
-    equiangular = _equiangular(g) if exact else None
+    equiangular = _equiangular(g)
     u = np.finfo(float).eps
 
     def kernel(chunk: np.ndarray) -> np.ndarray:
         m = _hollow_subgrams(g, chunk)
         frobenius = rho = np.sqrt(_ceiling(_squares(m.reshape(len(m), -1)), k))
-        if equiangular is not None:
+        if equiangular is None:  # rho^ (F^ / rho^)^(1/q) = F^, and F^ may be inf
+            ceilings = np.multiply.outer(margins, frobenius)
+        else:
             mu, e, d, signs = equiangular
             rho = mu * _sign_norms(_gather(signs, chunk, chunk)) + (k - 1) * e + d
             rho = np.minimum(frobenius, (rho + 16 * k * k * u * (mu + d)) * (1 + 8 * u))
+            ceilings = [rho * (frobenius / rho) ** (1 / q) * w for q, w in zip(qs, margins)]
         ric = _screened(m, rho, _spectral_radius) if exact else None
         if not ps:
             return ric
-        if rho is frobenius:  # rho^ (F^ / rho^)^(1/q) = F^, and F^ may be inf
-            ceilings = np.multiply.outer(margins, frobenius)
-        else:
-            ceilings = [rho * (frobenius / rho) ** (1 / q) * w for q, w in zip(qs, margins)]
         powers = _screened(m, ceilings, lambda rows: _trace_power_roots(rows, ps))
         return powers if ric is None else np.vstack([ric, powers])
 
@@ -475,8 +475,8 @@ def ric_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET, qs=()) 
     ``qs`` the same pass also takes the trace power estimate from the
     sub-Grams it gathers; ``powers`` holds (q, search) pairs equal, bit for
     bit, to ``ric_power_search`` at each q. Every column settles the rows
-    that its proved ceilings put below its chunk's best (``_subset_pass``);
-    on a real ETF the power columns use the sign-class ceilings too.
+    that its proved ceilings put below its chunk's best (``_subset_pass``),
+    the sign-class ceilings on a real ETF included.
     """
     ric, *powers = _subset_pass(frame, k, qs, budget, exact=True)
     return SubsetSearch(ric.value, ric.witness, ric.count, tuple(zip(qs, powers)))
@@ -557,9 +557,14 @@ def _trace_power_roots(a: np.ndarray, ps) -> np.ndarray:
     normalized trace always lies in [1, sqrt(k)]. One chain of rescaled
     squarings serves every p: each p multiplies, lowest first, the squares
     its binary digits select, so each line is bit for bit the one a chain
-    of its own computes.
+    of its own computes. A row whose squared Frobenius norm overflows takes
+    its norm as s ||a_i / s||_F, s its largest |entry|.
     """
     fro = _frobenius(a)
+    huge = ~np.isfinite(fro)
+    if huge.any():
+        s = np.abs(a[huge]).max(axis=(1, 2))
+        fro[huge] = s * _frobenius(a[huge] / s[:, None, None])
     out = np.zeros((len(ps), a.shape[0]))
     live = fro > 0.0
     base = a[live] / fro[live, None, None]
@@ -596,8 +601,10 @@ def ric_power_search(frame: Frame, k: int, q: int, budget: int = DEFAULT_BUDGET)
     """Trace power estimate: max over subsets of Tr[(sub-Gram - I)^(2q)]^(1/2q).
 
     Non-increasing in q and converging to the exact isometry constant
-    from above. Rows whose Frobenius ceiling, times ``_power_margin``, is
-    below the best of their chunk's top rows are settled unsolved.
+    from above. Rows whose proved ceiling (``_subset_pass``: from the
+    Frobenius norm and, on a real ETF, the Seidel sign class), times
+    ``_power_margin``, is below the best of their chunk's top rows are
+    settled unsolved.
     """
     [search] = _subset_pass(frame, k, (q,), budget, exact=False)
     return search
@@ -653,13 +660,19 @@ def roc_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> Pair
     C*C, each pair whose ceiling, ||C||_F^2 or, on a real equiangular Gram,
     its Seidel sign class's squared norm, with a rounding margin, is below
     the best of its chunk's top rows.
+
+    Above a coherence of 2^256, where squared Gram entries can overflow, the
+    search runs on the Gram times 2^-e, e the coherence's binary exponent,
+    and scales its value back, both exactly while no entry leaves the normal
+    range.
     """
     n = frame.n
     if not 1 <= k <= n // 2:
         raise PreconditionError(f"need 1 <= k <= n/2 = {n // 2}, got k={k}")
     total = disjoint_pair_count(n, k)
     require_budget(total, budget, f"exact orthogonality constant at K={k}")
-    g = frame.gram
+    scale = math.frexp(frame.coherence)[1] if frame.coherence > 2.0**256 else 0
+    g = np.ldexp(frame.gram, -scale) if scale else frame.gram
     equiangular = _equiangular(g)
     u, eta = np.finfo(float).eps, np.finfo(float).smallest_subnormal
 
@@ -687,7 +700,7 @@ def roc_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> Pair
     live = np.flatnonzero(_live(ceiling, best))
     chunks = iter_disjoint_pair_chunks(n, k, live)
     [(value, (wi, wj), _)] = _first_max(chunks, kernel, _pair_row)
-    return PairSearch(value, wi, wj, total, groups - len(live), groups)
+    return PairSearch(math.ldexp(value, scale), wi, wj, total, groups - len(live), groups)
 
 
 def _fro_ceilings(sums: np.ndarray, indicator: np.ndarray, runs) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,6 @@ import dataclasses
 import functools
 import itertools
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -1097,7 +1096,7 @@ class TestScreen:
         "ric-powers": (lambda frame, k: ric_exact_search(frame, k, qs=(2, 3)), 4,
                        functools.partial(_full_powers((2, 3)), exact=True)),
         "roc": (roc_exact_search, 2, _full_roc),
-        # trace powers without the exact search: their ceilings rest on F alone
+        # trace powers without the exact search: the same ceilings, the exact line left out
         "power": (lambda frame, k: ric_power_search(frame, k, 2), 4, _full_powers((2,))),
         "powers": (lambda frame, k: certify_frame(frame, power_specs=[(k, (2, 8))]), 4,
                    _full_powers((2, 8))),
@@ -1108,7 +1107,8 @@ class TestScreen:
     #: on a real ETF, whose sub-Grams all share one Frobenius norm, it settles none
     FROBENIUS_SETTLES = {"gaussian": True, "paley13_real": False}
     #: frames with a real Gram equiangular within DEFAULT_TOL: only there is the
-    #: sign-class ceiling applied, and there it settles rows the Frobenius one leaves
+    #: sign-class ceiling applied, in every pass, and there it settles rows the
+    #: Frobenius one leaves
     CLASS_FRAMES = ("steiner_6x16", "paley13_real", "paley13")
     FRAMES = ["gaussian", "bernoulli", "steiner_6x16", "paley13_real", "paley13", "degenerate"]
 
@@ -1201,11 +1201,9 @@ class TestScreen:
         frame = named_frame(request, frame_name)
         settled = self._settled(monkeypatch, frame, search, top)
         powers = settled[1:] if search == "ric-powers" else settled
-        # an ETF's sub-Grams share one Frobenius norm: only the sign-class ceilings of
-        # the exact pass on a real ETF settle its power rows
-        etf = frame_name in ("steiner_6x16", "paley13_real", "paley13")
-        classes = search == "ric-powers" and frame_name in self.CLASS_FRAMES
-        assert all((line > 0) == (classes or not etf) for line in powers), powers
+        # an ETF's sub-Grams share one Frobenius norm, but every pass, with the exact
+        # line or without it, applies the sign-class ceilings to a real ETF
+        assert all(line > 0 for line in powers), powers
 
     U = np.finfo(float).eps
 
@@ -1253,7 +1251,7 @@ POWER_QS = (1, 2, 3, 8, 2**20, 2**52)
 def test_power_ceilings_bound_every_row(request, monkeypatch, frame_name, scale):
     """Every trace power value is at most its row's ceiling, in the exact pass (with
     the sign-class ceilings on a real ETF) and without it. Scaled by 1e100, F^2
-    overflows: those ceilings are inf and the chain's values nan."""
+    overflows: those ceilings are inf, and the chain's values stay finite."""
     frame = unchecked_frame(named_frame(request, frame_name).matrix * scale)
     records = []
     real_screen = certification._screened
@@ -1264,16 +1262,14 @@ def test_power_ceilings_bound_every_row(request, monkeypatch, frame_name, scale)
 
     monkeypatch.setattr(certification, "_screened", recording)
     monkeypatch.setattr(certification, "_SCREEN_TOP", 10**9)  # solve every row
-    with warnings.catch_warnings():
-        if scale > 1.0:  # the chain divides 0 by 0 once F^2 overflows
-            warnings.simplefilter("ignore", RuntimeWarning)
-        for k in (1, 2, 3, 4):
-            ric_exact_search(frame, k, qs=POWER_QS)
-            certify_frame(frame, power_specs=[(k, POWER_QS)])
+    for k in (1, 2, 3, 4):
+        ric_exact_search(frame, k, qs=POWER_QS)
+        certify_frame(frame, power_specs=[(k, POWER_QS)])
     powers = [(ceiling, values) for ceiling, values in records if len(ceiling) > 1]
     # per K one chunk: a RIC and a power batch in the exact pass, a power batch without it
     assert len(powers) == 2 * (len(records) - len(powers)) == 8
     for ceiling, values in records:
+        assert np.isfinite(values).all()
         assert not np.any(values > ceiling)
     if scale <= 1.0:
         for ceiling, _ in powers:
@@ -1573,6 +1569,17 @@ class TestGroupCeilings:
         assert found == [fn(frame, k) for fn, k in searches]
 
 
+@pytest.mark.parametrize("power", [300, 400])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_roc_of_a_huge_frame_scales_exactly(k, power):
+    # squared cross-Gram entries near 2^(4 power) overflow unless the Gram is scaled down
+    matrix = gaussian_matrix(5, 12, 3).matrix
+    unit = roc_exact_search(Frame(matrix), k)
+    huge = roc_exact_search(Frame(matrix * 2.0**power), k)
+    assert huge.value == math.ldexp(unit.value, 2 * power)
+    assert dataclasses.replace(huge, value=unit.value) == unit
+
+
 #: repr(value) and witnesses of the exact searches on gaussian_matrix(11, 22, seed);
 #: a kernel change that moves one digit or one witness fails here
 GOLDEN = {
@@ -1633,6 +1640,29 @@ def test_golden_etf_searches(negated):
     roc = roc_exact_search(frame, 2)
     assert (repr(roc.value), roc.witness_i, roc.witness_j, roc.count) == (roc_value, wi, wj, 82215)
     assert _power_pins(frame, 5, (2, 8)) == GOLDEN_ETF_POWERS
+
+
+@pytest.mark.parametrize("qs, solved", [((2,), 2436), ((2, 8), 2637)])
+def test_power_only_pass_settles_by_sign_class(monkeypatch, qs, solved):
+    """A power-only pass on a real ETF applies the sign-class ceilings as the exact
+    pass does: on realified Paley 29 at K = 5 only the top switching class and the
+    rows solved for each chunk's bar reach the squaring chain, not all 142,506 rows
+    and those top rows besides. Values and witnesses are those of solving every row."""
+    frame = realify(paley_etf(29))
+    rows = []
+    real = certification._trace_power_roots
+
+    def counted(a, ps):
+        rows.append(len(a))
+        return real(a, ps)
+
+    search = functools.partial(certification._subset_pass, frame, 5, qs, 10**6, exact=False)
+    monkeypatch.setattr(certification, "_trace_power_roots", counted)
+    searches = search()
+    assert sum(rows) == solved
+    assert searches == [ric_power_search(frame, 5, q) for q in qs]
+    monkeypatch.setattr(certification, "_SCREEN_TOP", 10**9)  # solve every row
+    assert searches == search()
 
 
 #: repr(value), witnesses and count of the flat-orthogonality search on

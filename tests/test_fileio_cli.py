@@ -479,6 +479,30 @@ class TestCertifyCommand:
         assert proc.returncode == 1
         assert proc.stderr == f"error: {big}: every frame column must have finite positive norm\n"
 
+    def test_huge_frame_certifies_without_a_warning(self, tmp_path):
+        # Gram entries near 1e200: squared Frobenius norms and cross-Gram entries overflow
+        huge, rep = tmp_path / "huge.mat", tmp_path / "rep.txt"
+        huge.write_text(
+            "ripmat 1\nrows 2\ncols 4\n1e100 2e100 -1e100 3e100\n2e100 -1e100 1e100 1e100\n"
+        )
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.path.dirname(os.path.dirname(ripcert.__file__)),
+            PYTHONWARNINGS="error::RuntimeWarning",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "ripcert.cli", "certify", str(huge), "--exact-ric", "2",
+             "--power", "2", "2,8", "--roc", "2", "-o", str(rep)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        fields = dict(line.partition(": ")[::2] for line in rep.read_text().splitlines())
+        assert fields["violations"] == "0"
+        exact = float(fields["ric-exact"])
+        powers = [float(value) for key, value in fields.items() if key.startswith("power-q")]
+        assert len(powers) == 2 and all(power >= exact for power in powers)
+        assert math.isfinite(float(fields["roc-exact"]))
+
     @pytest.mark.parametrize("search", [["--exact-ric", "2"], []])
     def test_negative_budget_is_usage_error(self, tmp_path, steiner_file, capsys, search):
         rep = tmp_path / "rep.txt"
