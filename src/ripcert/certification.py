@@ -661,18 +661,22 @@ def roc_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> Pair
     its Seidel sign class's squared norm, with a rounding margin, is below
     the best of its chunk's top rows.
 
-    Above a coherence of 2^256, where squared Gram entries can overflow, the
-    search runs on the Gram times 2^-e, e the coherence's binary exponent,
-    and scales its value back, both exactly while no entry leaves the normal
-    range.
+    At a coherence above 2^256 or below 2^-256, where squared Gram entries
+    can overflow or underflow, the search runs on the hollow Gram times 2^-e,
+    e the coherence's binary exponent, and scales its value back, both
+    exactly while no entry leaves the normal range.
     """
     n = frame.n
     if not 1 <= k <= n // 2:
         raise PreconditionError(f"need 1 <= k <= n/2 = {n // 2}, got k={k}")
     total = disjoint_pair_count(n, k)
     require_budget(total, budget, f"exact orthogonality constant at K={k}")
-    scale = math.frexp(frame.coherence)[1] if frame.coherence > 2.0**256 else 0
-    g = np.ldexp(frame.gram, -scale) if scale else frame.gram
+    coherence, g = frame.coherence, frame.gram
+    scale = 0 if 2.0**-256 <= coherence <= 2.0**256 else math.frexp(coherence)[1]
+    if scale:  # no pair reads the diagonal, which can overflow when scaled up
+        g = g.copy()
+        np.fill_diagonal(g, 0.0)
+        g = np.ldexp(g.view(float), -scale).view(g.dtype)  # a complex Gram part by part
     equiangular = _equiangular(g)
     u, eta = np.finfo(float).eps, np.finfo(float).smallest_subnormal
 

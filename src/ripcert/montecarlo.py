@@ -26,7 +26,6 @@ from .certification import (
 )
 from .constructions import _SEED_MASK, Frame, _generator, bernoulli_matrix, gaussian_matrix
 from .errors import InvalidParameterError
-from .subsets import ordered_map, worker_count
 
 #: fraction of the isometry target budgeted to column-norm deviations
 DEFAULT_ALPHA = 0.01
@@ -114,20 +113,19 @@ class TrialOutcome:
 
 
 def _run_trials(cfg: TrialConfig, measure):
-    """Draw and measure every trial of ``cfg``, in parallel, reduced in order.
+    """Draw and measure every trial of ``cfg``, in trial order.
 
     ``measure(frame)`` returns the trial's value and the (reason, value,
     subsets) of each criterion the frame failed; a trial succeeds when it
-    failed none. Trials run on one pool of ``worker_count()`` threads and
-    are consumed in trial order, so the outcome does not depend on the
-    worker count. Returns the success count, the values and the failure
-    witnesses.
+    failed none. Trials run one after another on the calling thread; each
+    trial's search splits its chunks over the workers. Returns the success
+    count, the values and the failure witnesses.
     """
     successes = 0
     values: list[float] = []
     failures: list[FailureWitness] = []
-    results = ordered_map(lambda t: measure(cfg.draw(t)), range(cfg.trials), worker_count())
-    for t, (value, failed) in enumerate(results):
+    for t in range(cfg.trials):
+        value, failed = measure(cfg.draw(t))
         values.append(value)
         if not failed:
             successes += 1

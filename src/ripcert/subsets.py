@@ -5,12 +5,11 @@ arrays of at most ``CHUNK`` rows, and reduced chunk by chunk in that
 order. Every reduction keeps the first strict maximum, so a search
 returns the same value and the same witness (its lexicographically first
 maximiser among equal floats) wherever the chunk boundaries fall, and for
-any worker count. ``ordered_map`` runs the workers: a subset search maps
-its chunks through it, and a Monte Carlo experiment maps its trials
-through one pool. ``worker_count`` decides how many: the RIPCERT_WORKERS
-environment variable (default 1), or 1 on a thread of an ``ordered_map``
-pool, so a search inside a trial runs on its trial's thread and pools
-never nest.
+any worker count. A subset search maps its chunks through
+``ordered_map``, which runs them on one shared pool of ``worker_count()``
+threads, the RIPCERT_WORKERS environment variable (default 1). That is
+the only level of parallelism: no task maps on the pool, so maps never
+nest, and Monte Carlo trials run in order on the calling thread.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import functools
 import itertools
 import math
 import os
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator, TypeVar
@@ -39,18 +37,9 @@ DEFAULT_BUDGET = 5_000_000
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: ``marked`` is set on the threads of every ``ordered_map`` pool
-_pool_thread = threading.local()
-
-
-def _mark_pool_thread() -> None:
-    _pool_thread.marked = True
-
 
 def worker_count() -> int:
-    """Threads for an ``ordered_map``: 1 on a pool thread, else RIPCERT_WORKERS."""
-    if getattr(_pool_thread, "marked", False):
-        return 1
+    """Threads for an ``ordered_map``: the RIPCERT_WORKERS environment variable."""
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
         workers = int(raw)
@@ -176,14 +165,20 @@ def iter_disjoint_pair_chunks(
         yield rows[:, :k], rows[:, k:]
 
 
-def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Iterator[R]:
-    """Map preserving input order, optionally on a thread pool.
+@functools.cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's one pool of ``workers`` threads, started on first use."""
+    return ThreadPoolExecutor(max_workers=workers)
 
-    With workers > 1 and at least two items, at most ``4 * workers`` tasks
-    are in flight, and results are yielded strictly in submission order, so
-    any downstream reduction sees the same sequence as a serial run. The
-    pool's threads are marked, so ``worker_count`` is 1 on them. A map of
-    fewer than two items runs on the calling thread, with no pool.
+
+def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Iterator[R]:
+    """Map preserving input order, optionally on the shared thread pool.
+
+    With workers > 1 and at least two items, the tasks run on ``_pool(workers)``,
+    at most ``4 * workers`` of them in flight, and results are yielded strictly
+    in submission order, so any downstream reduction sees the same sequence as
+    a serial run. A map of fewer than two items runs on the calling thread.
+    ``fn`` must not map on the pool itself, or the pool can deadlock.
     """
     items = iter(items)
     head = list(itertools.islice(items, 2)) if workers > 1 else []
@@ -191,7 +186,7 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Itera
         for item in itertools.chain(head, items):
             yield fn(item)
         return
-    pool = ThreadPoolExecutor(max_workers=workers, initializer=_mark_pool_thread)
+    pool = _pool(workers)
     try:
         pending: deque = deque()
         for item in itertools.chain(head, items):
@@ -203,4 +198,5 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Itera
     finally:
         # a consumer that stops early (a first hit, an exception) closes this
         # generator; tasks that have not started are then dropped, not run
-        pool.shutdown(cancel_futures=True)
+        for future in pending:
+            future.cancel()

@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from ripcert import (
@@ -6,6 +8,7 @@ from ripcert import (
     paley_etf,
     realify,
     steiner_etf,
+    subsets,
 )
 
 
@@ -32,3 +35,20 @@ def paley13():
 @pytest.fixture(scope="session")
 def paley13_real(paley13):
     return realify(paley13)
+
+
+@pytest.fixture
+def started_pools(monkeypatch):
+    """The max_workers of each pool ``ordered_map`` starts in a test. The shared pools
+    are forgotten before and after it, so each pool the test uses is started in it."""
+    started = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(subsets, "ThreadPoolExecutor", CountingPool)
+    subsets._pool.cache_clear()
+    yield started
+    subsets._pool.cache_clear()

@@ -1312,13 +1312,17 @@ class TestFrobeniusNearTie:
     arithmetic, so the computed value can exceed the computed norm by rounding;
     only the ceiling's margin keeps such a row from being settled. At scale 1
     the plant is the maximiser. The tiny scales put every square below the
-    normal range, where the margin's absolute term does the work."""
+    normal range, where the margin's absolute term does the work. As
+    ``roc_exact_search`` scales a tiny Gram into the normal range, the tiny ROC
+    case screens the planted cross-Grams directly."""
 
     @pytest.mark.parametrize(
         "search, scale", [("ric", 1.0), ("ric", 1e-81), ("roc", 1.0), ("roc", 1e-160)]
     )
     def test_ceilings_bound_rank_one_rows(self, monkeypatch, search, scale):
         fn, _, full = TestScreen.SCREENED[search]
+        if search == "roc" and scale < 1.0:
+            fn = screened_roc
         rng = np.random.default_rng(16)
         records, margin = [], [True]
         real_screen, real_ceiling = certification._screened, certification._ceiling
@@ -1344,7 +1348,7 @@ class TestFrobeniusNearTie:
                 assert fn(frame, k) == reference
                 # one screened batch per search, and for ROC one more before it: the
                 # pairs of the top group, which set the bar for the group ceilings
-                assert len(records) == (1 if search == "ric" else 2)
+                assert len(records) == (2 if fn is roc_exact_search else 1)
                 for bounds, values in records:
                     # every row's ceiling bounds its computed value, the tie included
                     assert np.all(bounds >= values)
@@ -1449,6 +1453,16 @@ class TestClassCeiling:
         monkeypatch.setattr(certification, "_sign_norms", lambda signs: applied.append(1))
         fn(frame, k)
         assert not applied
+
+
+def screened_roc(frame, k):
+    """(value, position) of the first maximum that ROC's screen, ``_screened`` under the
+    Frobenius ceilings, leaves of every disjoint pair of ``frame``'s Gram, unscaled."""
+    _, pairs, _ = roc_groups(frame, k)
+    cross = certification._gather(frame.gram, *pairs)
+    ceiling = certification._ceiling(certification._squares(cross.reshape(len(cross), -1)), k)
+    values = certification._screened(cross, ceiling, certification._squared_norm)
+    return float(values.max()), int(values.argmax())
 
 
 def roc_groups(frame, k):
@@ -1558,24 +1572,49 @@ class TestGroupCeilings:
         assert search.settled == 0
 
     def test_no_bar_below_the_normal_range(self, monkeypatch):
-        # the cross-Grams are ~1e-160, so lambda and the group bar are subnormal, where
-        # the bar's relative rounding bounds fail: no group may be settled against it
+        # the off-diagonal Gram entries are ~1e-160, so RIC's and FRO's squares are
+        # subnormal; ROC scales such a Gram into the normal range first
         frame = Frame(np.eye(8) + 1e-160 * np.random.default_rng(0).standard_normal((8, 8)))
-        searches = [(fn, k) for fn in (roc_exact_search, ric_exact_search, fro_constant_search)
-                    for k in (2, 3)]
+        searches = [(fn, k) for fn in (ric_exact_search, fro_constant_search) for k in (2, 3)]
         found = [fn(frame, k) for fn, k in searches]
-        assert [search.settled for search in found[:2]] == [0, 0]
         monkeypatch.setattr(certification, "_SCREEN_TOP", 10**9)  # solve every row
         assert found == [fn(frame, k) for fn, k in searches]
 
+    def test_a_subnormal_bar_settles_nothing(self, monkeypatch):
+        # below the normal range the bar's relative rounding bounds fail
+        monkeypatch.setattr(certification, "_SCREEN_TOP", 1)
+        ceiling = np.array([1e-320, 0.0, 3e-310, 2e-310])
+        tops = []
 
-@pytest.mark.parametrize("power", [300, 400])
+        def best(top):
+            tops.append(top.tolist())
+            return float(ceiling[top].max())
+
+        assert certification._live(ceiling, best).all()
+        # the same ceilings scaled into the normal range settle all but the top row
+        ceiling = np.ldexp(ceiling, 100)
+        assert certification._live(ceiling, best).tolist() == [False, False, True, False]
+        assert tops == [[2], [2]]
+
+
+@pytest.mark.parametrize("power", [300, 400, -300, -400])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_roc_of_a_huge_frame_scales_exactly(k, power):
-    # squared cross-Gram entries near 2^(4 power) overflow unless the Gram is scaled down
+    # squared cross-Gram entries near 2^(4 power) overflow or underflow unless the Gram
+    # is scaled into the normal range
     matrix = gaussian_matrix(5, 12, 3).matrix
     unit = roc_exact_search(Frame(matrix), k)
     huge = roc_exact_search(Frame(matrix * 2.0**power), k)
+    assert huge.value == math.ldexp(unit.value, 2 * power)
+    assert dataclasses.replace(huge, value=unit.value) == unit
+
+
+@pytest.mark.parametrize("power", [300, -300])
+def test_roc_of_a_huge_complex_frame_scales_exactly(power):
+    # a complex Gram is scaled through its real and imaginary parts
+    matrix = steiner_etf(all_pairs_steiner(4), hadamard(4, "dft")).matrix
+    unit = roc_exact_search(Frame(matrix), 2)
+    huge = roc_exact_search(Frame(matrix * 2.0**power), 2)
     assert huge.value == math.ldexp(unit.value, 2 * power)
     assert dataclasses.replace(huge, value=unit.value) == unit
 

@@ -543,6 +543,12 @@ class TestCertifyCommand:
         assert main(["certify", str(paley5_file), "--exact-ric", "2", "-o", str(rep)]) == 1
         assert capsys.readouterr().err == "error: RIPCERT_WORKERS='x' is not an integer\n"
         assert not rep.exists()
+        # trials run in order, so the error comes from the first trial's search
+        argv = ["mc", "power", "--m", "8", "--n", "12", "--k", "2", "--q", "2", "--delta", "0.5",
+                "--trials", "3", "--seed", "1", "-o", str(rep)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: RIPCERT_WORKERS='x' is not an integer\n"
+        assert not rep.exists()
 
 
     @pytest.mark.parametrize("shape, missing", [((4, 3), "welch-bound"), ((3, 1), "coherence")])

@@ -1,5 +1,5 @@
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -7,13 +7,16 @@ import pytest
 
 from ripcert import (
     TrialConfig,
+    certify_frame,
     column_sum_tail,
+    gaussian_matrix,
+    ric_exact_search,
     run_fro_trials,
     run_power_trials,
     trial_seed,
     wilson_interval,
 )
-from ripcert import cli, subsets
+from ripcert import certification, cli
 from ripcert.cli import main
 from ripcert.errors import InvalidParameterError
 from ripcert.montecarlo import TailRow, sidak_z
@@ -151,25 +154,36 @@ class TestPowerTrials:
 
 
 class TestTrialPool:
-    @pytest.mark.parametrize(
-        "runner, cfg",
-        [
-            (run_fro_trials, TrialConfig(m=8, n=12, k=2, trials=8, base_seed=5, delta=0.5)),
-            (run_power_trials, TrialConfig(m=8, n=20, k=2, q=1, trials=8, base_seed=3, delta=0.5)),
-        ],
-    )
-    def test_one_pool_per_experiment(self, monkeypatch, runner, cfg):
-        pools = []
-
-        class CountingPool(ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(subsets, "ThreadPoolExecutor", CountingPool)
+    def test_one_pool_for_consecutive_searches(self, monkeypatch, started_pools):
+        # each search maps its 2 chunks of 4,096 4-subsets on the one shared pool
         monkeypatch.setenv("RIPCERT_WORKERS", "2")
-        runner(cfg)
-        assert pools == [2]
+        for seed in (7, 101):
+            ric_exact_search(gaussian_matrix(11, 22, seed), 4)
+        assert started_pools == [2]
+
+    def test_no_map_inside_a_task(self, monkeypatch):
+        # trials run on the calling thread, and no search maps from a pooled task,
+        # so every map is started on the main thread and pools never nest
+        main_thread, callers, tasks = threading.main_thread(), [], []
+        real = certification.ordered_map
+
+        def recording(fn, items, workers):
+            callers.append(threading.current_thread())
+
+            def task(item):
+                tasks.append(threading.current_thread())
+                return fn(item)
+
+            return real(task, items, workers)
+
+        monkeypatch.setattr(certification, "ordered_map", recording)
+        monkeypatch.setenv("RIPCERT_WORKERS", "2")
+        # 3 chunks of 4-subsets of 24 columns per trial
+        run_power_trials(TrialConfig(m=16, n=24, k=4, q=2, trials=3, base_seed=3, delta=0.5))
+        certify_frame(gaussian_matrix(11, 22, 7), exact_ks=[4], roc_ks=[2], fro_ks=[3],
+                      spark_cap=4)
+        assert callers and all(caller is main_thread for caller in callers)
+        assert any(thread is not main_thread for thread in tasks)
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_refused_search_inside_a_trial_exits_three(

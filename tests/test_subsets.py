@@ -1,8 +1,8 @@
 import itertools
 import math
+import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -93,18 +93,34 @@ class TestEnumerationOrder:
 
 class TestOrderedMap:
     @pytest.mark.parametrize("count, pools", [(0, 0), (1, 0), (2, 1)])
-    def test_a_pool_only_for_two_items_or_more(self, monkeypatch, count, pools):
-        started = []
-
-        class CountingPool(ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                started.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(subsets, "ThreadPoolExecutor", CountingPool)
+    def test_a_pool_only_for_two_items_or_more(self, started_pools, count, pools):
         results = list(ordered_map(lambda x: 2 * x, iter(range(count)), 2))
         assert results == [2 * x for x in range(count)]
-        assert started == [2] * pools
+        assert started_pools == [2] * pools
+
+    def test_concurrent_maps_share_one_pool(self, started_pools):
+        # maps started from several threads at once interleave their tasks on the
+        # one pool, and each still yields its own results in order; the pool is started
+        # first, as two threads that both find none would both start one
+        assert list(ordered_map(lambda x: x, range(2), 3)) == [0, 1]
+        results = {}
+
+        def run(offset):
+            results[offset] = list(ordered_map(lambda x: x + offset, range(300), 3))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(1000 * t,)) for t in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {1000 * t: [x + 1000 * t for x in range(300)] for t in range(6)}
+        assert started_pools == [3]
 
     def test_early_exit_cancels_queued_work(self):
         calls = []
@@ -141,12 +157,6 @@ class TestWorkerCount:
         with pytest.raises(InvalidParameterError) as info:
             worker_count()
         assert str(info.value) == message
-
-    def test_one_on_a_pool_thread(self, monkeypatch):
-        # a search started inside a pooled task must not start a pool of its own
-        monkeypatch.setenv("RIPCERT_WORKERS", "2")
-        assert list(ordered_map(lambda _: worker_count(), range(8), 2)) == [1] * 8
-        assert worker_count() == 2
 
 
 class TestBudget:
