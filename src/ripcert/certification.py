@@ -275,20 +275,39 @@ def _equiangular(g: np.ndarray):
     return mu, e, d, signs
 
 
-def _sign_norms(signs: np.ndarray) -> np.ndarray:
-    """sqrt(lambda^ + 16 k^3 u), in two roundings, per k x k int8 block of -1, 0 and 1:
-    a bound on its norm, lambda^ being the top eigenvalue ``eigvalsh`` computes of S^T S
-    for the block S switched, rows by its first column and then columns by its new first
-    row (0 read as +1), which keeps the norm. S^T S is an exact integer matrix of
-    Frobenius norm <= k^2, so the model of ``_screened`` applies. Each distinct S of the
-    batch, keyed by its packed sign bits, is solved once."""
-    k = signs.shape[1]
-    signs = signs * (signs[:, :, :1] | 1)  # x | 1 is x with 0 read as +1
-    signs *= signs[:, :1, :] | 1
-    bits = np.packbits((signs < 0).reshape(len(signs), -1), axis=1)
-    keys = bits.view(f"V{bits.shape[1]}").ravel()  # one bytes key per row
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    classes = signs[first].astype(float)
+def _sign_norms(block: np.ndarray, cross: bool) -> np.ndarray:
+    """sqrt(lambda^ + 16 k^3 u), in two roundings, per k x k block B of a Gram that
+    ``_equiangular`` accepts: a bound on the norm of B's sign matrix S, lambda^ being the
+    top eigenvalue ``eigvalsh`` computes of T^T T for the switching class T of S. B is a
+    cross-Gram (ROC) if ``cross``, else a hollow sub-Gram (RIC), and S is sign(B) with,
+    for RIC, a zero diagonal.
+
+    T is S switched, rows by its first column and then columns by its new first row (0
+    read as +1), which keeps the norm. Its row and column 0 are ones off the diagonal,
+    its diagonal is that of S, and off them T_ij = s_ij s_i0 s_0j, times s_00 for ROC.
+    So [T_ij < 0] = [b_ij < 0] ^ [b_i0 < 0] ^ [b_0j < 0], ^ [b_00 < 0] for ROC: at
+    1 <= i < j <= k - 1 for RIC, whose T is symmetric, and at every i, j in 1..k-1 for
+    ROC. Those are the signs of the block: ``_equiangular`` requires every |g_ij| >= low
+    > ``DEFAULT_TOL`` off the diagonal, so each b_ij read, never a diagonal entry of g,
+    has the sign of g. RIC never reads b_ii, b_00 included: the hollow diagonal g_ii - 1
+    can be a tiny negative number. The bits, packed little-endian into a uint64 key per
+    row (a bytes key past 64 bits), name T; each distinct T, built from its bits, is
+    solved once. T^T T is an exact integer matrix of Frobenius norm <= k^2, so the model
+    of ``_screened`` applies."""
+    k = block.shape[1]
+    # the code's positions (i, j), row-major: i < j (RIC) or all (ROC)
+    i, j = 1 + np.argwhere(np.triu(np.ones((k - 1, k - 1)), -k if cross else 1)).T
+    neg = block < 0
+    bits = np.zeros((len(block), max(64, -(-len(i) // 8) * 8)), dtype=bool)  # whole keys
+    bits[:, : len(i)] = neg[:, i, j] ^ neg[:, i, 0] ^ neg[:, 0, j] ^ (neg[:, :1, 0] & cross)
+    keys = np.packbits(bits, bitorder="little")
+    keys = keys.view("<u8" if bits.shape[1] == 64 else f"V{bits.shape[1] // 8}")
+    codes, inverse = np.unique(keys, return_inverse=True)
+    codes = codes.view(np.uint8).reshape(len(codes), -1)
+    classes = np.ones((len(codes), k, k)) - np.eye(k) * (not cross)  # hollow for RIC
+    classes[:, i, j] = 1.0 - 2.0 * np.unpackbits(codes, axis=1, count=len(i), bitorder="little")
+    if not cross:
+        classes[:, j, i] = classes[:, i, j]
     lam = np.linalg.eigvalsh(classes.swapaxes(1, 2) @ classes)[:, -1]
     return np.sqrt(lam + 16 * k**3 * np.finfo(float).eps)[inverse]
 
@@ -364,14 +383,14 @@ def _screened(rows: np.ndarray, ceiling: np.ndarray, solve) -> np.ndarray:
       F and the exact spectral radius of H as well as the computed rho.
 
     The class ceilings, on a Gram that ``_equiangular`` accepts, with S the
-    row's sign block, sigma(S) <= ``_sign_norms`` and |E_ij| <= e off the
-    diagonal and <= d on it: RIC: H = mu S + E, so rho <= mu sigma(S)
-    + (k - 1) e + d + 16ku F, F <= k (mu + d), and the exact spectral radius
-    is at most the same sum without 16ku F. ROC: C = mu S + E, so
-    sigma_max(C) <= q = mu sigma(S) + k e, and with s <= k^2 mu^2 the ROC
-    terms above give lambda <= q^2 + 2 (k + 16)^2 u k^2 mu^2 + 4 k^2 eta.
-    Each is evaluated in at most 8 roundings of nonnegative terms and
-    multiplied by 1 + 8u: (1 - u/2)^9 (1 + 8u) > 1.
+    sign matrix of H (hollow) or C, sigma(S) <= ``_sign_norms`` of it and
+    |E_ij| <= e off the diagonal and <= d on it: RIC: H = mu S + E, so rho <=
+    mu sigma(S) + (k - 1) e + d + 16ku F, F <= k (mu + d), and the exact
+    spectral radius is at most the same sum without 16ku F. ROC: C = mu S + E,
+    so sigma_max(C) <= q = mu sigma(S) + k e, and with s <= k^2 mu^2 the ROC
+    terms above give lambda <= q^2 + 2 (k + 16)^2 u k^2 mu^2 + 4 k^2 eta. Each
+    is evaluated in at most 8 roundings of nonnegative terms and multiplied by
+    1 + 8u: (1 - u/2)^9 (1 + 8u) > 1.
     """
     out = np.full(np.shape(ceiling), -1.0)
     keep, solved = np.zeros(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool)
@@ -454,8 +473,8 @@ def _subset_pass(frame: Frame, k: int, qs, budget: int, exact: bool) -> list[Sub
         if equiangular is None:  # rho^ (F^ / rho^)^(1/q) = F^, and F^ may be inf
             ceilings = np.multiply.outer(margins, frobenius)
         else:
-            mu, e, d, signs = equiangular
-            rho = mu * _sign_norms(_gather(signs, chunk, chunk)) + (k - 1) * e + d
+            mu, e, d, _ = equiangular
+            rho = mu * _sign_norms(m, cross=False) + (k - 1) * e + d
             rho = np.minimum(frobenius, (rho + 16 * k * k * u * (mu + d)) * (1 + 8 * u))
             ceilings = [rho * (frobenius / rho) ** (1 / q) * w for q, w in zip(qs, margins)]
         ric = _screened(m, rho, _spectral_radius) if exact else None
@@ -684,8 +703,8 @@ def roc_exact_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> Pair
         cross = _gather(g, first, second)
         ceiling = _ceiling(_squares(cross.reshape(len(cross), -1)), k)
         if equiangular is not None:
-            mu, e, _, signs = equiangular
-            q = mu * _sign_norms(_gather(signs, first, second)) + k * e
+            mu, e, _, _ = equiangular
+            q = mu * _sign_norms(cross, cross=True) + k * e
             lam = q * q + 2 * (k + 16) ** 2 * u * (k * mu) ** 2 + 4 * k * k * eta
             ceiling = np.minimum(ceiling, lam * (1 + 8 * u))
         return _screened(cross, ceiling, _squared_norm)
@@ -758,7 +777,7 @@ def fro_constant_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> P
     Subsets are sorted by size, then lexicographically; rows of ``_FRO_BLOCK``
     subsets are evaluated at once against every subset from the block's first
     one on, flattened row-major, so a block divides by sqrt(|I||J|) one
-    rectangle of sizes at a time, and overlaps are found by ANDing 64-column
+    rectangle of sizes at a time, and overlaps are found by ANDing 32-column
     bitmasks of the subsets.
 
     Rows are settled first by ``_fro_ceilings``, one sort per row, through
@@ -794,10 +813,10 @@ def fro_constant_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> P
     for (start, end, _), table in zip(runs, tables):
         indicator[np.arange(start, end)[:, None], table] = 1.0
     sums = indicator @ g  # row s holds <column sums of s against every column>
-    # masks[w, s]: bits of subset s's columns 64w .. 64w + 63
-    packed = np.zeros((count, -(-n // 64) * 8), dtype=np.uint8)
+    # masks[w, s]: bits of subset s's columns 32w .. 32w + 31
+    packed = np.zeros((count, -(-n // 32) * 4), dtype=np.uint8)
     packed[:, : -(-n // 8)] = np.packbits(indicator > 0.0, axis=1, bitorder="little")
-    masks = packed.view("<u8").T.copy()
+    masks = packed.view("<u4").T.copy()
     starts = [r0 for r0, _, _ in runs] + [count]
 
     def kernel(chunk: tuple[int, np.ndarray]) -> np.ndarray:
@@ -813,8 +832,8 @@ def fro_constant_search(frame: Frame, k: int, budget: int = DEFAULT_BUDGET) -> P
                     if c1 > lo:
                         vals[first:last, max(c0, lo) - lo : c1 - lo] /= math.sqrt(a * b)
         # a pair is unusable if it overlaps or is not after the row's own subset
-        unusable = np.zeros(vals.shape, dtype=bool)
-        for word in masks:
+        unusable = (masks[0, rows, None] & masks[0, lo:]) != 0
+        for word in masks[1:]:
             unusable |= (word[rows, None] & word[lo:]) != 0
         # offsets below count compare fastest as small integers, as in np.tri
         offsets = (rows - lo).astype(np.min_scalar_type(-count))

@@ -1177,9 +1177,9 @@ class TestScreen:
         monkeypatch.setattr(certification, "_equiangular", real_equiangular)
         applied = []
 
-        def norms(signs):
-            applied.append(len(signs))
-            return real_norms(signs)
+        def norms(block, cross):
+            applied.append(len(block))
+            return real_norms(block, cross)
 
         monkeypatch.setattr(certification, "_sign_norms", norms)
         settled = self._settled(monkeypatch, frame, search, top)[0]
@@ -1417,9 +1417,9 @@ class TestClassCeiling:
                 records.append((rows, ceiling, solve(rows)))
                 return real_screen(rows, ceiling, solve)
 
-            def norms(signs):
-                applied.append(len(signs))
-                return real_norms(signs)
+            def norms(block, cross):
+                applied.append(len(block))
+                return real_norms(block, cross)
 
             monkeypatch.setattr(certification, "_screened", recording)
             monkeypatch.setattr(certification, "_sign_norms", norms)
@@ -1450,9 +1450,84 @@ class TestClassCeiling:
         frame = perturbed_paley13(1e-10, 2e-11)
         assert verify_etf(frame).equiangular_spread > 1e-12
         applied = []
-        monkeypatch.setattr(certification, "_sign_norms", lambda signs: applied.append(1))
+        monkeypatch.setattr(certification, "_sign_norms", lambda block, cross: applied.append(1))
         fn(frame, k)
         assert not applied
+
+    @pytest.mark.parametrize("p", [13, 17])
+    def test_class_code_matches_switching(self, p):
+        # every K of both searches, RIC on the first chunk (every subset on Paley 13): on
+        # realified Paley 13, RIC at K >= 13 keys its classes by more than 64 bits, and
+        # RIC at K <= 2 and ROC at K = 1 by none
+        frame = realify(paley_etf(p))
+        g, n = frame.gram, frame.n
+        signs = np.sign(g).astype(np.int8)
+        np.fill_diagonal(signs, 0)
+        for k in range(1, n + 1):
+            for chunk in itertools.islice(subsets.iter_subset_chunks(n, k), 1):
+                norms = certification._sign_norms(_hollow_subgrams(g, chunk), cross=False)
+                reference = switched_sign_norms(certification._gather(signs, chunk, chunk))
+                assert np.array_equal(norms, reference), k
+        for k in range(1, n // 2 + 1):
+            groups = math.comb(n, k) - math.comb(2 * k - 1, k)
+            # a few thousand pairs per K, first members spread over the table
+            firsts = np.arange(0, groups, max(1, groups // 40))
+            for first, second in subsets.iter_disjoint_pair_chunks(n, k, firsts):
+                norms = certification._sign_norms(certification._gather(g, first, second), cross=True)
+                reference = switched_sign_norms(certification._gather(signs, first, second))
+                assert np.array_equal(norms, reference), k
+
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_class_code_of_random_blocks(self, cross):
+        # symmetric hollow blocks (RIC) and any blocks (ROC) of +-mu; past 64 code bits
+        # from K = 13 (RIC) and K = 10 (ROC), and none at K = 1 and 2 (RIC) or 1 (ROC)
+        rng = np.random.default_rng(31)
+        for k in range(1, 15):
+            block = rng.choice([-0.3, 0.3], (300, k, k))
+            diagonal = np.arange(k)
+            if not cross:
+                block = np.triu(block, 1)
+                block += block.swapaxes(1, 2)
+                # a hollow diagonal can be a tiny number of either sign, never read
+                block[:, diagonal, diagonal] = rng.choice([-1e-17, 0.0, 1e-17], (300, k))
+            signs = np.sign(block).astype(np.int8)
+            if not cross:
+                signs[:, diagonal, diagonal] = 0
+            norms = certification._sign_norms(block, cross=cross)
+            assert np.array_equal(norms, switched_sign_norms(signs)), k
+
+    def test_roc_gathers_each_chunk_once(self, paley13_real, monkeypatch):
+        # the class code is read off the gathered cross-Gram: no sign block is gathered
+        gathered, chunks = [], []
+        real_gather, real_chunks = certification._gather, certification.iter_disjoint_pair_chunks
+
+        def gather(a, rows, cols):
+            gathered.append(a)
+            return real_gather(a, rows, cols)
+
+        def counted(n, k, firsts):
+            for pair in real_chunks(n, k, firsts):
+                chunks.append(len(pair[0]))
+                yield pair
+
+        monkeypatch.setattr(certification, "_gather", gather)
+        monkeypatch.setattr(certification, "iter_disjoint_pair_chunks", counted)
+        search = roc_exact_search(paley13_real, 2)
+        assert len(gathered) == len(chunks) > 1
+        assert all(a is paley13_real.gram for a in gathered)
+        assert sum(chunks) > search.count  # the pairs of the bar's top groups, then all
+
+
+def switched_sign_norms(signs):
+    """The reference of ``_sign_norms``: each int8 sign block switched, rows by its first
+    column and then columns by its new first row (0 read as +1), and its S^T S solved by
+    ``eigvalsh`` on its own."""
+    k = signs.shape[1]
+    signs = signs * (signs[:, :, :1] | 1)  # x | 1 is x with 0 read as +1
+    signs *= signs[:, :1, :] | 1
+    s = signs.astype(float)
+    lam = np.linalg.eigvalsh(s.swapaxes(1, 2) @ s)[:, -1]
+    return np.sqrt(lam + 16 * k**3 * np.finfo(float).eps)
 
 
 def screened_roc(frame, k):
